@@ -150,11 +150,15 @@ def load_model(
             f"{path}: encoder fingerprint mismatch; the model was trained "
             "with a different encoder"
         )
+    try:
+        model = model_from_payload(payload["model"])
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     return PipelineModel(
         mode=payload["mode"],
         family=payload["family"],
         seed=int(payload["seed"]),
         params=payload["params"],
         dimred=_dimred_from(payload["dimred"]),
-        model=model_from_payload(payload["model"]),
+        model=model,
     )

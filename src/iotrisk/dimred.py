@@ -7,7 +7,10 @@ matrix as a relative cluster-size frequency.
 The t-SNE here is the exact O(n^2) formulation: per-row Gaussian
 bandwidths found by binary search to the target perplexity, symmetrized
 joint probabilities, Student-t low-dimensional affinities, gradient
-descent with early exaggeration and a momentum switch.
+descent with early exaggeration and a momentum switch.  Each descent
+iteration computes only the gradient, in two n x n buffers allocated once
+per embedding; the KL divergence is evaluated only at the start and at
+the end.
 """
 
 from dataclasses import dataclass, field
@@ -99,12 +102,20 @@ class TsneEmbedding:
     kl_final: float
 
 
-def _squared_distances(X):
+def _squared_distances(X, out=None, work=None):
+    """Pairwise squared distances, clamped at 0, with a zero diagonal.
+
+    The result goes to `out`, and `work` is scratch for the Gram matrix;
+    both are n x n and allocated here when omitted.
+    """
     norms = (X * X).sum(axis=1)
-    d2 = norms[:, None] + norms[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    out = np.add(norms[:, None], norms[None, :], out=out)
+    work = np.matmul(X, X.T, out=work)
+    work *= 2.0
+    out -= work
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def conditional_probabilities(
@@ -154,17 +165,26 @@ def joint_probabilities(matrix, perplexity: float) -> np.ndarray:
     return (conditional + conditional.T) / (2.0 * conditional.shape[0])
 
 
-def _kl_and_gradient(P, Y):
-    d2 = _squared_distances(Y)
-    kernel = 1.0 / (1.0 + d2)
+def _student_kernel(Y, kernel, work):
+    """Student-t affinities 1 / (1 + d2) with a zero diagonal, into `kernel`;
+    `work` is scratch of the same n x n shape."""
+    _squared_distances(Y, out=kernel, work=work)
+    kernel += 1.0
+    np.divide(1.0, kernel, out=kernel)
     np.fill_diagonal(kernel, 0.0)
-    Q = kernel / kernel.sum()
-    kl = float(
-        (P * np.log(np.maximum(P, _EPS) / np.maximum(Q, _EPS))).sum()
-    )
-    coeff = (P - Q) * kernel
-    grad = 4.0 * ((np.diag(coeff.sum(axis=1)) - coeff) @ Y)
-    return kl, grad
+
+
+def _kl_divergence(P, Y):
+    """KL(P || Q) for the low-dimensional affinities Q of layout `Y`."""
+    Q, work = np.empty_like(P), np.empty_like(P)
+    _student_kernel(Y, Q, work)
+    Q /= Q.sum()
+    np.maximum(Q, _EPS, out=Q)
+    np.maximum(P, _EPS, out=work)
+    work /= Q
+    np.log(work, out=work)
+    work *= P
+    return float(work.sum())
 
 
 def tsne_embed(matrix, config: TsneConfig | None = None) -> TsneEmbedding:
@@ -182,15 +202,28 @@ def tsne_embed(matrix, config: TsneConfig | None = None) -> TsneEmbedding:
     P = joint_probabilities(X, config.perplexity)
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(scale=1e-4, size=(X.shape[0], config.n_dims))
-    kl_initial, _ = _kl_and_gradient(P, Y)
+    kl_initial = _kl_divergence(P, Y)
 
+    # Per iteration: kernel holds the Student-t affinities, and work goes
+    # Q -> coeff = (P - Q) * kernel -> M = diag(rowsum(coeff)) - coeff,
+    # so the gradient is 4 M Y with no other n x n temporaries.
+    kernel, work = np.empty_like(P), np.empty_like(P)
+    exaggerated = P * config.early_exaggeration
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)  # per-coordinate adaptive rates keep lr=200 stable
     for iteration in range(config.n_iter):
         early = iteration < config.exaggeration_iter
+        if iteration == config.exaggeration_iter:
+            exaggerated = None
         momentum = config.momentum_early if early else config.momentum_late
-        target = P * config.early_exaggeration if early else P
-        _, grad = _kl_and_gradient(target, Y)
+        _student_kernel(Y, kernel, work)
+        np.divide(kernel, kernel.sum(), out=work)
+        np.subtract(exaggerated if early else P, work, out=work)
+        work *= kernel
+        rowsum = work.sum(axis=1)
+        np.negative(work, out=work)
+        np.fill_diagonal(work, rowsum)  # coeff's own diagonal is 0
+        grad = 4.0 * (work @ Y)
         agree = update * grad < 0.0
         gains[agree] += 0.2
         gains[~agree] *= 0.8
@@ -198,8 +231,9 @@ def tsne_embed(matrix, config: TsneConfig | None = None) -> TsneEmbedding:
         update = momentum * update - config.learning_rate * gains * grad
         Y = Y + update
         Y = Y - Y.mean(axis=0)
+    del kernel, work, exaggerated
 
-    kl_final, _ = _kl_and_gradient(P, Y)
+    kl_final = _kl_divergence(P, Y)
     if not kl_final < kl_initial:
         raise DomainError(
             f"t-SNE failed to improve: KL {kl_initial:.6f} -> {kl_final:.6f}"

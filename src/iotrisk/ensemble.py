@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, TrainingError
+from .errors import ConfigError, DataFormatError, DomainError, TrainingError
 from .tree import DecisionTree, TreeParams, fit_tree
 
 
@@ -129,13 +129,20 @@ class GbdtModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GbdtModel":
+        n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
+        for i, stage in enumerate(payload["stages"]):
+            if len(stage) != n_classes:
+                raise DataFormatError(
+                    f"GBDT stage {i} holds {len(stage)} trees, expected {n_classes}"
+                )
         stages = [
-            tuple(DecisionTree.from_preorder(t, "regression") for t in stage)
+            tuple(DecisionTree.from_preorder(t, "regression", n_features=n_features)
+                  for t in stage)
             for stage in payload["stages"]
         ]
         return cls(
-            n_classes=int(payload["n_classes"]),
-            n_features=int(payload["n_features"]),
+            n_classes=n_classes,
+            n_features=n_features,
             init_scores=np.asarray(payload["init_scores"], dtype=float),
             stages=stages,
             learning_rate=float(payload["learning_rate"]),
@@ -301,13 +308,13 @@ class ForestModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ForestModel":
-        n_classes = int(payload["n_classes"])
+        n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
         trees = [
-            DecisionTree.from_preorder(t, "classification", n_classes)
+            DecisionTree.from_preorder(t, "classification", n_classes, n_features)
             for t in payload["trees"]
         ]
         return cls(trees, n_classes, payload["family"], ForestParams(), seed=0,
-                   n_features=payload.get("n_features"))
+                   n_features=n_features)
 
 
 def _resolve_max_features(spec, d):
@@ -447,14 +454,13 @@ class AdaboostModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "AdaboostModel":
-        n_classes = int(payload["n_classes"])
+        n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
         learners = [
-            DecisionTree.from_preorder(t, "classification", n_classes)
+            DecisionTree.from_preorder(t, "classification", n_classes, n_features)
             for t in payload["trees"]
         ]
         return cls(learners, [float(a) for a in payload["alphas"]], [],
-                   n_classes, AdaboostParams(),
-                   n_features=payload.get("n_features"))
+                   n_classes, AdaboostParams(), n_features=n_features)
 
 
 def adaboost_fit(

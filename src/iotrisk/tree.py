@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DataFormatError, DomainError
 
 
 @dataclass
@@ -120,8 +120,17 @@ class DecisionTree:
 
     @classmethod
     def from_preorder(
-        cls, items: list[dict], mode: str, n_classes: int | None = None
+        cls, items: list[dict], mode: str, n_classes: int | None = None,
+        n_features: int | None = None,
     ) -> "DecisionTree":
+        """Rebuild a tree from `to_preorder` output.
+
+        A split feature outside [0, n_features), a classification leaf
+        without n_classes values, or a regression leaf that is not a
+        scalar is a DataFormatError.
+        """
+        leaf_shape = () if mode == "regression" else (n_classes,)
+
         def make(item):
             if "v" in item:
                 value = item["v"]
@@ -129,8 +138,17 @@ class DecisionTree:
                     value = np.asarray(value, dtype=float)
                 else:
                     value = float(value)
+                if getattr(value, "shape", ()) != leaf_shape:
+                    raise DataFormatError(
+                        f"{mode} leaf has shape {np.shape(value)}, expected {leaf_shape}"
+                    )
                 return TreeNode(value=value)
-            return TreeNode(feature=int(item["f"]), threshold=float(item["t"]))
+            feature = int(item["f"])
+            if n_features is not None and not 0 <= feature < n_features:
+                raise DataFormatError(
+                    f"split on feature {feature}, outside [0, {n_features})"
+                )
+            return TreeNode(feature=feature, threshold=float(item["t"]))
 
         if not items:
             raise DomainError("empty tree serialization")

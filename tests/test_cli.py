@@ -153,6 +153,87 @@ class TestTrainPredict:
         assert rc == 0
 
 
+def _first_split(trees):
+    """The first split node found in a list of preorder trees."""
+    return next(item for tree in trees for item in tree if "f" in item)
+
+
+class TestDoctoredModel:
+    """Model files edited after training must fail to load with exit 3."""
+
+    @pytest.fixture
+    def trained(self, corpus, tmp_path):
+        model = tmp_path / "m.json"
+        rc = main(["train", "--corpus", str(corpus), "--model", "gbdt",
+                   "--seed", "7", "--out", str(model), *QUICK])
+        assert rc == 0
+        devices = tmp_path / "devices.csv"
+        devices.write_text(
+            DEVICE_HEADER
+            + "\nbrand_000,type_000,SmartHome,49.0,wifi,Remote,Yes,No,"
+            "wifi_2_4ghz,None,false\n"
+        )
+        return model, devices
+
+    def _forest_payload(self, corpus, tmp_path):
+        """A small forest trained on the same corpus, so the gbdt model's
+        encoder sidecar fits it too."""
+        forest = tmp_path / "rfc.json"
+        rc = main(["train", "--corpus", str(corpus), "--model", "rfc",
+                   "--seed", "7", "--out", str(forest),
+                   "--param", "n_trees=3", "--param", "max_depth=3"])
+        assert rc == 0
+        return json.loads(forest.read_text())
+
+    def _predict(self, model, devices, payload):
+        model.write_text(json.dumps(payload))
+        return main(["predict", "--model", str(model),
+                     "--encoders", str(model) + ".encoders.json",
+                     "--input", str(devices)])
+
+    def test_untouched_copy_predicts(self, trained):
+        model, devices = trained
+        assert self._predict(model, devices, json.loads(model.read_text())) == 0
+
+    @pytest.mark.parametrize("feature", [99, -1])
+    def test_split_feature_out_of_range(self, trained, capsys, feature):
+        model, devices = trained
+        payload = json.loads(model.read_text())
+        stages = payload["model"]["stages"]
+        _first_split([tree for stage in stages for tree in stage])["f"] = feature
+        assert self._predict(model, devices, payload) == 3
+        assert f"feature {feature}" in capsys.readouterr().err
+
+    def test_split_feature_out_of_range_in_voting_member(self, corpus, trained,
+                                                         tmp_path, capsys):
+        model, devices = trained
+        gbdt = json.loads(model.read_text())["model"]
+        payload = self._forest_payload(corpus, tmp_path)
+        rfc = payload["model"]
+        _first_split(rfc["trees"])["f"] = 99
+        payload["family"] = "voting"
+        payload["model"] = {"family": "voting", "members": [gbdt, rfc]}
+        assert self._predict(model, devices, payload) == 3
+        assert "feature 99" in capsys.readouterr().err
+
+    def test_gbdt_stage_narrower_than_classes(self, trained, capsys):
+        model, devices = trained
+        payload = json.loads(model.read_text())
+        assert payload["model"]["n_classes"] == 4
+        payload["model"]["stages"] = [s[:2] for s in payload["model"]["stages"]]
+        assert self._predict(model, devices, payload) == 3
+        assert "holds 2 trees, expected 4" in capsys.readouterr().err
+
+    def test_classification_leaf_narrower_than_classes(self, corpus, trained,
+                                                       tmp_path, capsys):
+        model, devices = trained
+        payload = self._forest_payload(corpus, tmp_path)
+        leaf = next(i for i in payload["model"]["trees"][0] if "v" in i)
+        leaf["v"] = leaf["v"][:3]
+        assert self._predict(model, devices, payload) == 3
+        assert "classification leaf" in capsys.readouterr().err
+
+
 class TestEvaluateCv:
     def test_evaluate_report_shape(self, corpus, tmp_path):
         out = tmp_path / "report.txt"

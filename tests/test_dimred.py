@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,77 @@ class TestTsne:
     def test_too_few_rows(self):
         with pytest.raises(DomainError):
             tsne_embed(np.eye(3), TsneConfig(perplexity=1.5))
+
+
+def seed_tsne(X, config):
+    """Oracle: the original descent loop, which evaluated the KL divergence
+    and the gradient together each iteration, with fresh n x n temporaries
+    and an n x n diagonal matrix."""
+    tiny = np.finfo(float).tiny
+
+    def kl_and_gradient(P, Y):
+        norms = (Y * Y).sum(axis=1)
+        d2 = norms[:, None] + norms[None, :] - 2.0 * (Y @ Y.T)
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2, 0.0)
+        kernel = 1.0 / (1.0 + d2)
+        np.fill_diagonal(kernel, 0.0)
+        Q = kernel / kernel.sum()
+        kl = float((P * np.log(np.maximum(P, tiny) / np.maximum(Q, tiny))).sum())
+        coeff = (P - Q) * kernel
+        grad = 4.0 * ((np.diag(coeff.sum(axis=1)) - coeff) @ Y)
+        return kl, grad
+
+    P = joint_probabilities(X, config.perplexity)
+    Y = np.random.default_rng(config.seed).normal(
+        scale=1e-4, size=(X.shape[0], config.n_dims))
+    kl_initial, _ = kl_and_gradient(P, Y)
+    update = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    for iteration in range(config.n_iter):
+        early = iteration < config.exaggeration_iter
+        momentum = config.momentum_early if early else config.momentum_late
+        target = P * config.early_exaggeration if early else P
+        _, grad = kl_and_gradient(target, Y)
+        agree = update * grad < 0.0
+        gains[agree] += 0.2
+        gains[~agree] *= 0.8
+        np.clip(gains, 0.01, None, out=gains)
+        update = momentum * update - config.learning_rate * gains * grad
+        Y = Y + update
+        Y = Y - Y.mean(axis=0)
+    kl_final, _ = kl_and_gradient(P, Y)
+    return Y, kl_initial, kl_final
+
+
+def clustered(n, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=4.0, size=(4, 5))
+    return centers[rng.integers(4, size=n)] + rng.normal(size=(n, 5))
+
+
+class TestTsneDescent:
+    def test_bit_identical_to_seed_iteration(self):
+        X = clustered(80, seed=14)
+        config = TsneConfig(perplexity=10, n_iter=300, exaggeration_iter=120, seed=3)
+        embedding = tsne_embed(X, config)
+        Y, kl_initial, kl_final = seed_tsne(X, config)
+        assert np.array_equal(embedding.coordinates, Y)
+        assert embedding.kl_initial == kl_initial
+        assert embedding.kl_final == kl_final
+
+    def test_peak_memory_has_no_per_iteration_temporaries(self):
+        # two n x n buffers plus P and its exaggerated copy; the old loop
+        # peaked at 7.1 n^2 doubles
+        n = 200
+        X = clustered(n, seed=15)
+        tracemalloc.start()
+        try:
+            tsne_embed(X, TsneConfig(perplexity=20, n_iter=300, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * n * n * 8
 
 
 class TestKmeans:
