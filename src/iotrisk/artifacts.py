@@ -3,7 +3,8 @@
 Both artifacts are canonical JSON (sorted keys, fixed separators), so a
 run with identical inputs and seed writes byte-identical files.  A model
 file pins the fingerprint of the encoder it was trained with, and loading
-rejects a mismatched sidecar.
+rejects a mismatched sidecar.  Any payload that does not parse into a
+model or an encoder is a DataFormatError naming the file.
 """
 
 import json
@@ -18,8 +19,11 @@ from .errors import DataFormatError
 from .nvd import RISK_CLASSES
 from .pipeline import DimredArtifacts, PipelineModel
 
-ENCODER_FORMAT = "iotrisk-encoders/1"
-MODEL_FORMAT = "iotrisk-model/1"
+ENCODER_FORMAT = "iotrisk-encoders/2"
+MODEL_FORMAT = "iotrisk-model/2"
+
+# what a payload with a missing key or a mistyped value raises while parsed
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 
 CLASS_ORDERING = [c.name for c in RISK_CLASSES]
 
@@ -42,11 +46,13 @@ def load_encoder(path: str | Path) -> CorpusEncoder:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc.msg})") from exc
-    if payload.get("format") != ENCODER_FORMAT:
-        raise DataFormatError(
-            f"{path}: expected format {ENCODER_FORMAT}, got {payload.get('format')!r}"
-        )
-    return CorpusEncoder.from_payload(payload)
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != ENCODER_FORMAT:
+        raise DataFormatError(f"{path}: expected format {ENCODER_FORMAT}, got {found!r}")
+    try:
+        return CorpusEncoder.from_payload(payload)
+    except _MALFORMED as exc:
+        raise DataFormatError(f"{path}: malformed encoder payload ({exc!r})") from exc
 
 
 def _scaler_payload(scaler: StandardScaler | None):
@@ -136,10 +142,9 @@ def load_model(
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc.msg})") from exc
-    if payload.get("format") != MODEL_FORMAT:
-        raise DataFormatError(
-            f"{path}: expected format {MODEL_FORMAT}, got {payload.get('format')!r}"
-        )
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != MODEL_FORMAT:
+        raise DataFormatError(f"{path}: expected format {MODEL_FORMAT}, got {found!r}")
     if payload.get("classes") != CLASS_ORDERING:
         raise DataFormatError(f"{path}: unexpected class ordering {payload.get('classes')}")
     if (
@@ -151,14 +156,15 @@ def load_model(
             "with a different encoder"
         )
     try:
-        model = model_from_payload(payload["model"])
+        return PipelineModel(
+            mode=payload["mode"],
+            family=payload["family"],
+            seed=int(payload["seed"]),
+            params=payload["params"],
+            dimred=_dimred_from(payload["dimred"]),
+            model=model_from_payload(payload["model"]),
+        )
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    return PipelineModel(
-        mode=payload["mode"],
-        family=payload["family"],
-        seed=int(payload["seed"]),
-        params=payload["params"],
-        dimred=_dimred_from(payload["dimred"]),
-        model=model,
-    )
+    except _MALFORMED as exc:
+        raise DataFormatError(f"{path}: malformed model payload ({exc!r})") from exc

@@ -325,10 +325,7 @@ def cmd_evaluate(args) -> int:
     )
     spec = config.model_spec()
     try:
-        model = fit_model(
-            spec, design.data[train_idx], labels[train_idx],
-            threads=config.threads,
-        )
+        model = fit_model(spec, design.data[train_idx], labels[train_idx])
     except IotRiskError:
         raise
     except Exception as exc:
@@ -416,7 +413,8 @@ def _add_model_options(sub, with_mode=True):
     sub.add_argument("--components", type=int, default=None,
                      help="PCA component count (default: 95%% variance rule)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker cap for parallel sections")
+                     help="worker cap for CV cells and grid configurations "
+                          "(results do not depend on it)")
 
 
 def _add_output_options(sub):

@@ -1,8 +1,7 @@
 """Device records -> numeric matrix.
 
 The model-facing representation of a categorical value is its relative
-frequency in the fitting corpus (integer label codes are kept only as a
-fitted intermediate).  Price passes through numerically.  All columns are
+frequency in the fitting corpus.  Price passes through numerically.  All columns are
 then standard-scaled with population statistics; constant columns map to
 zero and are flagged.
 """
@@ -20,17 +19,6 @@ from .errors import ConfigError, DomainError, TransformError
 
 class UnseenValueWarning(UserWarning):
     """A category absent from the fitting corpus was smoothed at transform."""
-
-
-@dataclass
-class LabelCodes:
-    """Integer codes assigned in first-appearance order over the corpus."""
-
-    codes: dict[str, int]
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.codes)
 
 
 @dataclass
@@ -65,17 +53,6 @@ def _column_values(records, feature):
     if feature not in FEATURE_COLUMNS:
         raise ConfigError(f"unknown feature {feature!r}")
     return [getattr(record, feature) for record in records]
-
-
-def fit_label_codes(records, feature: str) -> LabelCodes:
-    """Fit first-appearance integer codes for one categorical feature."""
-    if not records:
-        raise DomainError("cannot fit on an empty corpus")
-    codes: dict[str, int] = {}
-    for value in _column_values(records, feature):
-        if value not in codes:
-            codes[value] = len(codes)
-    return LabelCodes(codes=codes)
 
 
 def fit_frequency(records, feature: str) -> FrequencyTable:
@@ -128,10 +105,9 @@ class CorpusEncoder:
     "reject" raises.
     """
 
-    def __init__(self, label_codes, tables, scaler, unseen_policy="smooth"):
+    def __init__(self, tables, scaler, unseen_policy="smooth"):
         if unseen_policy not in ("smooth", "reject"):
             raise ConfigError(f"unknown unseen policy {unseen_policy!r}")
-        self.label_codes = label_codes
         self.tables = tables
         self.scaler = scaler
         self.unseen_policy = unseen_policy
@@ -140,9 +116,8 @@ class CorpusEncoder:
     def fit(cls, records, unseen_policy: str = "smooth") -> "CorpusEncoder":
         if not records:
             raise DomainError("cannot fit an encoder on an empty corpus")
-        label_codes = {f: fit_label_codes(records, f) for f in CATEGORICAL_FEATURES}
         tables = {f: fit_frequency(records, f) for f in CATEGORICAL_FEATURES}
-        encoder = cls(label_codes, tables, None, unseen_policy)
+        encoder = cls(tables, None, unseen_policy)
         encoder.scaler = fit_scaler(encoder.frequency_matrix(records))
         return encoder
 
@@ -197,7 +172,6 @@ class CorpusEncoder:
             "unseen_policy": self.unseen_policy,
             "features": {
                 f: {
-                    "codes": self.label_codes[f].codes,
                     "frequencies": self.tables[f].frequencies,
                     "n_fit": self.tables[f].n_fit,
                 }
@@ -213,16 +187,12 @@ class CorpusEncoder:
     @classmethod
     def from_payload(cls, payload: dict) -> "CorpusEncoder":
         features = payload["features"]
-        label_codes = {
-            f: LabelCodes(codes={k: int(v) for k, v in d["codes"].items()})
-            for f, d in features.items()
-        }
         tables = {
             f: FrequencyTable(
-                frequencies={k: float(v) for k, v in d["frequencies"].items()},
-                n_fit=int(d["n_fit"]),
+                frequencies={k: float(v) for k, v in features[f]["frequencies"].items()},
+                n_fit=int(features[f]["n_fit"]),
             )
-            for f, d in features.items()
+            for f in CATEGORICAL_FEATURES
         }
         stds = np.array(payload["scaler"]["stds"], dtype=float)
         scaler = StandardScaler(
@@ -230,7 +200,7 @@ class CorpusEncoder:
             stds=stds,
             constant=stds == 0.0,
         )
-        return cls(label_codes, tables, scaler, payload["unseen_policy"])
+        return cls(tables, scaler, payload["unseen_policy"])
 
     def fingerprint(self) -> str:
         """Stable digest of the fitted state; model files pin this."""

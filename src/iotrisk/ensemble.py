@@ -13,7 +13,6 @@ Every model exposes ``classes``, ``predict_proba`` (rows sum to 1) and
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,7 +123,7 @@ class GbdtModel:
             "n_features": self.n_features,
             "init_scores": self.init_scores.tolist(),
             "learning_rate": self.learning_rate,
-            "stages": [[t.to_preorder() for t in stage] for stage in self.stages],
+            "stages": [[t.to_payload() for t in stage] for stage in self.stages],
         }
 
     @classmethod
@@ -136,7 +135,7 @@ class GbdtModel:
                     f"GBDT stage {i} holds {len(stage)} trees, expected {n_classes}"
                 )
         stages = [
-            tuple(DecisionTree.from_preorder(t, "regression", n_features=n_features)
+            tuple(DecisionTree.from_payload(t, "regression", None, n_features)
                   for t in stage)
             for stage in payload["stages"]
         ]
@@ -214,15 +213,16 @@ def gbdt_fit(
         stage = []
         for c in range(K):
             residual = onehot[:, c] - probabilities[:, c]
+            step = np.empty(n)  # each training row's leaf value, set as leaves close
 
-            def newton_leaf(idx, residual=residual):
+            def newton_leaf(idx, residual=residual, step=step):
                 # sorted sums keep leaf values independent of row order
                 num = np.sort(w[idx] * residual[idx]).sum()
                 mag = np.abs(residual[idx])
                 den = np.sort(w[idx] * mag * (1.0 - mag)).sum()
-                if den <= 1e-150:
-                    return 0.0
-                return float(newton_scale * num / den)
+                value = 0.0 if den <= 1e-150 else float(newton_scale * num / den)
+                step[idx] = value
+                return value
 
             tree = fit_tree(
                 X,
@@ -232,7 +232,7 @@ def gbdt_fit(
                 mode="regression",
                 leaf_value_fn=newton_leaf,
             )
-            scores[:, c] += params.learning_rate * tree.predict_value(X)
+            scores[:, c] += params.learning_rate * step
             if valid_scores is not None:
                 valid_scores[:, c] += params.learning_rate * tree.predict_value(valid_matrix)
             stage.append(tree)
@@ -303,14 +303,14 @@ class ForestModel:
             "family": self.variant,
             "n_classes": self.n_classes,
             "n_features": self.n_features,
-            "trees": [t.to_preorder() for t in self.trees],
+            "trees": [t.to_payload() for t in self.trees],
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ForestModel":
         n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
         trees = [
-            DecisionTree.from_preorder(t, "classification", n_classes, n_features)
+            DecisionTree.from_payload(t, "classification", n_classes, n_features)
             for t in payload["trees"]
         ]
         return cls(trees, n_classes, payload["family"], ForestParams(), seed=0,
@@ -331,15 +331,13 @@ def forest_fit(
     params: ForestParams | None = None,
     seed: int = 0,
     n_classes: int | None = None,
-    threads: int = 1,
 ) -> ForestModel:
     """Fit a random forest or extra-trees ensemble.
 
     random_forest bootstraps rows and searches the best split on a random
     feature subset per node; extra_trees skips the bootstrap and draws one
     random threshold per candidate feature.  Class weights scale sample
-    weights during fitting.  Trees may be fit in parallel; aggregation
-    order is fixed, so results do not depend on the worker count.
+    weights during fitting.
     """
     X = np.ascontiguousarray(matrix, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -388,11 +386,7 @@ def forest_fit(
             mode="classification", n_classes=K, rng=rng,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(fit_one, children))
-    else:
-        trees = [fit_one(child) for child in children]
+    trees = [fit_one(child) for child in children]
     return ForestModel(trees, K, params.variant, params, seed, n_features=d)
 
 
@@ -449,14 +443,14 @@ class AdaboostModel:
             "n_classes": self.n_classes,
             "n_features": self.n_features,
             "alphas": list(self.alphas),
-            "trees": [t.to_preorder() for t in self.learners],
+            "trees": [t.to_payload() for t in self.learners],
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "AdaboostModel":
         n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
         learners = [
-            DecisionTree.from_preorder(t, "classification", n_classes, n_features)
+            DecisionTree.from_payload(t, "classification", n_classes, n_features)
             for t in payload["trees"]
         ]
         return cls(learners, [float(a) for a in payload["alphas"]], [],
@@ -617,7 +611,7 @@ _PARAM_CLASSES = {
 }
 
 
-def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = 4, threads: int = 1):
+def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = 4):
     """Fit the model a spec describes.  Unknown families are ConfigErrors."""
     family = spec.family
     if family == "gbdt":
@@ -628,7 +622,7 @@ def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = 4, threads: int 
         params.setdefault("variant",
                           "random_forest" if family == "rfc" else "extra_trees")
         return forest_fit(matrix, labels, ForestParams(**params),
-                          seed=spec.seed, n_classes=n_classes, threads=threads)
+                          seed=spec.seed, n_classes=n_classes)
     if family == "abc":
         return adaboost_fit(matrix, labels, AdaboostParams(**spec.params),
                             seed=spec.seed, n_classes=n_classes)
@@ -638,7 +632,7 @@ def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = 4, threads: int 
             raise ConfigError("voting spec needs a non-empty members list")
         fitted = [
             fit_model(ModelSpec(m["family"], m.get("params", {}), spec.seed),
-                      matrix, labels, n_classes, threads)
+                      matrix, labels, n_classes)
             for m in members
         ]
         return VotingModel(fitted)

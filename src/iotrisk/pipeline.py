@@ -189,10 +189,7 @@ def fit_pipeline(
         encoded, config.mode, config.seed, config.clusters, config.components
     )
     spec = config.model_spec()
-    model = fit_model(
-        spec, design.data, design.labels, n_classes=len(RISK_CLASSES),
-        threads=config.threads,
-    )
+    model = fit_model(spec, design.data, design.labels, n_classes=len(RISK_CLASSES))
     return encoder, PipelineModel(
         mode=config.mode,
         family=config.family,

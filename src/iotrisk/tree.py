@@ -31,50 +31,40 @@ class TreeParams:
     random_thresholds: bool = False  # extra-trees style split proposal
 
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: object = None  # class-probability vector or scalar at leaves
-    n_samples: int = 0
-    decrease: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
-
-
 class DecisionTree:
-    """A fitted CART tree plus the parameters it was grown with."""
+    """A fitted CART tree stored as parallel node arrays (node 0 is the root).
 
-    def __init__(self, root: TreeNode, mode: str, n_classes: int | None, params: TreeParams):
-        self.root = root
+    ``feature``, ``left`` and ``right`` are -1 at leaves; children always
+    have larger indices than their parent.  ``value`` holds one row per
+    node, (n_nodes, K) class probabilities or (n_nodes,) scalars, and is
+    meaningful at leaves only.
+    """
+
+    def __init__(self, feature, threshold, left, right, value, mode: str,
+                 n_classes: int | None):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
         self.mode = mode
         self.n_classes = n_classes
-        self.params = params
 
     def predict_value(self, matrix) -> np.ndarray:
-        """Leaf payload per row: (n, K) probabilities or (n,) scalars."""
+        """Leaf payload per row: (n, K) probabilities or (n,) scalars.
+
+        All rows descend together, one level per step."""
         X = np.asarray(matrix, dtype=float)
-        n = X.shape[0]
-        if self.mode == "classification":
-            out = np.empty((n, self.n_classes), dtype=float)
-        else:
-            out = np.empty(n, dtype=float)
-        stack = [(self.root, np.arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.value
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        return out
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            at = node[rows]
+            feature = self.feature[at]
+            inner = feature >= 0
+            rows, at, feature = rows[inner], at[inner], feature[inner]
+            go_left = X[rows, feature] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return self.value[node]
 
     def predict(self, matrix) -> np.ndarray:
         """Class labels (argmax with lowest-ordinal tie-break)."""
@@ -83,92 +73,67 @@ class DecisionTree:
         return np.argmax(self.predict_value(matrix), axis=1)
 
     def node_count(self) -> int:
-        count, stack = 0, [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend((node.left, node.right))
-        return count
+        return len(self.feature)
 
-    def max_path_length(self) -> int:
-        deepest, stack = 0, [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.is_leaf:
-                deepest = max(deepest, depth)
-            else:
-                stack.append((node.left, depth + 1))
-                stack.append((node.right, depth + 1))
-        return deepest
-
-    def to_preorder(self) -> list[dict]:
-        """Flat preorder node list: {"f","t"} for splits, {"v"} for leaves."""
-        items, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                value = node.value
-                if isinstance(value, np.ndarray):
-                    value = value.tolist()
-                items.append({"v": value})
-            else:
-                items.append({"f": int(node.feature), "t": float(node.threshold)})
-                stack.append(node.right)
-                stack.append(node.left)
-        return items
+    def to_payload(self) -> dict:
+        """The node arrays, with values for leaf rows only."""
+        return {
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "value": self.value[self.left < 0].tolist(),
+        }
 
     @classmethod
-    def from_preorder(
-        cls, items: list[dict], mode: str, n_classes: int | None = None,
-        n_features: int | None = None,
-    ) -> "DecisionTree":
-        """Rebuild a tree from `to_preorder` output.
+    def from_payload(cls, payload: dict, mode: str, n_classes: int | None,
+                     n_features: int) -> "DecisionTree":
+        """Rebuild and validate a tree from `to_payload` output.
 
-        A split feature outside [0, n_features), a classification leaf
-        without n_classes values, or a regression leaf that is not a
-        scalar is a DataFormatError.
+        Any array that does not describe one tree over n_features columns
+        with K-wide (classification) or scalar (regression) leaves is a
+        DataFormatError.
         """
+        feature, left, right = (_index_array(payload, k) for k in ("feature", "left", "right"))
+        threshold = np.asarray(payload["threshold"], dtype=float)
+        n = len(feature)
+        if n == 0 or threshold.shape != (n,) or len(left) != n or len(right) != n:
+            raise DataFormatError("tree arrays are empty or of unequal length")
+        leaf = left < 0
+        split = ~leaf
+        at = np.flatnonzero(split)
+        bad = feature[split][(feature[split] < 0) | (feature[split] >= n_features)]
+        if bad.size:
+            raise DataFormatError(f"split on feature {bad[0]}, outside [0, {n_features})")
+        if not ((left[split] > at) & (right[split] > at)
+                & (left[split] < n) & (right[split] < n)).all():
+            raise DataFormatError("tree child index not after its parent or out of range")
+        if not ((feature[leaf] == -1) & (left[leaf] == -1) & (right[leaf] == -1)).all():
+            raise DataFormatError("tree leaf has a feature or a child")
+        parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
+        if parents[0] != 0 or (parents[1:] != 1).any():
+            raise DataFormatError("tree node without exactly one parent")
+        if not np.isfinite(threshold[split]).all():
+            raise DataFormatError("tree split threshold is not finite")
         leaf_shape = () if mode == "regression" else (n_classes,)
+        leaf_values = np.asarray(payload["value"], dtype=float)
+        if leaf_values.shape != (int(leaf.sum()),) + leaf_shape:
+            raise DataFormatError(
+                f"tree {mode} leaf values have shape {leaf_values.shape}, "
+                f"expected {(int(leaf.sum()),) + leaf_shape}"
+            )
+        if not np.isfinite(leaf_values).all():
+            raise DataFormatError("tree leaf value is not finite")
+        value = np.zeros((n,) + leaf_shape)
+        value[leaf] = leaf_values
+        return cls(feature, threshold, left, right, value, mode, n_classes)
 
-        def make(item):
-            if "v" in item:
-                value = item["v"]
-                if isinstance(value, list):
-                    value = np.asarray(value, dtype=float)
-                else:
-                    value = float(value)
-                if getattr(value, "shape", ()) != leaf_shape:
-                    raise DataFormatError(
-                        f"{mode} leaf has shape {np.shape(value)}, expected {leaf_shape}"
-                    )
-                return TreeNode(value=value)
-            feature = int(item["f"])
-            if n_features is not None and not 0 <= feature < n_features:
-                raise DataFormatError(
-                    f"split on feature {feature}, outside [0, {n_features})"
-                )
-            return TreeNode(feature=feature, threshold=float(item["t"]))
 
-        if not items:
-            raise DomainError("empty tree serialization")
-        root = make(items[0])
-        pending = [] if root.is_leaf else [root]
-        for item in items[1:]:
-            node = make(item)
-            if not pending:
-                raise DomainError("malformed tree serialization: dangling nodes")
-            parent = pending[-1]
-            if parent.left is None:
-                parent.left = node
-            else:
-                parent.right = node
-                pending.pop()
-            if not node.is_leaf:
-                pending.append(node)
-        if pending:
-            raise DomainError("truncated tree serialization")
-        return cls(root=root, mode=mode, n_classes=n_classes, params=TreeParams())
+def _index_array(payload: dict, key: str) -> np.ndarray:
+    array = np.asarray(payload[key])
+    if array.ndim != 1 or (array.size and array.dtype.kind != "i"):
+        raise DataFormatError(f"tree {key!r} is not a list of integers")
+    return array.astype(np.intp)
 
 
 def _best_split_sorted(Xn, value_rows, mode):
@@ -262,7 +227,8 @@ def fit_tree(
 
     `leaf_value_fn(row_indices)` overrides the default leaf payload
     (class-probability vector / weighted mean); it receives indices into
-    the caller's row order.  `rng` drives the per-node feature subsets and
+    the caller's row order and is called once per leaf, and the leaves
+    partition the rows.  `rng` drives the per-node feature subsets and
     the random thresholds, when enabled.
     """
     X = np.ascontiguousarray(matrix, dtype=float)
@@ -313,11 +279,16 @@ def fit_tree(
             return sums[:-1] / sums[-1]
         return float(sums[0] / sums[-1])
 
-    root = TreeNode()
-    stack = [(root, np.arange(n), 0)]
+    # Nodes are numbered in preorder as they are popped; a child's slot in
+    # its parent's left/right list is filled in when the child is created.
+    feature, threshold, left, right, value = [], [], [], [], []
+    blank = 0.0 if mode == "regression" else np.zeros(K)
+    stack = [(np.arange(n), 0, None, -1)]
     while stack:
-        node, idx, depth = stack.pop()
-        node.n_samples = int(idx.size)
+        idx, depth, links, parent = stack.pop()
+        node = len(feature)
+        if links is not None:
+            links[parent] = node
         split = None
         depth_ok = params.max_depth is None or depth < params.max_depth
         if depth_ok and idx.size >= params.min_samples_split:
@@ -336,13 +307,20 @@ def fit_tree(
                     split = _best_split_sorted(Xn, vn, mode)
                 if split is not None and feats is not None:
                     split = (int(feats[split[0]]), split[1], split[2])
+        left.append(-1)
+        right.append(-1)
         if split is None or split[2] < params.min_impurity_decrease:
-            node.value = leaf_payload(idx)
+            feature.append(-1)
+            threshold.append(0.0)
+            value.append(leaf_payload(idx))
             continue
-        node.feature, node.threshold, node.decrease = split
-        mask = Xc[idx, node.feature] <= node.threshold
-        node.left = TreeNode()
-        node.right = TreeNode()
-        stack.append((node.right, idx[~mask], depth + 1))
-        stack.append((node.left, idx[mask], depth + 1))
-    return DecisionTree(root=root, mode=mode, n_classes=K, params=params)
+        feature.append(split[0])
+        threshold.append(split[1])
+        value.append(blank)
+        mask = Xc[idx, split[0]] <= split[1]
+        stack.append((idx[~mask], depth + 1, right, node))
+        stack.append((idx[mask], depth + 1, left, node))
+    return DecisionTree(
+        np.array(feature, dtype=np.intp), np.array(threshold), np.array(left, dtype=np.intp),
+        np.array(right, dtype=np.intp), np.array(value, dtype=float), mode, K,
+    )

@@ -1,5 +1,7 @@
+import contextlib
 import gzip
 import json
+import signal
 
 import pytest
 
@@ -154,8 +156,24 @@ class TestTrainPredict:
 
 
 def _first_split(trees):
-    """The first split node found in a list of preorder trees."""
-    return next(item for tree in trees for item in tree if "f" in item)
+    """(tree, node index) of the first split found in a list of tree payloads."""
+    return next((tree, i) for tree in trees
+                for i, child in enumerate(tree["left"]) if child >= 0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the body runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestDoctoredModel:
@@ -200,7 +218,8 @@ class TestDoctoredModel:
         model, devices = trained
         payload = json.loads(model.read_text())
         stages = payload["model"]["stages"]
-        _first_split([tree for stage in stages for tree in stage])["f"] = feature
+        tree, node = _first_split([tree for stage in stages for tree in stage])
+        tree["feature"][node] = feature
         assert self._predict(model, devices, payload) == 3
         assert f"feature {feature}" in capsys.readouterr().err
 
@@ -210,7 +229,8 @@ class TestDoctoredModel:
         gbdt = json.loads(model.read_text())["model"]
         payload = self._forest_payload(corpus, tmp_path)
         rfc = payload["model"]
-        _first_split(rfc["trees"])["f"] = 99
+        tree, node = _first_split(rfc["trees"])
+        tree["feature"][node] = 99
         payload["family"] = "voting"
         payload["model"] = {"family": "voting", "members": [gbdt, rfc]}
         assert self._predict(model, devices, payload) == 3
@@ -228,10 +248,73 @@ class TestDoctoredModel:
                                                        tmp_path, capsys):
         model, devices = trained
         payload = self._forest_payload(corpus, tmp_path)
-        leaf = next(i for i in payload["model"]["trees"][0] if "v" in i)
-        leaf["v"] = leaf["v"][:3]
+        tree = payload["model"]["trees"][0]
+        tree["value"] = [row[:3] for row in tree["value"]]
         assert self._predict(model, devices, payload) == 3
         assert "classification leaf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", [
+        "backwards_child", "child_out_of_range", "unequal_lengths", "missing_leaf_row",
+        "null_threshold", "null_leaf_value",
+    ])
+    def test_malformed_tree_arrays(self, trained, capsys, defect):
+        model, devices = trained
+        payload = json.loads(model.read_text())
+        trees = [tree for stage in payload["model"]["stages"] for tree in stage]
+        # a split below the root, so that pointing it back at node 0 is a cycle
+        tree, node = next((t, i) for t in trees
+                          for i in range(1, len(t["left"])) if t["left"][i] >= 0)
+        if defect == "backwards_child":
+            tree["left"][node] = 0
+        elif defect == "child_out_of_range":
+            tree["right"][node] = len(tree["feature"]) + 5
+        elif defect == "unequal_lengths":
+            tree["threshold"].append(0.5)
+        elif defect == "missing_leaf_row":
+            tree["value"].pop()
+        elif defect == "null_threshold":
+            tree["threshold"][node] = None  # would read as NaN
+        else:
+            tree["value"][0] = None
+        with _deadline(30):
+            assert self._predict(model, devices, payload) == 3
+        assert "m.json: tree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", [
+        "no_n_features", "text_threshold", "no_dimred_mode", "model_not_an_object",
+        "file_not_an_object", "old_format", "sidecar_without_scaler",
+        "sidecar_without_feature", "sidecar_not_an_object",
+    ])
+    def test_malformed_payload_is_data_error(self, trained, capsys, defect):
+        model, devices = trained
+        payload = json.loads(model.read_text())
+        sidecar = model.parent / (model.name + ".encoders.json")
+        if defect == "no_n_features":
+            del payload["model"]["n_features"]
+        elif defect == "text_threshold":
+            tree, node = _first_split(
+                [tree for stage in payload["model"]["stages"] for tree in stage])
+            tree["threshold"][node] = "abc"
+        elif defect == "no_dimred_mode":
+            del payload["dimred"]["mode"]
+        elif defect == "model_not_an_object":
+            payload["model"] = []
+        elif defect == "file_not_an_object":
+            payload = []
+        elif defect == "old_format":
+            payload["format"] = "iotrisk-model/1"
+        else:
+            encoders = json.loads(sidecar.read_text())
+            if defect == "sidecar_without_scaler":
+                del encoders["scaler"]
+            elif defect == "sidecar_without_feature":
+                del encoders["features"]["brand"]
+            else:
+                encoders = []
+            sidecar.write_text(json.dumps(encoders))
+        assert self._predict(model, devices, payload) == 3
+        broken = sidecar if defect.startswith("sidecar") else model
+        assert f"{broken}: " in capsys.readouterr().err
 
 
 class TestEvaluateCv:

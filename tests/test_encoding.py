@@ -10,7 +10,6 @@ from iotrisk.encoding import (
     correlation_matrix,
     correlation_to_csv,
     fit_frequency,
-    fit_label_codes,
     fit_scaler,
 )
 from iotrisk.errors import ConfigError, DomainError, TransformError
@@ -62,17 +61,6 @@ class TestFrequency:
     def test_empty_corpus(self):
         with pytest.raises(DomainError):
             fit_frequency([], "brand")
-
-
-class TestLabelCodes:
-    def test_first_appearance_order(self):
-        codes = fit_label_codes(brand_corpus(["b", "a", "b", "c"]), "brand")
-        assert codes.codes == {"b": 0, "a": 1, "c": 2}
-        assert codes.cardinality == 3
-
-    def test_bijection(self):
-        codes = fit_label_codes(brand_corpus(list("edcba")), "brand").codes
-        assert sorted(codes.values()) == list(range(5))
 
 
 class TestScaler:
