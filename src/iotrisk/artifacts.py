@@ -12,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import FEATURE_COLUMNS
 from .dimred import KmeansModel, PcaModel
 from .encoding import CorpusEncoder, StandardScaler
 from .ensemble import model_from_payload
 from .errors import DataFormatError
 from .nvd import RISK_CLASSES
-from .pipeline import DimredArtifacts, PipelineModel
+from .pipeline import MODES, DimredArtifacts, PipelineModel
 
 ENCODER_FORMAT = "iotrisk-encoders/2"
 MODEL_FORMAT = "iotrisk-model/2"
@@ -55,18 +56,29 @@ def load_encoder(path: str | Path) -> CorpusEncoder:
         raise DataFormatError(f"{path}: malformed encoder payload ({exc!r})") from exc
 
 
-def _scaler_payload(scaler: StandardScaler | None):
-    if scaler is None:
-        return None
+def _scaler_payload(scaler: StandardScaler) -> dict:
     return {"means": scaler.means.tolist(), "stds": scaler.stds.tolist()}
 
 
-def _scaler_from(payload) -> StandardScaler | None:
-    if payload is None:
-        return None
-    stds = np.asarray(payload["stds"], dtype=float)
+def _array(value, what: str, shape: tuple) -> np.ndarray:
+    """`value` as a finite float array of `shape`, where None stands for
+    any non-zero length."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim != len(shape) or any(
+        found == 0 or want not in (None, found)
+        for found, want in zip(array.shape, shape)
+    ):
+        expected = ", ".join("*" if n is None else str(n) for n in shape)
+        raise DataFormatError(f"{what} has shape {array.shape}, expected ({expected})")
+    if not np.isfinite(array).all():
+        raise DataFormatError(f"{what} holds a non-finite value")
+    return array
+
+
+def _cluster_scaler_from(payload) -> StandardScaler:
+    stds = _array(payload["stds"], "cluster_scaler stds", (1,))
     return StandardScaler(
-        means=np.asarray(payload["means"], dtype=float),
+        means=_array(payload["means"], "cluster_scaler means", (1,)),
         stds=stds,
         constant=stds == 0.0,
     )
@@ -92,27 +104,44 @@ def _dimred_payload(artifacts: DimredArtifacts) -> dict:
     return payload
 
 
-def _dimred_from(payload: dict) -> DimredArtifacts:
-    artifacts = DimredArtifacts(mode=payload["mode"])
-    if "pca" in payload:
+def _dimred_from(payload: dict, mode) -> DimredArtifacts:
+    """The reduction stage of a model of `mode`, checked to be usable."""
+    if mode not in MODES or payload["mode"] != mode:
+        raise DataFormatError(
+            f"model mode {mode!r} with a dimred stage of mode {payload['mode']!r}"
+        )
+    artifacts = DimredArtifacts(mode=mode)
+    if mode == "wo_dr":
+        return artifacts
+    width = None  # of the space k-means ran in; a t-SNE embedding's is free
+    if mode == "pca":
+        n_features = len(FEATURE_COLUMNS)
+        components = _array(
+            payload["pca"]["components"], "pca components", (None, n_features)
+        )
+        width = len(components)
         artifacts.pca = PcaModel(
-            components=np.asarray(payload["pca"]["components"], dtype=float),
-            explained_variance_ratio=np.asarray(
-                payload["pca"]["explained_variance_ratio"], dtype=float
+            components=components,
+            explained_variance_ratio=_array(
+                payload["pca"]["explained_variance_ratio"],
+                "pca explained_variance_ratio", (width,),
             ),
-            means=np.asarray(payload["pca"]["means"], dtype=float),
+            means=_array(payload["pca"]["means"], "pca means", (n_features,)),
         )
-    if "kmeans" in payload:
-        centroids = np.asarray(payload["kmeans"]["centroids"], dtype=float)
-        artifacts.kmeans = KmeansModel(
-            centroids=centroids,
-            assignments=np.empty(0, dtype=int),
-            inertia=0.0,
-            n_iter=0,
-            seed=int(payload["kmeans"]["seed"]),
-        )
-        artifacts.cluster_freqs = np.asarray(payload["cluster_freqs"], dtype=float)
-        artifacts.cluster_scaler = _scaler_from(payload["cluster_scaler"])
+    centroids = _array(
+        payload["kmeans"]["centroids"], "k-means centroids", (None, width)
+    )
+    artifacts.kmeans = KmeansModel(
+        centroids=centroids,
+        assignments=np.empty(0, dtype=int),
+        inertia=0.0,
+        n_iter=0,
+        seed=int(payload["kmeans"]["seed"]),
+    )
+    artifacts.cluster_freqs = _array(
+        payload["cluster_freqs"], "cluster_freqs", (len(centroids),)
+    )
+    artifacts.cluster_scaler = _cluster_scaler_from(payload["cluster_scaler"])
     if "tsne_kl" in payload:
         artifacts.tsne_kl = tuple(payload["tsne_kl"])
     return artifacts
@@ -161,7 +190,7 @@ def load_model(
             family=payload["family"],
             seed=int(payload["seed"]),
             params=payload["params"],
-            dimred=_dimred_from(payload["dimred"]),
+            dimred=_dimred_from(payload["dimred"], payload["mode"]),
             model=model_from_payload(payload["model"]),
         )
     except DataFormatError as exc:

@@ -13,9 +13,8 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import dataset, reporting
 from .artifacts import load_encoder, load_model, save_encoder, save_model
@@ -29,7 +28,7 @@ from .dataset import (
     synthesize_corpus,
 )
 from .encoding import CorpusEncoder, correlation_matrix, correlation_to_csv
-from .ensemble import ModelSpec, fit_model
+from .ensemble import fit_model
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -58,10 +57,10 @@ from .pipeline import (
     FAMILIES,
     MODES,
     PipelineConfig,
-    build_design,
+    build_design,  # unused here, but perfbench/tracing.py wraps it by this name
+    fit_design,
     fit_pipeline,
     predict_devices,
-    profile_params,
 )
 from .util import derived_seed
 
@@ -144,8 +143,15 @@ def _emit(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
-def _labels_of(records) -> np.ndarray:
-    return np.array([int(r.risk_score) for r in records], dtype=int)
+@contextmanager
+def _training_errors():
+    """Report an unexpected failure of model fitting as a TrainingError."""
+    try:
+        yield
+    except IotRiskError:
+        raise
+    except Exception as exc:  # model fitting is the risky stage
+        raise TrainingError(str(exc)) from exc
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -161,7 +167,6 @@ def _pipeline_config(args) -> PipelineConfig:
         k=getattr(args, "k", 5),
         repeats=getattr(args, "repeats", 2),
         test_fraction=getattr(args, "test_fraction", 0.2),
-        threads=getattr(args, "threads", 1),
     ).validate()
 
 
@@ -225,12 +230,8 @@ def cmd_build(args) -> int:
 def cmd_train(args) -> int:
     records, _ = load_corpus(args.corpus)
     config = _pipeline_config(args)
-    try:
+    with _training_errors():
         encoder, pipeline = fit_pipeline(records, config)
-    except IotRiskError:
-        raise
-    except Exception as exc:  # model fitting is the risky stage
-        raise TrainingError(str(exc)) from exc
     sidecar = args.encoders or f"{args.out}.encoders.json"
     save_model(args.out, pipeline, encoder.fingerprint())
     save_encoder(sidecar, encoder)
@@ -242,26 +243,17 @@ def cmd_train(args) -> int:
 
 def cmd_cv(args) -> int:
     records, _ = load_corpus(args.corpus)
-    labels = _labels_of(records)
     config = _pipeline_config(args)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}; choose from {'/'.join(MODES)}")
-    plan = make_fold_plan(labels, config.k, config.repeats, config.seed)
-    encoder = CorpusEncoder.fit(records)
-    encoded = encoder.transform(records)
-    spec_params = profile_params(config.family, config.profile, config.overrides)
+    spec = config.model_spec()
     runs = []
     for mode in modes:
-        design, _ = build_design(
-            encoded, mode, config.seed, config.clusters, config.components
-        )
-        spec = ModelSpec(config.family, spec_params, config.seed)
-        result = cross_validate(
-            spec, design.data, labels, plan, threads=config.threads
-        )
-        runs.append((mode, result))
+        _, design, _ = fit_design(records, config, mode)
+        plan = make_fold_plan(design.labels, config.k, config.repeats, config.seed)
+        runs.append((mode, cross_validate(spec, design.data, design.labels, plan)))
     if args.format == "csv":
         _emit(reporting.cv_csv(runs), args.out)
     else:
@@ -283,25 +275,19 @@ def cmd_tune(args) -> int:
     ):
         raise DataFormatError(f"{args.grid}: expected an object of value lists")
     records, _ = load_corpus(args.corpus)
-    labels = _labels_of(records)
     config = _pipeline_config(args)
     if config.family == "voting":
         raise ConfigError("tune applies to a single model family (gbdt or rfc)")
-    plan = make_fold_plan(labels, config.k, config.repeats, config.seed)
-    encoder = CorpusEncoder.fit(records)
-    design, _ = build_design(
-        encoder.transform(records), config.mode, config.seed,
-        config.clusters, config.components,
-    )
+    _, design, _ = fit_design(records, config)
+    plan = make_fold_plan(design.labels, config.k, config.repeats, config.seed)
     result = grid_search(
         config.family,
         grid,
         design.data,
-        labels,
+        design.labels,
         plan,
         seed=config.seed,
-        base_params=profile_params(config.family, config.profile, config.overrides),
-        threads=config.threads,
+        base_params=config.model_spec().params,
         metric=args.metric.replace("-", "_"),
     )
     if args.format == "csv":
@@ -313,23 +299,14 @@ def cmd_tune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     records, _ = load_corpus(args.corpus)
-    labels = _labels_of(records)
     config = _pipeline_config(args)
-    encoder = CorpusEncoder.fit(records)
-    design, _ = build_design(
-        encoder.transform(records), config.mode, config.seed,
-        config.clusters, config.components,
-    )
+    _, design, _ = fit_design(records, config)
+    labels = design.labels
     train_idx, test_idx = stratified_split(
         labels, config.test_fraction, derived_seed(config.seed, _SPLIT_TAG)
     )
-    spec = config.model_spec()
-    try:
-        model = fit_model(spec, design.data[train_idx], labels[train_idx])
-    except IotRiskError:
-        raise
-    except Exception as exc:
-        raise TrainingError(str(exc)) from exc
+    with _training_errors():
+        model = fit_model(config.model_spec(), design.data[train_idx], labels[train_idx])
     predicted = model.predict(design.data[test_idx])
     report = compute_metrics(labels[test_idx], predicted)
     title = (
@@ -357,21 +334,12 @@ def cmd_predict(args) -> int:
 
 def cmd_ablate(args) -> int:
     records, _ = load_corpus(args.corpus)
-    labels = _labels_of(records)
     config = _pipeline_config(args)
-    plan = make_fold_plan(labels, config.k, config.repeats, config.seed)
-    encoder = CorpusEncoder.fit(records)
-    design, _ = build_design(
-        encoder.transform(records), config.mode, config.seed,
-        config.clusters, config.components,
-    )
-    spec = ModelSpec(
-        config.family,
-        profile_params(config.family, config.profile, config.overrides),
-        config.seed,
-    )
+    _, design, _ = fit_design(records, config)
+    plan = make_fold_plan(design.labels, config.k, config.repeats, config.seed)
     report = ablation_study(
-        spec, design.data, labels, plan, feature_names=design.columns
+        config.model_spec(), design.data, design.labels, plan,
+        feature_names=design.columns,
     )
     if args.format == "csv":
         _emit(reporting.ablation_csv(report), args.out)
@@ -413,8 +381,8 @@ def _add_model_options(sub, with_mode=True):
     sub.add_argument("--components", type=int, default=None,
                      help="PCA component count (default: 95%% variance rule)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker cap for CV cells and grid configurations "
-                          "(results do not depend on it)")
+                     help="accepted for compatibility; everything runs on "
+                          "one thread")
 
 
 def _add_output_options(sub):

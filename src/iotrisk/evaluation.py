@@ -2,7 +2,6 @@
 multiclass metrics at per-class / macro / micro level, exhaustive grid
 search, and per-feature ablation."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -206,7 +205,6 @@ def cross_validate(
     labels,
     plan: FoldPlan,
     n_classes: int = 4,
-    threads: int = 1,
     metric: str = "accuracy",
 ) -> CvResult:
     """Train on k-1 folds and score the held-out fold, for every
@@ -221,9 +219,8 @@ def cross_validate(
         raise DomainError("fold plan does not match the matrix rows")
 
     cells = [(r, f) for r in range(plan.repeats) for f in range(plan.k)]
-
-    def evaluate(cell):
-        repeat, fold = cell
+    scores = []
+    for repeat, fold in cells:
         train = plan.train_indices(repeat, fold)
         test = plan.test_indices(repeat, fold)
         eval_spec = ModelSpec(
@@ -237,14 +234,10 @@ def cross_validate(
             ) from exc
         predicted = model.predict(X[test])
         if metric == "macro_f1":
-            return compute_metrics(y[test], predicted, n_classes).macro_f1
-        return float((predicted == y[test]).mean())
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = np.array(list(pool.map(evaluate, cells)))
-    else:
-        scores = np.array([evaluate(cell) for cell in cells])
+            scores.append(compute_metrics(y[test], predicted, n_classes).macro_f1)
+        else:
+            scores.append(float((predicted == y[test]).mean()))
+    scores = np.array(scores)
     return CvResult(
         accuracies=scores,
         mean=float(scores.mean()),
@@ -279,7 +272,6 @@ def grid_search(
     seed: int = 0,
     base_params: dict | None = None,
     n_classes: int = 4,
-    threads: int = 1,
     metric: str = "accuracy",
 ) -> TuneResult:
     """Exhaustively cross-validate every configuration of the grid.
@@ -295,23 +287,14 @@ def grid_search(
         if not choices:
             raise ConfigError(f"grid entry {name!r} has no values")
     configs = [dict(zip(names, combo)) for combo in product(*grid.values())]
-
-    def evaluate(index_config):
-        index, config = index_config
-        params = dict(base_params or {})
-        params.update(config)
-        spec = ModelSpec(family, params, derived_seed(seed, index))
-        result = cross_validate(spec, matrix, labels, plan,
-                                n_classes=n_classes, metric=metric)
-        return result.mean, result.std
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(evaluate, enumerate(configs)))
-    else:
-        outcomes = [evaluate(pair) for pair in enumerate(configs)]
-    means = np.array([m for m, _ in outcomes])
-    stds = np.array([s for _, s in outcomes])
+    results = []
+    for index, config in enumerate(configs):
+        spec = ModelSpec(family, {**(base_params or {}), **config},
+                         derived_seed(seed, index))
+        results.append(cross_validate(spec, matrix, labels, plan,
+                                      n_classes=n_classes, metric=metric))
+    means = np.array([r.mean for r in results])
+    stds = np.array([r.std for r in results])
     winner = int(means.argmax())  # first maximum: earliest config
     ranking = sorted(range(len(configs)), key=lambda i: (-means[i], i))
     return TuneResult(

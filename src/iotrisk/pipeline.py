@@ -17,7 +17,6 @@ from .dimred import (
     KmeansModel,
     PcaModel,
     TsneConfig,
-    append_cluster_feature,
     cluster_frequencies,
     kmeans_assign,
     kmeans_fit,
@@ -90,7 +89,6 @@ class PipelineConfig:
     k: int = 5
     repeats: int = 2
     test_fraction: float = 0.2
-    threads: int = 1
 
     def validate(self) -> "PipelineConfig":
         if self.mode not in MODES:
@@ -125,6 +123,22 @@ class DimredArtifacts:
     tsne_kl: tuple[float, float] | None = None
 
 
+def _with_cluster_column(
+    encoded: EncodedMatrix, assignments, artifacts: DimredArtifacts, stage: str
+) -> EncodedMatrix:
+    """Append each row's cluster, as its scaled relative cluster size."""
+    column = apply_scaler(
+        artifacts.cluster_freqs[assignments][:, None], artifacts.cluster_scaler
+    )
+    return EncodedMatrix(
+        data=np.column_stack([encoded.data, column[:, 0]]),
+        columns=encoded.columns + ("cluster",),
+        labels=encoded.labels,
+        stages=encoded.stages + (stage, "cluster"),
+        unseen=encoded.unseen,
+    )
+
+
 def build_design(
     encoded: EncodedMatrix,
     mode: str,
@@ -135,35 +149,36 @@ def build_design(
     """Apply the reduction stage of a mode to an encoded matrix."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "wo_dr":
-        return encoded, DimredArtifacts(mode=mode)
     artifacts = DimredArtifacts(mode=mode)
+    if mode == "wo_dr":
+        return encoded, artifacts
     if mode == "tsne":
         embedding = tsne_embed(encoded.data, TsneConfig(seed=derived_seed(seed, 101)))
         points = embedding.coordinates
         artifacts.tsne_kl = (embedding.kl_initial, embedding.kl_final)
-        stage = "tsne"
     else:
         artifacts.pca = pca_fit(encoded.data, components)
         points = pca_transform(encoded.data, artifacts.pca)
-        stage = "pca"
     artifacts.kmeans = kmeans_fit(points, clusters, seed=derived_seed(seed, 102))
+    assignments = artifacts.kmeans.assignments
     artifacts.cluster_freqs = cluster_frequencies(
-        artifacts.kmeans.assignments, len(artifacts.kmeans.centroids)
+        assignments, len(artifacts.kmeans.centroids)
     )
-    augmented = append_cluster_feature(encoded, artifacts.kmeans)
-    artifacts.cluster_scaler = fit_scaler(augmented.data[:, -1:])
-    augmented.data[:, -1:] = apply_scaler(
-        augmented.data[:, -1:], artifacts.cluster_scaler
+    artifacts.cluster_scaler = fit_scaler(artifacts.cluster_freqs[assignments][:, None])
+    return _with_cluster_column(encoded, assignments, artifacts, mode), artifacts
+
+
+def fit_design(
+    records: list[DeviceRecord], config: PipelineConfig, mode: str | None = None
+) -> tuple[CorpusEncoder, EncodedMatrix, DimredArtifacts]:
+    """Fit the encoder on a labelled corpus and build the design matrix of
+    `mode` (the config's mode by default) over all of its rows."""
+    encoder = CorpusEncoder.fit(records)
+    design, artifacts = build_design(
+        encoder.transform(records), mode or config.mode, config.seed,
+        config.clusters, config.components,
     )
-    augmented = EncodedMatrix(
-        data=augmented.data,
-        columns=augmented.columns,
-        labels=augmented.labels,
-        stages=encoded.stages + (stage, "cluster"),
-        unseen=augmented.unseen,
-    )
-    return augmented, artifacts
+    return encoder, design, artifacts
 
 
 @dataclass
@@ -183,11 +198,7 @@ def fit_pipeline(
 ) -> tuple[CorpusEncoder, PipelineModel]:
     """Fit encoder, reduction stage and classifier on a labelled corpus."""
     config.validate()
-    encoder = CorpusEncoder.fit(records)
-    encoded = encoder.transform(records)
-    design, artifacts = build_design(
-        encoded, config.mode, config.seed, config.clusters, config.components
-    )
+    encoder, design, artifacts = fit_design(records, config)
     spec = config.model_spec()
     model = fit_model(spec, design.data, design.labels, n_classes=len(RISK_CLASSES))
     return encoder, PipelineModel(
@@ -215,15 +226,7 @@ def design_for_rows(
     artifacts = pipeline.dimred
     scores = pca_transform(encoded.data, artifacts.pca)
     assignments = kmeans_assign(scores, artifacts.kmeans)
-    column = artifacts.cluster_freqs[assignments][:, None]
-    column = apply_scaler(column, artifacts.cluster_scaler)
-    return EncodedMatrix(
-        data=np.column_stack([encoded.data, column[:, 0]]),
-        columns=encoded.columns + ("cluster",),
-        labels=encoded.labels,
-        stages=encoded.stages + ("pca", "cluster"),
-        unseen=encoded.unseen,
-    )
+    return _with_cluster_column(encoded, assignments, artifacts, "pca")
 
 
 @dataclass

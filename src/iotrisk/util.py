@@ -37,8 +37,3 @@ def largest_remainder(targets, total: int) -> np.ndarray:
 def derived_seed(*parts: int) -> int:
     """Deterministic child seed from integer components."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
-
-
-def rng_from(*parts: int) -> np.random.Generator:
-    """Deterministic generator keyed by integer components."""
-    return np.random.default_rng([int(p) for p in parts])

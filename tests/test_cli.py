@@ -2,11 +2,14 @@ import contextlib
 import gzip
 import json
 import signal
+import threading
 
 import pytest
 
+from iotrisk import evaluation
 from iotrisk.cli import build_parser, main
 from iotrisk.dataset import CSV_HEADER
+from iotrisk.ensemble import fit_model
 
 from conftest import feed_document, feed_item
 
@@ -181,9 +184,18 @@ class TestDoctoredModel:
 
     @pytest.fixture
     def trained(self, corpus, tmp_path):
+        return self._train(corpus, tmp_path, "wo_dr")
+
+    @pytest.fixture
+    def trained_pca(self, corpus, tmp_path):
+        model, devices = self._train(corpus, tmp_path, "pca")
+        assert self._predict(model, devices, json.loads(model.read_text())) == 0
+        return model, devices
+
+    def _train(self, corpus, tmp_path, mode):
         model = tmp_path / "m.json"
         rc = main(["train", "--corpus", str(corpus), "--model", "gbdt",
-                   "--seed", "7", "--out", str(model), *QUICK])
+                   "--mode", mode, "--seed", "7", "--out", str(model), *QUICK])
         assert rc == 0
         devices = tmp_path / "devices.csv"
         devices.write_text(
@@ -316,6 +328,38 @@ class TestDoctoredModel:
         broken = sidecar if defect.startswith("sidecar") else model
         assert f"{broken}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", [
+        "no_pca", "short_cluster_freqs", "wide_components", "wide_centroids",
+        "null_cluster_scaler", "bogus_mode", "mismatched_mode", "null_centroid",
+        "null_pca_mean",
+    ])
+    def test_malformed_pca_stage(self, trained_pca, capsys, defect):
+        model, devices = trained_pca
+        payload = json.loads(model.read_text())
+        dimred = payload["dimred"]
+        if defect == "no_pca":
+            del dimred["pca"]
+        elif defect == "short_cluster_freqs":
+            dimred["cluster_freqs"] = dimred["cluster_freqs"][:1]
+        elif defect == "wide_components":
+            dimred["pca"]["components"] = [
+                row + [0.0] for row in dimred["pca"]["components"]]
+        elif defect == "wide_centroids":
+            dimred["kmeans"]["centroids"] = [
+                row + [0.0] for row in dimred["kmeans"]["centroids"]]
+        elif defect == "null_cluster_scaler":
+            dimred["cluster_scaler"] = None
+        elif defect == "bogus_mode":
+            payload["mode"] = "bogus"
+        elif defect == "mismatched_mode":
+            payload["mode"] = "wo_dr"
+        elif defect == "null_centroid":
+            dimred["kmeans"]["centroids"][0][0] = None
+        else:
+            dimred["pca"]["means"][0] = None
+        assert self._predict(model, devices, payload) == 3
+        assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
 
 class TestEvaluateCv:
     def test_evaluate_report_shape(self, corpus, tmp_path):
@@ -362,6 +406,23 @@ class TestEvaluateCv:
         lines = out.read_text().splitlines()
         assert lines[0] == "rank,n_stages,mean,std"
         assert len(lines) == 3
+
+    def test_threads_flag_fits_on_calling_thread(self, corpus, tmp_path,
+                                                 monkeypatch):
+        threads = []
+
+        def recording_fit_model(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fit_model(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_model", recording_fit_model)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n_stages": [2, 3]}))
+        common = ["--corpus", str(corpus), "--seed", "4", "--k", "2",
+                  "--repeats", "1", "--threads", "2"]
+        assert main(["cv", *common, "--param", "n_stages=3"]) == 0
+        assert main(["tune", *common, "--grid", str(grid)]) == 0
+        assert threads == [threading.get_ident()] * (2 + 2 * 2)
 
     def test_tune_rejects_voting(self, corpus, tmp_path, capsys):
         grid = tmp_path / "grid.json"

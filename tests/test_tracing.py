@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+import iotrisk.cli as cli
 import iotrisk.ensemble as ensemble
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -32,3 +33,17 @@ def test_tracer_installs_over_every_target_and_restores_them():
     assert spans["tree.predict_value"].attrs == {"rows": 4}
     for owner, attr, original in originals:
         assert vars(owner)[attr] is original
+
+
+def test_traced_cv_records_every_layer_of_its_path(tmp_path):
+    tracing = load_tracing()
+    corpus = tmp_path / "corpus.csv"
+    assert cli.main(["build", "--synthesize", "--total", "120", "--seed", "3",
+                     "--signal", "0.8", "--out", str(corpus)]) == 0
+    with tracing.Tracer().installed() as tracer:
+        assert cli.main(["cv", "--corpus", str(corpus), "--seed", "7", "--k", "2",
+                         "--repeats", "1", "--param", "n_stages=3"]) == 0
+    assert {span.name for span in tracer.spans} >= {
+        "dataset.load_corpus", "encoding.fit", "pipeline.build_design",
+        "evaluation.cross_validate", "evaluation.fit_model",
+    }
