@@ -241,6 +241,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _fold_plan(records, config):
+    """Folds drawn from the records' labels, before any encoding or
+    reduction runs, so a --k larger than some class fails at once."""
+    labels = [int(r.risk_score) for r in records]
+    return make_fold_plan(labels, config.k, config.repeats, config.seed)
+
+
 def cmd_cv(args) -> int:
     records, _ = load_corpus(args.corpus)
     config = _pipeline_config(args)
@@ -249,10 +256,10 @@ def cmd_cv(args) -> int:
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}; choose from {'/'.join(MODES)}")
     spec = config.model_spec()
+    plan = _fold_plan(records, config)
     runs = []
     for mode in modes:
         _, design, _ = fit_design(records, config, mode)
-        plan = make_fold_plan(design.labels, config.k, config.repeats, config.seed)
         runs.append((mode, cross_validate(spec, design.data, design.labels, plan)))
     if args.format == "csv":
         _emit(reporting.cv_csv(runs), args.out)
@@ -278,8 +285,8 @@ def cmd_tune(args) -> int:
     config = _pipeline_config(args)
     if config.family == "voting":
         raise ConfigError("tune applies to a single model family (gbdt or rfc)")
+    plan = _fold_plan(records, config)
     _, design, _ = fit_design(records, config)
-    plan = make_fold_plan(design.labels, config.k, config.repeats, config.seed)
     result = grid_search(
         config.family,
         grid,
@@ -335,8 +342,8 @@ def cmd_predict(args) -> int:
 def cmd_ablate(args) -> int:
     records, _ = load_corpus(args.corpus)
     config = _pipeline_config(args)
+    plan = _fold_plan(records, config)
     _, design, _ = fit_design(records, config)
-    plan = make_fold_plan(design.labels, config.k, config.repeats, config.seed)
     report = ablation_study(
         config.model_spec(), design.data, design.labels, plan,
         feature_names=design.columns,

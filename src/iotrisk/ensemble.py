@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DomainError, TrainingError
-from .tree import DecisionTree, TreeParams, fit_tree
+from .tree import DecisionTree, TreeParams, column_codes, fit_tree
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -190,6 +190,7 @@ def gbdt_fit(
     priors = counts / counts.sum()
     init_scores = np.log(priors)
 
+    codes = column_codes(X)
     onehot = np.zeros((n, K))
     onehot[np.arange(n), y] = 1.0
     scores = np.tile(init_scores, (n, 1))
@@ -231,6 +232,7 @@ def gbdt_fit(
                 params=tree_params,
                 mode="regression",
                 leaf_value_fn=newton_leaf,
+                codes=codes,
             )
             scores[:, c] += params.learning_rate * step
             if valid_scores is not None:
@@ -370,6 +372,7 @@ def forest_fit(
         max_features=_resolve_max_features(params.max_features, d),
         random_thresholds=params.variant == "extra_trees",
     )
+    codes, rank = column_codes(X)
     children = np.random.SeedSequence(seed).spawn(params.n_trees)
 
     def fit_one(child):
@@ -384,6 +387,7 @@ def forest_fit(
         return fit_tree(
             Xi, yi, sample_weight=wi, params=tree_params,
             mode="classification", n_classes=K, rng=rng,
+            codes=(codes[:, rows], rank[rows]),
         )
 
     trees = [fit_one(child) for child in children]
@@ -483,12 +487,13 @@ def adaboost_fit(
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
     tree_params = TreeParams(max_depth=params.base_depth)
+    codes = column_codes(X)
 
     learners, alphas, errors = [], [], []
     weight_history = [w.copy()] if params.track_weights else []
     for _ in range(params.n_rounds):
         tree = fit_tree(X, y, sample_weight=w, params=tree_params,
-                        mode="classification", n_classes=K)
+                        mode="classification", n_classes=K, codes=codes)
         miss = tree.predict(X) != y
         error = float(w[miss].sum())
         if error == 0.0:

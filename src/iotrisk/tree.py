@@ -13,6 +13,15 @@ split maximizes the weighted impurity decrease (normalized to the node's
 own weight), tie-broken toward the lowest feature index and then the
 lowest threshold.  Rows are put into a canonical order before growth, so a
 fit depends only on the row multiset, never on input row order.
+
+The search is exact greedy over presorted integer column codes, as in
+XGBoost's column blocks: `column_codes` replaces every value by its index
+among its column's sorted distinct values and ranks the rows in
+X-lexicographic order, once per ensemble fit rather than once per tree.
+The canonical order is then a three-key sort (rank, target, weight), each
+node orders its rows per feature by a stable radix sort of the int16
+codes, and impurity is scored only at value boundaries.  The arithmetic
+matches a float sort and a full scan bit for bit.  Input must be finite.
 """
 
 from dataclasses import dataclass
@@ -136,48 +145,87 @@ def _index_array(payload: dict, key: str) -> np.ndarray:
     return array.astype(np.intp)
 
 
-def _best_split_sorted(Xn, value_rows, mode):
+def column_codes(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Integer column codes and row ranks of a finite matrix.
+
+    ``codes[j, r]`` is the index of ``X[r, j]`` among column j's sorted
+    distinct values (int16 while every column has at most 32,767 of them),
+    so a stable sort of a code row orders the rows exactly as a stable sort
+    of the column does.  ``rank[r]`` is the row's place in X-lexicographic
+    order, shared by identical rows.  An ensemble builds both once per fit
+    and hands them to each `fit_tree` call; a bootstrap sample passes
+    ``(codes[:, rows], rank[rows])``.
+    """
+    X = np.asarray(matrix, dtype=float)
+    if X.ndim != 2 or X.size == 0:
+        raise DomainError("fit_tree needs a non-empty 2-D matrix")
+    if not np.isfinite(X).all():
+        raise DomainError("tree input holds a non-finite value")
+    n, d = X.shape
+    columns = X.T.copy()
+    # equal values sit together in any sorted order, so no stable sort is needed
+    flat = np.argsort(columns, axis=1) + np.arange(0, n * d, n)[:, None]
+    ordered = columns.take(flat)
+    steps = np.zeros((d, n), dtype=np.intp)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
+    levels = np.cumsum(steps, axis=1)
+    narrow = levels[:, -1].max() < np.iinfo(np.int16).max  # <= 32,767 values
+    codes = np.empty(n * d, dtype=np.int16 if narrow else np.int32)
+    codes[flat] = levels
+    codes = codes.reshape(d, n)
+    order = np.lexsort(codes[::-1])  # column 0 is the primary key
+    ranked = codes[:, order]
+    fresh = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.concatenate(([0], np.cumsum(fresh)))
+    return codes, rank
+
+
+def _best_split_exact(codes, value_rows, mode):
     """Exhaustive midpoint scan over every feature at once.
 
-    value_rows carries the per-row split statistics with the sample weight
-    in the last column: (m, K+1) weighted one-hot counts for classification
-    or (m, 3) [w*y, w*y*y, w] for regression.  Returns (feature, threshold,
-    decrease) or None when no boundary between distinct values exists.
+    codes is (f, m): the node's rows in canonical order, coded per feature
+    by `column_codes`.  value_rows carries the per-row split statistics
+    with the sample weight in the last column: (m, K+1) weighted one-hot
+    counts for classification or (m, 3) [w*y, w*y*y, w] for regression.
+    A stable radix sort of the codes orders each feature's rows; the
+    statistics are summed cumulatively in that order, and the impurity
+    decrease is scored only where the code changes, i.e. between two
+    distinct values.  Returns (feature, lo, hi, decrease), where rows lo
+    and hi hold the values on either side of the best boundary, or None
+    when no boundary exists.
     """
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    valid = xs[1:] > xs[:-1]
-    if not valid.any():
+    order = np.argsort(codes, axis=1, kind="stable")
+    ranked = codes.take(order + np.arange(0, codes.size, codes.shape[1])[:, None])
+    feat, pos = np.nonzero(ranked[:, 1:] != ranked[:, :-1])  # feature-major
+    if not feat.size:
         return None
-    cum = np.cumsum(value_rows[order], axis=0)  # (m, f, C)
-    total = cum[-1]
-    left = cum[:-1]
-    right = total[None, :, :] - left
+    cum = np.cumsum(value_rows.take(order, axis=0), axis=1)  # (f, m, C)
+    total = cum[:, -1]
+    left = cum[feat, pos]
+    right = total[feat] - left
     tot_w = total[:, -1]
-    wl = left[:, :, -1]
-    wr = right[:, :, -1]
+    wl = left[:, -1]
+    wr = right[:, -1]
     # extreme weight skew can cancel a side's weight to exactly zero; such
     # positions are ruled out below rather than allowed to go NaN -> argmax
     with np.errstate(divide="ignore", invalid="ignore"):
         if mode == "classification":
-            gini_left = 1.0 - np.square(left[:, :, :-1] / wl[..., None]).sum(axis=-1)
-            gini_right = 1.0 - np.square(right[:, :, :-1] / wr[..., None]).sum(axis=-1)
+            gini_left = 1.0 - np.square(left[:, :-1] / wl[:, None]).sum(axis=-1)
+            gini_right = 1.0 - np.square(right[:, :-1] / wr[:, None]).sum(axis=-1)
             parent = 1.0 - np.square(total[:, :-1] / tot_w[:, None]).sum(axis=-1)
-            decrease = parent[None, :] - (wl * gini_left + wr * gini_right) / tot_w[None, :]
+            decrease = parent[feat] - (wl * gini_left + wr * gini_right) / tot_w[feat]
         else:
             sse_parent = total[:, 1] - np.square(total[:, 0]) / tot_w
-            sse_left = left[:, :, 1] - np.square(left[:, :, 0]) / wl
-            sse_right = right[:, :, 1] - np.square(right[:, :, 0]) / wr
-            decrease = (sse_parent[None, :] - sse_left - sse_right) / tot_w[None, :]
-    decrease[~valid | ~np.isfinite(decrease)] = -np.inf
-    best_pos = decrease.argmax(axis=0)  # first max: lowest threshold
-    per_feature = decrease[best_pos, np.arange(decrease.shape[1])]
-    j = int(per_feature.argmax())  # first max: lowest feature index
-    if not np.isfinite(per_feature[j]):
+            sse_left = left[:, 1] - np.square(left[:, 0]) / wl
+            sse_right = right[:, 1] - np.square(right[:, 0]) / wr
+            decrease = (sse_parent[feat] - sse_left - sse_right) / tot_w[feat]
+    decrease[~np.isfinite(decrease)] = -np.inf
+    best = int(decrease.argmax())  # first max: lowest feature, then threshold
+    if not np.isfinite(decrease[best]):
         return None
-    i = int(best_pos[j])
-    threshold = (xs[i, j] + xs[i + 1, j]) / 2.0
-    return j, float(threshold), float(per_feature[j])
+    j, i = int(feat[best]), int(pos[best])
+    return j, int(order[j, i]), int(order[j, i + 1]), float(decrease[best])
 
 
 def _best_split_random(Xn, value_rows, mode, rng):
@@ -222,6 +270,7 @@ def fit_tree(
     n_classes: int | None = None,
     rng: np.random.Generator | None = None,
     leaf_value_fn=None,
+    codes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DecisionTree:
     """Grow a CART tree.
 
@@ -229,14 +278,17 @@ def fit_tree(
     (class-probability vector / weighted mean); it receives indices into
     the caller's row order and is called once per leaf, and the leaves
     partition the rows.  `rng` drives the per-node feature subsets and
-    the random thresholds, when enabled.
+    the random thresholds, when enabled.  `codes` is `column_codes(matrix)`,
+    built once by a caller that fits many trees on the same rows; without
+    it the tree builds its own.
     """
-    X = np.ascontiguousarray(matrix, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DomainError("fit_tree needs a non-empty 2-D matrix")
     if mode not in ("classification", "regression"):
         raise ConfigError(f"unknown tree mode {mode!r}")
+    X = np.ascontiguousarray(matrix, dtype=float)
+    codes, rank = column_codes(X) if codes is None else codes
     n, d = X.shape
+    if codes.shape != (d, n) or rank.shape != (n,):
+        raise DomainError("column codes do not match the matrix")
     y = np.asarray(targets)
     if y.shape != (n,):
         raise DomainError("targets must be one value per row")
@@ -256,34 +308,31 @@ def fit_tree(
     if (params.max_features is not None or params.random_thresholds) and rng is None:
         raise ConfigError("random feature subsets / thresholds need an rng")
 
-    # Canonical row order: ties in a feature column are resolved by target
-    # and weight, so identical row multisets grow identical trees.
-    keys = [w, y] + [X[:, j] for j in range(d - 1, -1, -1)]
-    order0 = np.lexsort(tuple(keys))
-    Xc, yc, wc = X[order0], y[order0], w[order0]
-
     # Last value column is the weight itself, so one cumulative sum per
     # node yields all split statistics.
     if mode == "classification":
         values = np.zeros((n, K + 1), dtype=float)
-        values[np.arange(n), yc] = wc
-        values[:, K] = wc
+        values[np.arange(n), y] = w
+        values[:, K] = w
     else:
-        values = np.column_stack([wc * yc, wc * yc * yc, wc])
+        values = np.column_stack([w * y, w * y * y, w])
 
     def leaf_payload(idx):
         if leaf_value_fn is not None:
-            return leaf_value_fn(order0[idx])
+            return leaf_value_fn(idx)
         sums = values[idx].sum(axis=0)
         if mode == "classification":
             return sums[:-1] / sums[-1]
         return float(sums[0] / sums[-1])
 
-    # Nodes are numbered in preorder as they are popped; a child's slot in
-    # its parent's left/right list is filled in when the child is created.
+    # Every node keeps its rows in canonical order: X-lexicographic, ties
+    # resolved by target and weight, so identical row multisets grow
+    # identical trees.  Nodes are numbered in preorder as they are popped;
+    # a child's slot in its parent's left/right list is filled in when the
+    # child is created.
     feature, threshold, left, right, value = [], [], [], [], []
     blank = 0.0 if mode == "regression" else np.zeros(K)
-    stack = [(np.arange(n), 0, None, -1)]
+    stack = [(np.lexsort((w, y, rank)), 0, None, -1)]
     while stack:
         idx, depth, links, parent = stack.pop()
         node = len(feature)
@@ -292,21 +341,25 @@ def fit_tree(
         split = None
         depth_ok = params.max_depth is None or depth < params.max_depth
         if depth_ok and idx.size >= params.min_samples_split:
-            node_y = yc[idx]
+            node_y = y[idx]
             if not (node_y == node_y[0]).all():
                 if params.max_features is not None and params.max_features < d:
                     feats = np.sort(rng.choice(d, size=params.max_features, replace=False))
-                    Xn = Xc[idx][:, feats]
                 else:
-                    feats = None
-                    Xn = Xc[idx]
-                vn = values[idx]
+                    feats = np.arange(d)
                 if params.random_thresholds:
-                    split = _best_split_random(Xn, vn, mode, rng)
+                    split = _best_split_random(X[idx][:, feats], values[idx], mode, rng)
+                    if split is not None:
+                        split = (int(feats[split[0]]), split[1], split[2])
                 else:
-                    split = _best_split_sorted(Xn, vn, mode)
-                if split is not None and feats is not None:
-                    split = (int(feats[split[0]]), split[1], split[2])
+                    node_codes = codes.take(idx, axis=1)
+                    if feats.size < d:
+                        node_codes = node_codes[feats]
+                    found = _best_split_exact(node_codes, values[idx], mode)
+                    if found is not None:
+                        j, lo, hi, decrease = found
+                        f = int(feats[j])
+                        split = (f, float((X[idx[lo], f] + X[idx[hi], f]) / 2.0), decrease)
         left.append(-1)
         right.append(-1)
         if split is None or split[2] < params.min_impurity_decrease:
@@ -317,7 +370,7 @@ def fit_tree(
         feature.append(split[0])
         threshold.append(split[1])
         value.append(blank)
-        mask = Xc[idx, split[0]] <= split[1]
+        mask = X[idx, split[0]] <= split[1]
         stack.append((idx[~mask], depth + 1, right, node))
         stack.append((idx[mask], depth + 1, left, node))
     return DecisionTree(

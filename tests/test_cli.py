@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from iotrisk import evaluation
+from iotrisk import evaluation, pipeline
 from iotrisk.cli import build_parser, main
 from iotrisk.dataset import CSV_HEADER
 from iotrisk.ensemble import fit_model
@@ -431,6 +431,21 @@ class TestEvaluateCv:
                    "--grid", str(grid), "--model", "voting"])
         assert rc == 2
         assert "single model family" in capsys.readouterr().err
+
+    def test_oversized_k_fails_before_any_reduction(self, corpus, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_tsne(*args, **kwargs):
+            raise AssertionError("t-SNE ran before the fold plan was checked")
+
+        monkeypatch.setattr(pipeline, "tsne_embed", no_tsne)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n_stages": [2]}))
+        common = ["--corpus", str(corpus), "--seed", "4", "--k", "500"]
+        for argv in (["cv", "--modes", "wo_dr,tsne"],
+                     ["tune", "--grid", str(grid), "--mode", "tsne"],
+                     ["ablate", "--mode", "tsne"]):
+            assert main([*argv, *common]) == 3, argv
+            assert "fewer than k=500" in capsys.readouterr().err
 
     def test_report_with_correlation(self, corpus, tmp_path, capsys):
         corr = tmp_path / "corr.csv"

@@ -290,6 +290,77 @@ class TestAdaboost:
         assert np.allclose(proba.sum(axis=1), 1.0)
 
 
+class TestSharedColumnCodes:
+    """Each ensemble fit builds its column codes and row ranks once and
+    shares them across its trees; none of that may depend on row order."""
+
+    @staticmethod
+    def duplicated_rows():
+        rng = np.random.default_rng(3)
+        base = rng.choice(np.linspace(-1, 1, 5), size=(40, 3))
+        X = np.vstack([base, base, base[:20]])  # every row appears 2-3 times
+        y = rng.integers(0, 4, len(X))
+        assert (y[:40] != y[40:80]).any()  # some copies disagree on the label
+        probe = np.vstack([X, rng.uniform(-1, 1, size=(30, 3))])
+        return X, y, probe, rng.permutation(len(X))
+
+    def test_gbdt(self):
+        X, y, probe, perm = self.duplicated_rows()
+        params = GbdtParams(n_stages=15, learning_rate=0.3, max_depth=3)
+        a = gbdt_fit(X, y, params, n_classes=4)
+        b = gbdt_fit(X[perm], y[perm], params, n_classes=4)
+        assert a.predict_proba(probe).tobytes() == b.predict_proba(probe).tobytes()
+
+    def test_extra_trees(self):
+        X, y, probe, perm = self.duplicated_rows()
+        params = ForestParams(n_trees=10, variant="extra_trees", max_depth=4)
+        a = forest_fit(X, y, params, seed=2, n_classes=4)
+        b = forest_fit(X[perm], y[perm], params, seed=2, n_classes=4)
+        assert a.predict_proba(probe).tobytes() == b.predict_proba(probe).tobytes()
+
+    def test_bootstrap_forest_trees_equal_their_samples_shuffled(self):
+        # a bootstrap draw picks row positions, so the forest itself follows
+        # row order; each tree, grown from the sample's slice of the shared
+        # codes, must equal a tree grown on the shuffled sample alone
+        X, y, probe, perm = self.duplicated_rows()
+        n = len(X)
+        params = ForestParams(n_trees=8, max_depth=4)
+        model = forest_fit(X, y, params, seed=4, n_classes=4)
+        tree_params = TreeParams(max_depth=4, max_features=1)
+        for child, tree in zip(np.random.SeedSequence(4).spawn(8), model.trees):
+            rng = np.random.default_rng(child)
+            rows = rng.integers(0, n, n)[perm]
+            alone = fit_tree(X[rows], y[rows], sample_weight=np.full(n, 1 / n),
+                             params=tree_params, mode="classification", n_classes=4,
+                             rng=rng)
+            assert alone.predict_value(probe).tobytes() == tree.predict_value(probe).tobytes()
+
+    def test_adaboost(self):
+        # SAMME renormalizes the weights with sums taken in row order, so the
+        # learner weights may move by an ulp; the learners themselves may not
+        X, y, probe, perm = self.duplicated_rows()
+        params = AdaboostParams(n_rounds=20, base_depth=2)
+        a = adaboost_fit(X, y, params, n_classes=4)
+        b = adaboost_fit(X[perm], y[perm], params, n_classes=4)
+        assert len(a.learners) == len(b.learners) > 1
+        for s, t in zip(a.learners, b.learners):
+            for name in ("feature", "threshold", "left", "right"):
+                assert getattr(s, name).tobytes() == getattr(t, name).tobytes()
+        assert np.allclose(a.predict_proba(probe), b.predict_proba(probe), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, y: gbdt_fit(X, y, GbdtParams(n_stages=2), n_classes=2),
+        lambda X, y: forest_fit(X, y, ForestParams(n_trees=2), n_classes=2),
+        lambda X, y: forest_fit(X, y, ForestParams(n_trees=2, variant="extra_trees"),
+                                n_classes=2),
+        lambda X, y: adaboost_fit(X, y, AdaboostParams(n_rounds=2), n_classes=2),
+    ])
+    def test_non_finite_matrix_rejected(self, fit):
+        X = np.array([[1.0, 0.0], [np.nan, 1.0], [3.0, 0.0], [4.0, 1.0]])
+        with pytest.raises(DomainError, match="non-finite"):
+            fit(X, np.array([0, 1, 0, 1]))
+
+
 class _StubModel:
     def __init__(self, proba, classes=(0, 1)):
         self._proba = np.asarray(proba, dtype=float)

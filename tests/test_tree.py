@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from iotrisk.dataset import bundled_corpus_path, load_corpus
+from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DataFormatError, DomainError
-from iotrisk.tree import DecisionTree, TreeParams, fit_tree
+from iotrisk.tree import DecisionTree, TreeParams, _best_split_exact, column_codes, fit_tree
 
 
 def column(values):
@@ -201,3 +203,129 @@ class TestContract:
                         mode="classification", n_classes=2,
                         rng=np.random.default_rng(1))
         assert (tree.predict(X) == y).mean() > 0.9
+
+
+def full_scan_split(Xn, value_rows, mode):
+    """The original split search, kept as the oracle: a stable float sort of
+    every feature and an impurity score at every sorted position."""
+    order = np.argsort(Xn, axis=0, kind="stable")
+    xs = np.take_along_axis(Xn, order, axis=0)
+    valid = xs[1:] > xs[:-1]
+    if not valid.any():
+        return None
+    cum = np.cumsum(value_rows[order], axis=0)  # (m, f, C)
+    total = cum[-1]
+    left = cum[:-1]
+    right = total[None, :, :] - left
+    tot_w = total[:, -1]
+    wl = left[:, :, -1]
+    wr = right[:, :, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if mode == "classification":
+            gini_left = 1.0 - np.square(left[:, :, :-1] / wl[..., None]).sum(axis=-1)
+            gini_right = 1.0 - np.square(right[:, :, :-1] / wr[..., None]).sum(axis=-1)
+            parent = 1.0 - np.square(total[:, :-1] / tot_w[:, None]).sum(axis=-1)
+            decrease = parent[None, :] - (wl * gini_left + wr * gini_right) / tot_w[None, :]
+        else:
+            sse_parent = total[:, 1] - np.square(total[:, 0]) / tot_w
+            sse_left = left[:, :, 1] - np.square(left[:, :, 0]) / wl
+            sse_right = right[:, :, 1] - np.square(right[:, :, 0]) / wr
+            decrease = (sse_parent[None, :] - sse_left - sse_right) / tot_w[None, :]
+    decrease[~valid | ~np.isfinite(decrease)] = -np.inf
+    best_pos = decrease.argmax(axis=0)
+    per_feature = decrease[best_pos, np.arange(decrease.shape[1])]
+    j = int(per_feature.argmax())
+    if not np.isfinite(per_feature[j]):
+        return None
+    i = int(best_pos[j])
+    threshold = (xs[i, j] + xs[i + 1, j]) / 2.0
+    return j, float(threshold), float(per_feature[j])
+
+
+def exact_split(Xn, node_codes, value_rows, mode):
+    """`_best_split_exact` with its boundary rows turned into a threshold,
+    as `fit_tree` does."""
+    found = _best_split_exact(node_codes, value_rows, mode)
+    if found is None:
+        return None
+    j, lo, hi, decrease = found
+    return j, float((Xn[lo, j] + Xn[hi, j]) / 2.0), decrease
+
+
+def split_values(mode, m, rng):
+    """Random node statistics laid out as `fit_tree` builds them."""
+    w = rng.uniform(0.05, 1.0, m) * rng.choice([1.0, 1e-6], m, p=[0.9, 0.1])
+    if mode == "classification":
+        y = rng.integers(0, 4, m)
+        values = np.zeros((m, 5))
+        values[np.arange(m), y] = w
+        values[:, 4] = w
+        return values
+    y = rng.normal(size=m) * rng.choice([1.0, 1e3], m, p=[0.95, 0.05])
+    return np.column_stack([w * y, w * y * y, w])
+
+
+class TestExactSearch:
+    @pytest.fixture(scope="class")
+    def designs(self):
+        records, _ = load_corpus(bundled_corpus_path())
+        corpus = CorpusEncoder.fit(records).transform(records).data
+        rng = np.random.default_rng(0)
+        tied = rng.integers(0, 3, size=(400, 6)).astype(float)
+        tied[:, 3] = tied[:, 1]  # identical columns score identical decreases
+        tied[rng.random(400) < 0.3, 4] = -0.0  # signed zeros compare equal
+        tied[:, 5] = np.where(rng.random(400) < 0.97, 1.0, 2.0)  # near-constant
+        return [corpus, tied]
+
+    @pytest.mark.parametrize("mode", ["classification", "regression"])
+    def test_matches_full_scan_on_random_nodes(self, designs, mode):
+        rng = np.random.default_rng(1 if mode == "classification" else 2)
+        checked = 0
+        for design in designs:
+            codes, _ = column_codes(design)
+            n, d = design.shape
+            for _ in range(600):
+                m = int(rng.choice([2, 3, int(rng.integers(4, 60)), int(rng.integers(60, n + 1))]))
+                rows = rng.choice(n, size=m, replace=rng.random() < 0.3)
+                size = d if rng.random() < 0.5 else int(rng.integers(1, d + 1))
+                feats = np.sort(rng.choice(d, size=size, replace=False))
+                Xn = design[np.ix_(rows, feats)]
+                values = split_values(mode, m, rng)
+                expected = full_scan_split(Xn, values, mode)
+                assert exact_split(Xn, codes[np.ix_(feats, rows)], values, mode) == expected
+                checked += expected is not None
+        assert checked > 1000
+
+    def test_column_codes_are_value_ranks(self):
+        rng = np.random.default_rng(4)
+        X = rng.choice([-2.0, -0.0, 0.0, 0.5, 1e300], size=(300, 4))
+        codes, rank = column_codes(X)
+        for j in range(4):
+            assert (codes[j] == np.unique(X[:, j], return_inverse=True)[1]).all()
+        rows = [tuple(row) for row in X]  # tuples compare lexicographically
+        distinct = sorted(set(rows))
+        assert rank.tolist() == [distinct.index(row) for row in rows]
+
+    def test_wide_codes(self):
+        # more distinct values than int16 can hold
+        rng = np.random.default_rng(3)
+        x = rng.permutation(40_000).astype(float) / 7.0
+        y = np.sin(x) + (x > 3000.0)
+        codes, _ = column_codes(x[:, None])
+        assert codes.dtype != np.int16 and codes.max() == 39_999
+        w = np.full(40_000, 1 / 40_000)
+        values = np.column_stack([w * y, w * y * y, w])
+        expected = full_scan_split(x[:, None], values, "regression")
+        assert exact_split(x[:, None], codes, values, "regression") == expected
+        tree = fit_tree(x[:, None], y, params=TreeParams(max_depth=1), mode="regression")
+        assert (tree.feature[0], tree.threshold[0]) == expected[:2]
+
+    def test_codes_of_other_rows_rejected(self):
+        X = column([0, 1, 2, 3])
+        with pytest.raises(DomainError, match="codes"):
+            fit_tree(X, np.array([0, 0, 1, 1]), codes=column_codes(X[:3]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            fit_tree(column([1, bad, 3, 4]), np.array([0, 1, 0, 1]))
