@@ -9,7 +9,7 @@ import numpy as np
 from iotrisk.dataset import SynthesisSpec, synthesize_corpus
 from iotrisk.dimred import (
     TsneConfig,
-    append_cluster_feature,
+    cluster_frequencies,
     embedding_to_csv,
     kmeans_fit,
     pca_fit,
@@ -39,9 +39,12 @@ def main():
           f"after {km.n_iter} iterations, sizes "
           f"{np.bincount(km.assignments, minlength=4).tolist()}")
 
-    augmented = append_cluster_feature(encoded, km)
-    print(f"augmented matrix columns: {augmented.columns[-3:]} "
-          f"(cluster id encoded as relative cluster size)")
+    # the cluster id joins the matrix as its cluster's relative size, the
+    # frequency representation of the other categorical features
+    column = cluster_frequencies(km.assignments, 4)[km.assignments]
+    augmented = np.column_stack([encoded.data, column])
+    print(f"augmented matrix: {augmented.shape[1]} columns, cluster column values "
+          f"{np.unique(column).round(3).tolist()}")
 
     purity = 0
     for j in range(4):

@@ -23,7 +23,6 @@ from .dimred import (
     PcaModel,
     TsneConfig,
     TsneEmbedding,
-    append_cluster_feature,
     kmeans_fit,
     pca_fit,
     pca_transform,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import EncodedMatrix
 from .errors import ConfigError, DomainError
 
 _EPS = np.finfo(float).tiny
@@ -330,26 +329,6 @@ def cluster_frequencies(assignments, k: int) -> np.ndarray:
     """Relative cluster sizes, indexed by cluster id."""
     counts = np.bincount(np.asarray(assignments, int), minlength=k)
     return counts / counts.sum()
-
-
-def append_cluster_feature(encoded: EncodedMatrix, model: KmeansModel) -> EncodedMatrix:
-    """Add a column holding each row's cluster id encoded as the relative
-    cluster size, matching the frequency representation of the other
-    categorical features (pre-scaling)."""
-    if len(model.assignments) != encoded.data.shape[0]:
-        raise DomainError(
-            f"cluster assignments cover {len(model.assignments)} rows, "
-            f"matrix has {encoded.data.shape[0]}"
-        )
-    frequencies = cluster_frequencies(model.assignments, len(model.centroids))
-    column = frequencies[model.assignments]
-    return EncodedMatrix(
-        data=np.column_stack([encoded.data, column]),
-        columns=encoded.columns + ("cluster",),
-        labels=encoded.labels,
-        stages=encoded.stages + ("cluster",),
-        unseen=encoded.unseen,
-    )
 
 
 def embedding_to_csv(coordinates, assignments=None) -> str:

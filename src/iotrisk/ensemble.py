@@ -13,12 +13,13 @@ Every model exposes ``classes``, ``predict_proba`` (rows sum to 1) and
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DomainError, TrainingError
-from .tree import DecisionTree, TreeParams, column_codes, fit_tree
+from .tree import DecisionTree, TreeParams, column_codes, fit_tree, row_weights
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -49,6 +50,8 @@ def _argmax_labels(probabilities: np.ndarray) -> np.ndarray:
 
 def _check_columns(matrix, n_features: int | None) -> np.ndarray:
     X = np.asarray(matrix, dtype=float)
+    if X.ndim != 2:
+        raise DomainError(f"matrix must be 2-D, got {X.ndim} dimension(s)")
     if n_features is not None and X.shape[1] != n_features:
         raise DomainError(
             f"matrix has {X.shape[1]} columns, model was trained on {n_features}"
@@ -167,6 +170,11 @@ def gbdt_fit(
     applies the one-step Newton leaf update for multinomial deviance,
     shrunk by the learning rate, so rows the current model gets wrong
     dominate the next stage's trees.
+
+    A class whose last searched tree was a single leaf skips the search
+    while a bound proves the next tree is one too (`_certified_leaf`); the
+    leaf it emits is the one the search would grow, so the model is the
+    same.  With min_impurity_decrease 0 every tree is searched.
     """
     del seed  # fitting is deterministic; kept for a uniform interface
     X = np.ascontiguousarray(matrix, dtype=float)
@@ -176,13 +184,15 @@ def gbdt_fit(
     params = params or GbdtParams()
     if params.n_stages < 1:
         raise ConfigError("n_stages must be >= 1")
-    if params.learning_rate < 0:
-        raise ConfigError("learning rate must be >= 0")
+    for name in ("learning_rate", "min_impurity_decrease"):
+        value = getattr(params, name)
+        if not isinstance(value, numbers.Real) or not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     K = int(n_classes) if n_classes is not None else int(y.max()) + 1
     if K < 2:
         raise ConfigError("need at least two classes")
     n = X.shape[0]
-    w = np.full(n, 1.0 / n) if sample_weight is None else np.asarray(sample_weight, float)
+    w = row_weights(sample_weight, n)
     counts = np.bincount(y, weights=w, minlength=K)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
@@ -201,11 +211,19 @@ def gbdt_fit(
         raise ConfigError("early stopping needs a validation split")
     valid_scores = None
     if valid_matrix is not None:
-        valid_matrix = np.asarray(valid_matrix, dtype=float)
+        valid_matrix = _check_columns(valid_matrix, X.shape[1])
+        if valid_labels is None or np.shape(valid_labels) != (valid_matrix.shape[0],):
+            raise DomainError("validation labels must be one per validation row")
         valid_labels = np.asarray(valid_labels, dtype=int)
+        if ((valid_labels < 0) | (valid_labels >= K)).any():
+            raise DomainError(f"validation labels must lie in [0, {K})")
         valid_scores = np.tile(init_scores, (valid_matrix.shape[0], 1))
     best_valid = math.inf
     stalled = 0
+    # per class: (sqrt of the root decrease, residual) of its last searched
+    # tree, while that tree was a single leaf
+    anchors = [None] * K
+    certify_below = math.sqrt(params.min_impurity_decrease) * (1.0 - 1e-9)
 
     stages = []
     loss_history = [multinomial_deviance(scores, y) / n]
@@ -225,15 +243,21 @@ def gbdt_fit(
                 step[idx] = value
                 return value
 
-            tree = fit_tree(
-                X,
-                residual,
-                sample_weight=w,
-                params=tree_params,
-                mode="regression",
-                leaf_value_fn=newton_leaf,
-                codes=codes,
-            )
+            if _certified_leaf(anchors[c], residual, certify_below):
+                tree = _leaf_tree(newton_leaf(np.arange(n)))
+            else:
+                tree = fit_tree(
+                    X,
+                    residual,
+                    sample_weight=w,
+                    params=tree_params,
+                    mode="regression",
+                    leaf_value_fn=newton_leaf,
+                    codes=codes,
+                )
+                anchors[c] = None
+                if tree.node_count() == 1:
+                    anchors[c] = (math.sqrt(max(tree.root_decrease, 0.0)), residual)
             scores[:, c] += params.learning_rate * step
             if valid_scores is not None:
                 valid_scores[:, c] += params.learning_rate * tree.predict_value(valid_matrix)
@@ -257,6 +281,32 @@ def gbdt_fit(
         learning_rate=params.learning_rate,
         params=params,
         loss_history=loss_history,
+    )
+
+
+def _certified_leaf(anchor, residual, below: float) -> bool:
+    """Whether a regression tree on `residual` provably stays a single leaf.
+
+    anchor is (sqrt(d), r): a tree searched on residual r, with the same
+    rows and weights, was a single leaf whose best root split decreased
+    the weighted SSE per unit weight by d.  A split's decrease is
+    (w_L w_R / W^2) (mu_L - mu_R)^2 <= (mu_L - mu_R)^2 / 4, and moving the
+    residual by at most e per row moves mu_L - mu_R by at most 2e, so no
+    split on `residual` decreases by more than
+    (sqrt(d) + max|residual - r|)^2.  `below` is sqrt(min_impurity_decrease)
+    less a relative 1e-9 for rounding; at 0 nothing is certified.
+    """
+    if anchor is None:
+        return False
+    root, anchored = anchor
+    return root + float(np.abs(residual - anchored).max()) < below
+
+
+def _leaf_tree(value: float) -> DecisionTree:
+    """A one-node regression tree, as `fit_tree` stores a single leaf."""
+    return DecisionTree(
+        np.array([-1], dtype=np.intp), np.array([0.0]), np.array([-1], dtype=np.intp),
+        np.array([-1], dtype=np.intp), np.array([value], dtype=float), "regression", None,
     )
 
 

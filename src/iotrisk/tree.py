@@ -47,7 +47,13 @@ class DecisionTree:
     have larger indices than their parent.  ``value`` holds one row per
     node, (n_nodes, K) class probabilities or (n_nodes,) scalars, and is
     meaningful at leaves only.
+
+    A tree grown by `fit_tree` also carries ``root_decrease``, the best
+    impurity decrease its root search found (0.0 when the root was not
+    searched or had no candidate split).  It is not serialized.
     """
+
+    root_decrease: float | None = None
 
     def __init__(self, feature, threshold, left, right, value, mode: str,
                  n_classes: int | None):
@@ -143,6 +149,17 @@ def _index_array(payload: dict, key: str) -> np.ndarray:
     if array.ndim != 1 or (array.size and array.dtype.kind != "i"):
         raise DataFormatError(f"tree {key!r} is not a list of integers")
     return array.astype(np.intp)
+
+
+def row_weights(sample_weight, n: int) -> np.ndarray:
+    """The fit's row weights: uniform 1/n by default, else checked to be
+    finite, positive and one per row."""
+    if sample_weight is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(sample_weight, dtype=float)
+    if w.shape != (n,) or not (np.isfinite(w) & (w > 0)).all():
+        raise DomainError("sample weights must be finite and positive, one per row")
+    return w
 
 
 def column_codes(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -298,12 +315,7 @@ def fit_tree(
     else:
         y = y.astype(float)
         K = None
-    if sample_weight is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(sample_weight, dtype=float)
-        if w.shape != (n,) or (w <= 0).any():
-            raise DomainError("sample weights must be positive, one per row")
+    w = row_weights(sample_weight, n)
     params = params or TreeParams()
     if (params.max_features is not None or params.random_thresholds) and rng is None:
         raise ConfigError("random feature subsets / thresholds need an rng")
@@ -332,6 +344,7 @@ def fit_tree(
     # child is created.
     feature, threshold, left, right, value = [], [], [], [], []
     blank = 0.0 if mode == "regression" else np.zeros(K)
+    root_decrease = 0.0
     stack = [(np.lexsort((w, y, rank)), 0, None, -1)]
     while stack:
         idx, depth, links, parent = stack.pop()
@@ -360,6 +373,8 @@ def fit_tree(
                         j, lo, hi, decrease = found
                         f = int(feats[j])
                         split = (f, float((X[idx[lo], f] + X[idx[hi], f]) / 2.0), decrease)
+        if node == 0 and split is not None:
+            root_decrease = split[2]
         left.append(-1)
         right.append(-1)
         if split is None or split[2] < params.min_impurity_decrease:
@@ -373,7 +388,9 @@ def fit_tree(
         mask = X[idx, split[0]] <= split[1]
         stack.append((idx[~mask], depth + 1, right, node))
         stack.append((idx[mask], depth + 1, left, node))
-    return DecisionTree(
+    tree = DecisionTree(
         np.array(feature, dtype=np.intp), np.array(threshold), np.array(left, dtype=np.intp),
         np.array(right, dtype=np.intp), np.array(value, dtype=float), mode, K,
     )
+    tree.root_decrease = root_decrease
+    return tree

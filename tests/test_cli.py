@@ -157,6 +157,15 @@ class TestTrainPredict:
                    "--input", str(devices)])
         assert rc == 0
 
+    @pytest.mark.parametrize("param", ["learning_rate=nan", "min_impurity_decrease=-1"])
+    def test_bad_gbdt_rate_is_usage_error(self, corpus, tmp_path, capsys, param):
+        model = tmp_path / "m.json"
+        rc = main(["train", "--corpus", str(corpus), "--model", "gbdt", "--seed", "7",
+                   "--out", str(model), *QUICK, "--param", param])
+        assert rc == 2
+        assert param.partition("=")[0] in capsys.readouterr().err
+        assert not model.exists()
+
 
 def _first_split(trees):
     """(tree, node index) of the first split found in a list of tree payloads."""

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from iotrisk.dimred import (
-    KmeansModel,
     TsneConfig,
-    append_cluster_feature,
     cluster_frequencies,
     conditional_probabilities,
     embedding_to_csv,
@@ -18,8 +16,10 @@ from iotrisk.dimred import (
     pca_transform,
     tsne_embed,
 )
-from iotrisk.encoding import EncodedMatrix
+from iotrisk.dataset import SynthesisSpec, synthesize_corpus
+from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DomainError
+from iotrisk.pipeline import build_design
 
 
 def brute_force_pca(X):
@@ -289,40 +289,19 @@ class TestKmeans:
         assert fresh[0] == near_zero and fresh[1] != near_zero
 
 
-def encoded(data, labels=None):
-    data = np.asarray(data, dtype=float)
-    return EncodedMatrix(
-        data=data,
-        columns=tuple(f"c{i}" for i in range(data.shape[1])),
-        labels=labels,
-        stages=("frequency", "scale"),
-    )
-
-
 class TestClusterFeature:
-    def _model(self, assignments, k):
-        assignments = np.asarray(assignments, int)
-        return KmeansModel(
-            centroids=np.zeros((k, 1)), assignments=assignments,
-            inertia=0.0, n_iter=1, seed=0,
-        )
-
-    def test_equal_cluster_sizes(self):
-        out = append_cluster_feature(encoded(np.zeros((4, 2))), self._model([0, 0, 1, 1], 2))
-        assert out.data[:, -1].tolist() == [0.5, 0.5, 0.5, 0.5]
-        assert out.columns[-1] == "cluster"
-        assert out.stages[-1] == "cluster"
-
-    def test_skewed_cluster_sizes(self):
-        out = append_cluster_feature(encoded(np.zeros((4, 2))), self._model([0, 0, 0, 1], 2))
-        assert out.data[:, -1].tolist() == [0.75, 0.75, 0.75, 0.25]
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(DomainError):
-            append_cluster_feature(encoded(np.zeros((5, 2))), self._model([0, 1], 2))
-
     def test_cluster_frequencies(self):
         assert cluster_frequencies([0, 0, 1, 2], 3).tolist() == [0.5, 0.25, 0.25]
+
+    def test_design_column_is_scaled_cluster_size(self):
+        records = synthesize_corpus(SynthesisSpec(seed=4, total=120, signal_strength=0.8))
+        encoded = CorpusEncoder.fit(records).transform(records)
+        design, artifacts = build_design(encoded, "pca", seed=3)
+        assert design.columns[-1] == "cluster" and design.stages[-2:] == ("pca", "cluster")
+        assert np.array_equal(design.data[:, :-1], encoded.data)
+        assignments = artifacts.kmeans.assignments
+        sizes = cluster_frequencies(assignments, 4)[assignments]
+        assert np.allclose(design.data[:, -1], (sizes - sizes.mean()) / sizes.std())
 
     def test_embedding_csv(self):
         text = embedding_to_csv(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 1])

@@ -1,8 +1,13 @@
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from iotrisk import ensemble
+from iotrisk.dataset import SynthesisSpec, bundled_corpus_path, load_corpus, synthesize_corpus
+from iotrisk.encoding import CorpusEncoder
 from iotrisk.ensemble import (
     AdaboostParams,
     ForestParams,
@@ -22,7 +27,8 @@ from iotrisk.ensemble import (
     voting_predict,
 )
 from iotrisk.errors import ConfigError, DomainError, TrainingError
-from iotrisk.tree import TreeParams, fit_tree
+from iotrisk.pipeline import profile_params
+from iotrisk.tree import TreeParams, _best_split_exact, column_codes, fit_tree
 
 
 def separable_toy(n=20, seed=0):
@@ -166,6 +172,168 @@ class TestGbdt:
         clone = model_from_payload(model.to_payload())
         probe = np.random.default_rng(0).normal(size=(10, 2))
         assert np.array_equal(model.predict_proba(probe), clone.predict_proba(probe))
+
+
+class TestGbdtInputChecks:
+    @pytest.mark.parametrize("weights", [[1.0, 1.0], [np.nan] + [1.0] * 19,
+                                         [np.inf] + [1.0] * 19, [0.0] + [1.0] * 19])
+    def test_bad_sample_weights(self, weights):
+        X, y = separable_toy()
+        with pytest.raises(DomainError, match="sample weights"):
+            gbdt_fit(X, y, GbdtParams(n_stages=2), sample_weight=weights)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "min_impurity_decrease"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, "fast"])
+    def test_bad_rates(self, field, value):
+        X, y = separable_toy()
+        with pytest.raises(ConfigError, match=field):
+            gbdt_fit(X, y, GbdtParams(n_stages=2, **{field: value}))
+
+    def test_validation_matrix_width_checked(self):
+        X = np.arange(8.0)[:, None]
+        y = np.array([0, 1] * 4)
+        with pytest.raises(DomainError, match="columns"):
+            gbdt_fit(X, y, GbdtParams(n_stages=2), valid_matrix=np.zeros((2, 3)),
+                     valid_labels=[0, 1])
+
+    @pytest.mark.parametrize("labels", [[0], None, [0, 7]])
+    def test_validation_labels_checked(self, labels):
+        X = np.arange(8.0)[:, None]
+        y = np.array([0, 1] * 4)
+        with pytest.raises(DomainError, match="validation labels"):
+            gbdt_fit(X, y, GbdtParams(n_stages=2), valid_matrix=np.zeros((2, 1)),
+                     valid_labels=labels)
+
+
+@functools.cache
+def design(name):
+    """The bundled corpus or a synthesized one ("synth<seed>"),
+    frequency-encoded as the CLI encodes it."""
+    if name == "bundled":
+        records, _ = load_corpus(bundled_corpus_path())
+    else:
+        spec = SynthesisSpec(seed=int(name.removeprefix("synth")), total=200,
+                             signal_strength=0.6)
+        records = synthesize_corpus(spec)
+    encoded = CorpusEncoder.fit(records).transform(records)
+    return encoded.data, np.asarray(encoded.labels)
+
+
+class TestCertifiedLeaves:
+    """gbdt_fit skips the search for trees a residual-drift bound proves to
+    be single leaves; the skipped search must never have found a split."""
+
+    @staticmethod
+    def fit(monkeypatch, X, y, params, certify=True, **kwargs):
+        """The fit and its number of fit_tree calls."""
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return fit_tree(*args, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble, "fit_tree", counted)
+            if not certify:
+                patch.setattr(ensemble, "_certified_leaf", lambda *args: False)
+            model = gbdt_fit(X, y, params, n_classes=4, **kwargs)
+        return model, len(calls)
+
+    def assert_oracle(self, monkeypatch, X, y, params, **kwargs):
+        certified, calls = self.fit(monkeypatch, X, y, params, **kwargs)
+        searched, all_calls = self.fit(monkeypatch, X, y, params, certify=False, **kwargs)
+        assert all_calls == 4 * len(searched.stages)
+        assert calls < all_calls  # the certificate did fire
+        assert (json.dumps(certified.to_payload(), sort_keys=True)
+                == json.dumps(searched.to_payload(), sort_keys=True))
+        probe = np.vstack([X, X[::7] + 0.01])
+        assert certified.predict_proba(probe).tobytes() == searched.predict_proba(probe).tobytes()
+        assert certified.loss_history == searched.loss_history
+
+    @pytest.mark.parametrize("name", ["bundled", "synth1", "synth2", "synth3"])
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_identical_to_searched_fit(self, monkeypatch, name, profile):
+        X, y = design(name)
+        params = profile_params("gbdt", profile)
+        if profile == "paper":
+            params["n_stages"] = 300  # of 10,000
+        self.assert_oracle(monkeypatch, X, y, GbdtParams(**params))
+
+    def test_identical_with_sample_weights(self, monkeypatch):
+        X, y = design("synth1")
+        weights = np.random.default_rng(5).uniform(0.2, 3.0, len(y))
+        params = GbdtParams(**profile_params("gbdt", "desk"))
+        self.assert_oracle(monkeypatch, X, y, params, sample_weight=weights / weights.sum())
+
+    def test_identical_with_early_stopping(self, monkeypatch):
+        X, y = design("synth2")
+        params = GbdtParams(**profile_params("gbdt", "desk"), patience=40)
+        self.assert_oracle(monkeypatch, X[:150], y[:150], params,
+                           valid_matrix=X[150:], valid_labels=y[150:])
+
+    def test_every_tree_searched_without_a_threshold(self, monkeypatch):
+        X, y = design("synth3")
+        params = GbdtParams(n_stages=30, max_depth=2, min_impurity_decrease=0.0)
+        _, calls = self.fit(monkeypatch, X, y, params)
+        assert calls == 30 * 4
+
+    def test_bound_on_random_residual_pairs(self):
+        # sqrt(best(r')) <= sqrt(best(r)) + max|r' - r| for every r, r'
+        rng = np.random.default_rng(8)
+        X, _ = design("synth1")
+        for _ in range(300):
+            m = int(rng.integers(2, len(X) + 1))
+            rows = rng.choice(len(X), size=m, replace=False)
+            codes, _ = column_codes(X[rows])
+            w = rng.uniform(0.05, 1.0, m)
+            w /= w.sum()
+            r = rng.normal(size=m) * rng.choice([1e-3, 0.1, 1.0])
+            moved = r + rng.uniform(-1, 1, m) * rng.choice([1e-6, 1e-3, 0.1])
+
+            def best(residual):
+                found = _best_split_exact(
+                    codes, np.column_stack([w * residual, w * residual ** 2, w]),
+                    "regression")
+                return 0.0 if found is None else max(found[3], 0.0)
+
+            drift = np.abs(moved - r).max()
+            for a, b in ((r, moved), (moved, r)):
+                assert math.sqrt(best(b)) <= math.sqrt(best(a)) + drift + 1e-12
+
+    def test_certificate_refuses_a_tight_drift(self):
+        # two equal-weight rows: the one split decreases by ((r0 - r1) / 2)^2,
+        # so drifting the rows apart by e raises sqrt(decrease) by exactly e
+        X = np.array([[0.0], [1.0]])
+
+        def stump(residual, threshold):
+            return fit_tree(X, residual, mode="regression",
+                            params=TreeParams(min_impurity_decrease=threshold))
+
+        r = np.array([0.1, -0.1])
+        moved = r + np.array([0.05, -0.05])
+        anchor = (math.sqrt(stump(r, 1.0).root_decrease), r)
+        reached = stump(moved, 1.0).root_decrease
+        assert math.sqrt(reached) == pytest.approx(anchor[0] + 0.05, rel=1e-12)
+        assert stump(moved, reached).node_count() == 3
+        below = math.sqrt(reached) * (1.0 - 1e-9)
+        assert not ensemble._certified_leaf(anchor, moved, below)
+        assert ensemble._certified_leaf(anchor, moved, below * (1.0 + 1e-6))
+
+    def test_root_decrease_reported(self):
+        X, y = design("synth1")
+        residual = (y == 2) - 0.25
+        w = np.full(len(y), 1.0 / len(y))
+        stump = fit_tree(X, residual, params=TreeParams(max_depth=1), mode="regression")
+        found = _best_split_exact(column_codes(X)[0],
+                                  np.column_stack([w * residual, w * residual ** 2, w]),
+                                  "regression")
+        assert stump.node_count() == 3
+        assert stump.root_decrease == pytest.approx(found[3], rel=1e-12)
+        blocked = fit_tree(X, residual, params=TreeParams(min_impurity_decrease=1.0),
+                           mode="regression")
+        assert blocked.node_count() == 1 and blocked.root_decrease == stump.root_decrease
+        flat = fit_tree(X, np.full(len(y), 0.5), mode="regression")
+        assert flat.root_decrease == 0.0
 
 
 class TestBalancedWeights:

@@ -139,6 +139,14 @@ class TestContract:
             fit_tree(column([0, 1]), np.array([0, 1]),
                      sample_weight=np.array([1.0, 0.0]), mode="classification")
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [1, 1],
+                                         [[1, 1, 1, 1]]])
+    def test_non_finite_or_misshapen_weights(self, weights):
+        for mode in ("classification", "regression"):
+            with pytest.raises(DomainError, match="sample weights"):
+                fit_tree(column([0, 1, 2, 3]), np.array([0, 1, 0, 1]),
+                         sample_weight=weights, mode=mode)
+
     def test_random_subset_needs_rng(self):
         with pytest.raises(ConfigError):
             fit_tree(column([0, 1]), np.array([0, 1]),
