@@ -21,7 +21,7 @@ from .nvd import RISK_CLASSES
 from .pipeline import MODES, DimredArtifacts, PipelineModel
 
 ENCODER_FORMAT = "iotrisk-encoders/2"
-MODEL_FORMAT = "iotrisk-model/2"
+MODEL_FORMAT = "iotrisk-model/3"
 
 # what a payload with a missing key or a mistyped value raises while parsed
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
@@ -173,7 +173,8 @@ def load_model(
         raise DataFormatError(f"{path}: not valid JSON ({exc.msg})") from exc
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != MODEL_FORMAT:
-        raise DataFormatError(f"{path}: expected format {MODEL_FORMAT}, got {found!r}")
+        raise DataFormatError(f"{path}: expected format {MODEL_FORMAT}, got {found!r}; "
+                              "retrain the model")
     if payload.get("classes") != CLASS_ORDERING:
         raise DataFormatError(f"{path}: unexpected class ordering {payload.get('classes')}")
     if (

@@ -14,12 +14,21 @@ Every model exposes ``classes``, ``predict_proba`` (rows sum to 1) and
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DomainError, TrainingError
-from .tree import DecisionTree, TreeParams, column_codes, fit_tree, row_weights
+from .tree import (
+    DecisionTree,
+    TreeParams,
+    column_codes,
+    fit_tree,
+    row_weights,
+    trees_from_payload,
+    trees_to_payload,
+)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -59,6 +68,51 @@ def _check_columns(matrix, n_features: int | None) -> np.ndarray:
     return X
 
 
+def _fit_data(matrix, labels, n_classes):
+    """The matrix, integer labels and class count K of an ensemble fit.
+
+    K is n_classes, or the largest label + 1; a label outside [0, K) is a
+    DomainError that names it."""
+    X = np.ascontiguousarray(matrix, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    if X.ndim != 2 or y.shape != (X.shape[0],) or X.shape[0] == 0:
+        raise DomainError("matrix and labels must align and be non-empty")
+    K = int(n_classes) if n_classes is not None else int(y.max()) + 1
+    bad = y[(y < 0) | (y >= K)]
+    if bad.size:
+        raise DomainError(f"label {bad[0]} is outside the {K} classes [0, {K})")
+    return X, y, K
+
+
+def _is_count(value, low) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low)
+
+
+def _integer(low, optional=False):
+    """Rule for an int field >= low (bools excluded), None allowed if optional."""
+    return (lambda value: (optional and value is None) or _is_count(value, low),
+            f"an integer >= {low}" + (" or None" if optional else ""))
+
+
+def _is_rate(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0)
+
+
+_RATE = (_is_rate, "a finite number >= 0")
+_FLAG = (lambda value: isinstance(value, bool), "true or false")
+
+
+def _check(params, **rules) -> None:
+    """A ConfigError naming the first field of `params` that breaks its
+    (predicate, description) rule."""
+    for name, (ok, want) in rules.items():
+        value = getattr(params, name)
+        if not ok(value):
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
+
+
 def balanced_class_weights(labels, n_classes: int = 4) -> np.ndarray:
     """Per-class weight n_total / (K * n_c); every class must be present."""
     labels = np.asarray(labels, dtype=int)
@@ -78,6 +132,11 @@ class GbdtParams:
     min_samples_split: int = 2
     patience: int | None = None  # early stop on held-out deviance, off by default
 
+    def __post_init__(self):
+        _check(self, n_stages=_integer(1), learning_rate=_RATE,
+               max_depth=_integer(0, optional=True), min_impurity_decrease=_RATE,
+               min_samples_split=_integer(2), patience=_integer(1, optional=True))
+
     def tree_params(self) -> TreeParams:
         return TreeParams(
             max_depth=self.max_depth,
@@ -92,13 +151,12 @@ class GbdtModel:
     family = "gbdt"
 
     def __init__(self, n_classes, n_features, init_scores, stages, learning_rate,
-                 params, loss_history):
+                 loss_history):
         self.n_classes = n_classes
         self.n_features = n_features
         self.init_scores = init_scores
         self.stages = stages  # list of K-tuples of regression trees
         self.learning_rate = learning_rate
-        self.params = params
         self.loss_history = loss_history  # mean train deviance, stage 0 first
 
     @property
@@ -126,31 +184,23 @@ class GbdtModel:
             "n_features": self.n_features,
             "init_scores": self.init_scores.tolist(),
             "learning_rate": self.learning_rate,
-            "stages": [[t.to_payload() for t in stage] for stage in self.stages],
+            "trees": trees_to_payload([t for stage in self.stages for t in stage]),
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GbdtModel":
-        n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
-        for i, stage in enumerate(payload["stages"]):
-            if len(stage) != n_classes:
-                raise DataFormatError(
-                    f"GBDT stage {i} holds {len(stage)} trees, expected {n_classes}"
-                )
-        stages = [
-            tuple(DecisionTree.from_payload(t, "regression", None, n_features)
-                  for t in stage)
-            for stage in payload["stages"]
-        ]
-        return cls(
-            n_classes=n_classes,
-            n_features=n_features,
-            init_scores=np.asarray(payload["init_scores"], dtype=float),
-            stages=stages,
-            learning_rate=float(payload["learning_rate"]),
-            params=GbdtParams(),
-            loss_history=[],
-        )
+        K, n_features = int(payload["n_classes"]), int(payload["n_features"])
+        init_scores = np.asarray(payload["init_scores"], dtype=float)
+        learning_rate = float(payload["learning_rate"])
+        if init_scores.shape != (K,) or not np.isfinite([*init_scores, learning_rate]).all():
+            raise DataFormatError(f"GBDT init_scores are not {K} finite scores "
+                                  "or its learning_rate is not finite")
+        trees = trees_from_payload(payload["trees"], "regression", None, n_features)
+        if len(trees) % K:
+            raise DataFormatError(
+                f"GBDT holds {len(trees)} trees, not a multiple of its {K} classes")
+        stages = [tuple(trees[i:i + K]) for i in range(0, len(trees), K)]  # stage-major
+        return cls(K, n_features, init_scores, stages, learning_rate, loss_history=[])
 
 
 def gbdt_fit(
@@ -177,18 +227,8 @@ def gbdt_fit(
     same.  With min_impurity_decrease 0 every tree is searched.
     """
     del seed  # fitting is deterministic; kept for a uniform interface
-    X = np.ascontiguousarray(matrix, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
-        raise DomainError("matrix and labels must align and be non-empty")
+    X, y, K = _fit_data(matrix, labels, n_classes)
     params = params or GbdtParams()
-    if params.n_stages < 1:
-        raise ConfigError("n_stages must be >= 1")
-    for name in ("learning_rate", "min_impurity_decrease"):
-        value = getattr(params, name)
-        if not isinstance(value, numbers.Real) or not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
-    K = int(n_classes) if n_classes is not None else int(y.max()) + 1
     if K < 2:
         raise ConfigError("need at least two classes")
     n = X.shape[0]
@@ -244,7 +284,7 @@ def gbdt_fit(
                 return value
 
             if _certified_leaf(anchors[c], residual, certify_below):
-                tree = _leaf_tree(newton_leaf(np.arange(n)))
+                tree = DecisionTree.leaf(newton_leaf(np.arange(n)))
             else:
                 tree = fit_tree(
                     X,
@@ -279,7 +319,6 @@ def gbdt_fit(
         init_scores=init_scores,
         stages=stages,
         learning_rate=params.learning_rate,
-        params=params,
         loss_history=loss_history,
     )
 
@@ -302,14 +341,6 @@ def _certified_leaf(anchor, residual, below: float) -> bool:
     return root + float(np.abs(residual - anchored).max()) < below
 
 
-def _leaf_tree(value: float) -> DecisionTree:
-    """A one-node regression tree, as `fit_tree` stores a single leaf."""
-    return DecisionTree(
-        np.array([-1], dtype=np.intp), np.array([0.0]), np.array([-1], dtype=np.intp),
-        np.array([-1], dtype=np.intp), np.array([value], dtype=float), "regression", None,
-    )
-
-
 @dataclass
 class ForestParams:
     n_trees: int = 100
@@ -321,17 +352,37 @@ class ForestParams:
     bootstrap: bool | None = None  # default: on for rf, off for extra trees
     class_weights: str | dict | None = None  # None | "balanced" | {ordinal: w}
 
+    def __post_init__(self):
+        _check(
+            self, n_trees=_integer(1),
+            variant=(lambda v: v in ("random_forest", "extra_trees"),
+                     "random_forest or extra_trees"),
+            max_features=(lambda v: v in (None, "sqrt") or _is_count(v, 1),
+                          "'sqrt', an integer >= 1 or None"),
+            max_depth=_integer(0, optional=True), min_impurity_decrease=_RATE,
+            min_samples_split=_integer(2),
+            bootstrap=(lambda v: v is None or isinstance(v, bool), "true, false or None"),
+            class_weights=(_class_weights_ok,
+                           "None, 'balanced' or a map of class ordinals to positive weights"),
+        )
+
+
+def _class_weights_ok(value) -> bool:
+    if value is None or isinstance(value, str):
+        return value in (None, "balanced")
+    return isinstance(value, Mapping) and all(
+        str(ordinal).isdigit() and _is_rate(weight) and weight > 0
+        for ordinal, weight in value.items()
+    )
+
 
 class ForestModel:
     """Bagged classification trees with soft voting across trees."""
 
-    def __init__(self, trees, n_classes, variant, params, seed,
-                 n_features=None):
+    def __init__(self, trees, n_classes, variant, n_features=None):
         self.trees = trees
         self.n_classes = n_classes
         self.variant = variant
-        self.params = params
-        self.seed = seed
         self.n_features = n_features
 
     family = property(lambda self: self.variant)
@@ -355,18 +406,14 @@ class ForestModel:
             "family": self.variant,
             "n_classes": self.n_classes,
             "n_features": self.n_features,
-            "trees": [t.to_payload() for t in self.trees],
+            "trees": trees_to_payload(self.trees),
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ForestModel":
         n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
-        trees = [
-            DecisionTree.from_payload(t, "classification", n_classes, n_features)
-            for t in payload["trees"]
-        ]
-        return cls(trees, n_classes, payload["family"], ForestParams(), seed=0,
-                   n_features=n_features)
+        trees = trees_from_payload(payload["trees"], "classification", n_classes, n_features)
+        return cls(trees, n_classes, payload["family"], n_features=n_features)
 
 
 def _resolve_max_features(spec, d):
@@ -391,14 +438,8 @@ def forest_fit(
     random threshold per candidate feature.  Class weights scale sample
     weights during fitting.
     """
-    X = np.ascontiguousarray(matrix, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    X, y, K = _fit_data(matrix, labels, n_classes)
     params = params or ForestParams()
-    if params.variant not in ("random_forest", "extra_trees"):
-        raise ConfigError(f"unknown forest variant {params.variant!r}")
-    if params.n_trees < 1:
-        raise ConfigError("n_trees must be >= 1")
-    K = int(n_classes) if n_classes is not None else int(y.max()) + 1
     n, d = X.shape
     bootstrap = params.bootstrap
     if bootstrap is None:
@@ -406,12 +447,12 @@ def forest_fit(
 
     if params.class_weights == "balanced":
         class_w = balanced_class_weights(y, K)
-    elif isinstance(params.class_weights, dict):
+    elif params.class_weights is not None:
         class_w = np.ones(K)
         for ordinal, weight in params.class_weights.items():
+            if int(ordinal) >= K:
+                raise ConfigError(f"class weight for class {ordinal}, outside [0, {K})")
             class_w[int(ordinal)] = float(weight)
-        if (class_w <= 0).any():
-            raise ConfigError("class weights must be positive")
     else:
         class_w = np.ones(K)
 
@@ -441,7 +482,7 @@ def forest_fit(
         )
 
     trees = [fit_one(child) for child in children]
-    return ForestModel(trees, K, params.variant, params, seed, n_features=d)
+    return ForestModel(trees, K, params.variant, n_features=d)
 
 
 @dataclass
@@ -449,6 +490,10 @@ class AdaboostParams:
     n_rounds: int = 50
     base_depth: int = 1
     track_weights: bool = False
+
+    def __post_init__(self):
+        _check(self, n_rounds=_integer(1), base_depth=_integer(0, optional=True),
+               track_weights=_FLAG)
 
 
 def samme_alpha(error: float, n_classes: int) -> float:
@@ -462,13 +507,12 @@ class AdaboostModel:
     family = "abc"
     PERFECT_ALPHA = 1e10  # finite surrogate for a zero-error learner
 
-    def __init__(self, learners, alphas, errors, n_classes, params,
+    def __init__(self, learners, alphas, errors, n_classes,
                  weight_history=None, n_features=None):
         self.learners = learners
         self.alphas = alphas
         self.errors = errors
         self.n_classes = n_classes
-        self.params = params
         self.weight_history = weight_history or []
         self.n_features = n_features
 
@@ -497,18 +541,21 @@ class AdaboostModel:
             "n_classes": self.n_classes,
             "n_features": self.n_features,
             "alphas": list(self.alphas),
-            "trees": [t.to_payload() for t in self.learners],
+            "trees": trees_to_payload(self.learners),
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "AdaboostModel":
         n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
-        learners = [
-            DecisionTree.from_payload(t, "classification", n_classes, n_features)
-            for t in payload["trees"]
-        ]
-        return cls(learners, [float(a) for a in payload["alphas"]], [],
-                   n_classes, AdaboostParams(), n_features=n_features)
+        learners = trees_from_payload(payload["trees"], "classification", n_classes,
+                                      n_features)
+        alphas = [float(a) for a in payload["alphas"]]
+        if len(alphas) != len(learners) or not all(map(math.isfinite, alphas)):
+            raise DataFormatError(
+                f"AdaBoost holds {len(alphas)} alphas for {len(learners)} trees, "
+                "or one is not finite"
+            )
+        return cls(learners, alphas, [], n_classes, n_features=n_features)
 
 
 def adaboost_fit(
@@ -526,12 +573,8 @@ def adaboost_fit(
     better than random (dropped).
     """
     del seed  # deterministic given the data
-    X = np.ascontiguousarray(matrix, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    X, y, K = _fit_data(matrix, labels, n_classes)
     params = params or AdaboostParams()
-    if params.n_rounds < 1:
-        raise ConfigError("n_rounds must be >= 1")
-    K = int(n_classes) if n_classes is not None else int(y.max()) + 1
     if K < 2:
         raise ConfigError("need at least two classes")
     n = X.shape[0]
@@ -545,7 +588,8 @@ def adaboost_fit(
         tree = fit_tree(X, y, sample_weight=w, params=tree_params,
                         mode="classification", n_classes=K, codes=codes)
         miss = tree.predict(X) != y
-        error = float(w[miss].sum())
+        # sorted sums keep the weights independent of row order
+        error = float(np.sort(w[miss]).sum())
         if error == 0.0:
             learners.append(tree)
             alphas.append(AdaboostModel.PERFECT_ALPHA)
@@ -558,12 +602,12 @@ def adaboost_fit(
         alphas.append(alpha)
         errors.append(error)
         w = w * np.exp(alpha * miss)
-        w = w / w.sum()
+        w = w / np.sort(w).sum()
         if params.track_weights:
             weight_history.append(w.copy())
     if not learners:
         raise TrainingError("no weak learner beat random guessing")
-    return AdaboostModel(learners, alphas, errors, K, params, weight_history,
+    return AdaboostModel(learners, alphas, errors, K, weight_history,
                          n_features=X.shape[1])
 
 
@@ -666,34 +710,51 @@ _PARAM_CLASSES = {
 }
 
 
+def model_params(family: str, params: dict):
+    """Keyword params as the checked params dataclass of a single-model
+    family; an unknown family, an unknown name or a bad value is a
+    ConfigError."""
+    if family not in _PARAM_CLASSES:
+        raise ConfigError(f"unknown model family {family!r}")
+    cls = _PARAM_CLASSES[family]
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {family} parameter {unknown[0]!r}")
+    if cls is ForestParams:
+        params = {"variant": "random_forest" if family == "rfc" else "extra_trees",
+                  **params}
+    return cls(**params)
+
+
+def _voting_members(spec: ModelSpec) -> list[ModelSpec]:
+    members = spec.params.get("members")
+    if not members:
+        raise ConfigError("voting spec needs a non-empty members list")
+    return [ModelSpec(m["family"], m.get("params", {}), spec.seed) for m in members]
+
+
+def check_spec(spec: ModelSpec) -> None:
+    """Build the params of every model a spec fits, so that a bad one fails
+    before any data is encoded or reduced."""
+    if spec.family == "voting":
+        for member in _voting_members(spec):
+            check_spec(member)
+    elif spec.family != "majority":
+        model_params(spec.family, spec.params)
+
+
 def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = 4):
     """Fit the model a spec describes.  Unknown families are ConfigErrors."""
     family = spec.family
-    if family == "gbdt":
-        return gbdt_fit(matrix, labels, GbdtParams(**spec.params),
-                        seed=spec.seed, n_classes=n_classes)
-    if family in ("rfc", "etc"):
-        params = dict(spec.params)
-        params.setdefault("variant",
-                          "random_forest" if family == "rfc" else "extra_trees")
-        return forest_fit(matrix, labels, ForestParams(**params),
-                          seed=spec.seed, n_classes=n_classes)
-    if family == "abc":
-        return adaboost_fit(matrix, labels, AdaboostParams(**spec.params),
-                            seed=spec.seed, n_classes=n_classes)
     if family == "voting":
-        members = spec.params.get("members")
-        if not members:
-            raise ConfigError("voting spec needs a non-empty members list")
-        fitted = [
-            fit_model(ModelSpec(m["family"], m.get("params", {}), spec.seed),
-                      matrix, labels, n_classes)
-            for m in members
-        ]
-        return VotingModel(fitted)
+        return VotingModel([fit_model(member, matrix, labels, n_classes)
+                            for member in _voting_members(spec)])
     if family == "majority":
         return majority_fit(matrix, labels, n_classes)
-    raise ConfigError(f"unknown model family {family!r}")
+    params = model_params(family, spec.params)
+    fit = {GbdtParams: gbdt_fit, ForestParams: forest_fit,
+           AdaboostParams: adaboost_fit}[type(params)]
+    return fit(matrix, labels, params, seed=spec.seed, n_classes=n_classes)
 
 
 def model_from_payload(payload: dict):

@@ -25,7 +25,7 @@ from .dimred import (
     tsne_embed,
 )
 from .encoding import CorpusEncoder, EncodedMatrix, StandardScaler, apply_scaler, fit_scaler
-from .ensemble import ModelSpec, fit_model
+from .ensemble import ModelSpec, check_spec, fit_model
 from .errors import ConfigError
 from .nvd import RISK_CLASSES, RiskClass
 from .util import derived_seed
@@ -101,6 +101,7 @@ class PipelineConfig:
             raise ConfigError(f"profile must be desk or paper, got {self.profile!r}")
         if self.seed is None:
             raise ConfigError("a seed is mandatory; there is no wall-clock seeding")
+        check_spec(self.model_spec())
         return self
 
     def model_spec(self) -> ModelSpec:

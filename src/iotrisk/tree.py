@@ -43,10 +43,11 @@ class TreeParams:
 class DecisionTree:
     """A fitted CART tree stored as parallel node arrays (node 0 is the root).
 
-    ``feature``, ``left`` and ``right`` are -1 at leaves; children always
-    have larger indices than their parent.  ``value`` holds one row per
-    node, (n_nodes, K) class probabilities or (n_nodes,) scalars, and is
-    meaningful at leaves only.
+    Nodes are numbered in preorder, so a split's left child is the next
+    node; ``right`` holds its right child, which comes later still.
+    ``feature`` and ``right`` are -1 at leaves.  ``value`` holds one row
+    per node, (n_nodes, K) class probabilities or (n_nodes,) scalars, and
+    is meaningful at leaves only.
 
     A tree grown by `fit_tree` also carries ``root_decrease``, the best
     impurity decrease its root search found (0.0 when the root was not
@@ -55,15 +56,19 @@ class DecisionTree:
 
     root_decrease: float | None = None
 
-    def __init__(self, feature, threshold, left, right, value, mode: str,
-                 n_classes: int | None):
+    def __init__(self, feature, threshold, right, value, mode: str):
         self.feature = feature
         self.threshold = threshold
-        self.left = left
         self.right = right
         self.value = value
         self.mode = mode
-        self.n_classes = n_classes
+
+    @classmethod
+    def leaf(cls, value: float) -> "DecisionTree":
+        """A one-node regression tree, as `fit_tree` stores a single leaf."""
+        return cls(np.array([-1], dtype=np.intp), np.array([0.0]),
+                   np.array([-1], dtype=np.intp), np.array([value], dtype=float),
+                   "regression")
 
     def predict_value(self, matrix) -> np.ndarray:
         """Leaf payload per row: (n, K) probabilities or (n,) scalars.
@@ -78,7 +83,7 @@ class DecisionTree:
             inner = feature >= 0
             rows, at, feature = rows[inner], at[inner], feature[inner]
             go_left = X[rows, feature] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            node[rows] = np.where(go_left, at + 1, self.right[at])
         return self.value[node]
 
     def predict(self, matrix) -> np.ndarray:
@@ -90,58 +95,66 @@ class DecisionTree:
     def node_count(self) -> int:
         return len(self.feature)
 
-    def to_payload(self) -> dict:
-        """The node arrays, with values for leaf rows only."""
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value[self.left < 0].tolist(),
-        }
 
-    @classmethod
-    def from_payload(cls, payload: dict, mode: str, n_classes: int | None,
-                     n_features: int) -> "DecisionTree":
-        """Rebuild and validate a tree from `to_payload` output.
+def trees_to_payload(trees: list[DecisionTree]) -> dict:
+    """A list of trees as one set of arrays: the node count of each tree,
+    ``feature`` over all nodes, ``threshold`` and tree-local ``right`` for
+    splits only, and ``value`` for leaves only, trees in list order."""
+    feature = np.concatenate([t.feature for t in trees])
+    split = feature >= 0
+    return {
+        "nodes": [t.node_count() for t in trees],
+        "feature": feature.tolist(),
+        "threshold": np.concatenate([t.threshold for t in trees])[split].tolist(),
+        "right": np.concatenate([t.right for t in trees])[split].tolist(),
+        "value": np.concatenate([t.value for t in trees])[~split].tolist(),
+    }
 
-        Any array that does not describe one tree over n_features columns
-        with K-wide (classification) or scalar (regression) leaves is a
-        DataFormatError.
-        """
-        feature, left, right = (_index_array(payload, k) for k in ("feature", "left", "right"))
-        threshold = np.asarray(payload["threshold"], dtype=float)
-        n = len(feature)
-        if n == 0 or threshold.shape != (n,) or len(left) != n or len(right) != n:
-            raise DataFormatError("tree arrays are empty or of unequal length")
-        leaf = left < 0
-        split = ~leaf
-        at = np.flatnonzero(split)
-        bad = feature[split][(feature[split] < 0) | (feature[split] >= n_features)]
-        if bad.size:
-            raise DataFormatError(f"split on feature {bad[0]}, outside [0, {n_features})")
-        if not ((left[split] > at) & (right[split] > at)
-                & (left[split] < n) & (right[split] < n)).all():
-            raise DataFormatError("tree child index not after its parent or out of range")
-        if not ((feature[leaf] == -1) & (left[leaf] == -1) & (right[leaf] == -1)).all():
-            raise DataFormatError("tree leaf has a feature or a child")
-        parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
-        if parents[0] != 0 or (parents[1:] != 1).any():
-            raise DataFormatError("tree node without exactly one parent")
-        if not np.isfinite(threshold[split]).all():
-            raise DataFormatError("tree split threshold is not finite")
-        leaf_shape = () if mode == "regression" else (n_classes,)
-        leaf_values = np.asarray(payload["value"], dtype=float)
-        if leaf_values.shape != (int(leaf.sum()),) + leaf_shape:
-            raise DataFormatError(
-                f"tree {mode} leaf values have shape {leaf_values.shape}, "
-                f"expected {(int(leaf.sum()),) + leaf_shape}"
-            )
-        if not np.isfinite(leaf_values).all():
-            raise DataFormatError("tree leaf value is not finite")
-        value = np.zeros((n,) + leaf_shape)
-        value[leaf] = leaf_values
-        return cls(feature, threshold, left, right, value, mode, n_classes)
+
+def trees_from_payload(payload: dict, mode: str, n_classes: int | None,
+                       n_features: int) -> list[DecisionTree]:
+    """Rebuild the trees of `trees_to_payload` output, checked in one pass:
+    any array that does not describe non-empty trees over n_features
+    columns with finite K-wide (classification) or scalar (regression)
+    leaves is a DataFormatError."""
+    nodes, feature, right = (_index_array(payload, k) for k in ("nodes", "feature", "right"))
+    n = len(feature)
+    if not nodes.size or ((nodes < 1) | (nodes > n)).any() or nodes.sum() != n:
+        raise DataFormatError(f"tree node counts are not positive or do not sum to {n}")
+    bad = feature[(feature < -1) | (feature >= n_features)]
+    if bad.size:
+        raise DataFormatError(f"split on feature {bad[0]}, outside [0, {n_features})")
+    split = feature >= 0
+    at = np.flatnonzero(split)
+    threshold = np.asarray(payload["threshold"], dtype=float)
+    if threshold.shape != at.shape or right.shape != at.shape:
+        raise DataFormatError(f"tree arrays hold {threshold.size} thresholds and "
+                              f"{right.size} right children for {at.size} splits")
+    # right is local to its tree; a left child is always the next node
+    start = np.cumsum(nodes) - nodes
+    tree_of = np.repeat(np.arange(nodes.size), nodes)[at]
+    local = at - start[tree_of]
+    if not ((right > local + 1) & (right < nodes[tree_of])).all():
+        raise DataFormatError("tree right child not after its left child or past its tree")
+    # children come after their parent within its tree, so no root is one
+    parents = np.bincount(np.concatenate([at + 1, right + start[tree_of]]), minlength=n)
+    parents[start] += 1
+    if (parents != 1).any():
+        raise DataFormatError("tree node without exactly one parent")
+    leaf_shape = () if mode == "regression" else (n_classes,)
+    leaf_values = np.asarray(payload["value"], dtype=float)
+    expected = (n - at.size,) + leaf_shape
+    if leaf_values.shape != expected:
+        raise DataFormatError(f"tree {mode} leaf values have shape "
+                              f"{leaf_values.shape}, expected {expected}")
+    if not (np.isfinite(threshold).all() and np.isfinite(leaf_values).all()):
+        raise DataFormatError("tree split threshold or leaf value is not finite")
+    node_threshold, node_right = np.zeros(n), np.full(n, -1, dtype=np.intp)
+    node_threshold[at], node_right[at] = threshold, right
+    value = np.zeros((n,) + leaf_shape)
+    value[~split] = leaf_values
+    arrays = (np.split(a, start[1:]) for a in (feature, node_threshold, node_right, value))
+    return [DecisionTree(*tree, mode) for tree in zip(*arrays)]
 
 
 def _index_array(payload: dict, key: str) -> np.ndarray:
@@ -339,18 +352,18 @@ def fit_tree(
 
     # Every node keeps its rows in canonical order: X-lexicographic, ties
     # resolved by target and weight, so identical row multisets grow
-    # identical trees.  Nodes are numbered in preorder as they are popped;
-    # a child's slot in its parent's left/right list is filled in when the
-    # child is created.
-    feature, threshold, left, right, value = [], [], [], [], []
+    # identical trees.  Nodes are numbered in preorder as they are popped,
+    # so a left child is its parent + 1; a right child fills in its
+    # parent's `right` slot when it is created.
+    feature, threshold, right, value = [], [], [], []
     blank = 0.0 if mode == "regression" else np.zeros(K)
     root_decrease = 0.0
-    stack = [(np.lexsort((w, y, rank)), 0, None, -1)]
+    stack = [(np.lexsort((w, y, rank)), 0, None)]
     while stack:
-        idx, depth, links, parent = stack.pop()
+        idx, depth, parent = stack.pop()
         node = len(feature)
-        if links is not None:
-            links[parent] = node
+        if parent is not None:
+            right[parent] = node
         split = None
         depth_ok = params.max_depth is None or depth < params.max_depth
         if depth_ok and idx.size >= params.min_samples_split:
@@ -375,7 +388,6 @@ def fit_tree(
                         split = (f, float((X[idx[lo], f] + X[idx[hi], f]) / 2.0), decrease)
         if node == 0 and split is not None:
             root_decrease = split[2]
-        left.append(-1)
         right.append(-1)
         if split is None or split[2] < params.min_impurity_decrease:
             feature.append(-1)
@@ -386,11 +398,11 @@ def fit_tree(
         threshold.append(split[1])
         value.append(blank)
         mask = X[idx, split[0]] <= split[1]
-        stack.append((idx[~mask], depth + 1, right, node))
-        stack.append((idx[mask], depth + 1, left, node))
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, None))
     tree = DecisionTree(
-        np.array(feature, dtype=np.intp), np.array(threshold), np.array(left, dtype=np.intp),
-        np.array(right, dtype=np.intp), np.array(value, dtype=float), mode, K,
+        np.array(feature, dtype=np.intp), np.array(threshold),
+        np.array(right, dtype=np.intp), np.array(value, dtype=float), mode,
     )
     tree.root_decrease = root_decrease
     return tree

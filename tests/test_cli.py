@@ -166,11 +166,37 @@ class TestTrainPredict:
         assert param.partition("=")[0] in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("family, param", [
+        ("gbdt", "bogus=1"), ("gbdt", "n_stages=abc"),
+        ("rfc", "min_impurity_decrease=nan"), ("rfc", "class_weights=foo"),
+    ])
+    def test_bad_param_is_usage_error_before_encoding(self, corpus, tmp_path, capsys,
+                                                      monkeypatch, family, param):
+        def no_design(*args, **kwargs):
+            raise AssertionError("the design matrix was built")
+
+        monkeypatch.setattr(pipeline, "fit_design", no_design)
+        model = tmp_path / "m.json"
+        rc = main(["train", "--corpus", str(corpus), "--model", family, "--seed", "7",
+                   "--out", str(model), "--param", param])
+        assert rc == 2
+        assert param.partition("=")[0] in capsys.readouterr().err
+        assert not model.exists()
+
 
 def _first_split(trees):
-    """(tree, node index) of the first split found in a list of tree payloads."""
-    return next((tree, i) for tree in trees
-                for i, child in enumerate(tree["left"]) if child >= 0)
+    """Node index of the first split in a tree-set payload."""
+    return next(i for i, feature in enumerate(trees["feature"]) if feature >= 0)
+
+
+def _drop_last_tree(trees):
+    """Remove the last tree of a tree-set payload from each of its arrays."""
+    count = trees["nodes"].pop()
+    splits = sum(feature >= 0 for feature in trees["feature"][-count:])
+    for key, size in (("feature", count), ("threshold", splits), ("right", splits),
+                      ("value", count - splits)):
+        if size:
+            del trees[key][-size:]
 
 
 @contextlib.contextmanager
@@ -238,11 +264,20 @@ class TestDoctoredModel:
     def test_split_feature_out_of_range(self, trained, capsys, feature):
         model, devices = trained
         payload = json.loads(model.read_text())
-        stages = payload["model"]["stages"]
-        tree, node = _first_split([tree for stage in stages for tree in stage])
-        tree["feature"][node] = feature
+        trees = payload["model"]["trees"]
+        trees["feature"][_first_split(trees)] = feature
         assert self._predict(model, devices, payload) == 3
-        assert f"feature {feature}" in capsys.readouterr().err
+        # feature -1 marks a leaf, so the split's threshold and right are extra
+        expected = "right children for" if feature == -1 else f"split on feature {feature},"
+        assert expected in capsys.readouterr().err
+
+    def test_split_feature_below_leaf_marker(self, trained, capsys):
+        model, devices = trained
+        payload = json.loads(model.read_text())
+        trees = payload["model"]["trees"]
+        trees["feature"][_first_split(trees)] = -2
+        assert self._predict(model, devices, payload) == 3
+        assert "split on feature -2," in capsys.readouterr().err
 
     def test_split_feature_out_of_range_in_voting_member(self, corpus, trained,
                                                          tmp_path, capsys):
@@ -250,60 +285,81 @@ class TestDoctoredModel:
         gbdt = json.loads(model.read_text())["model"]
         payload = self._forest_payload(corpus, tmp_path)
         rfc = payload["model"]
-        tree, node = _first_split(rfc["trees"])
-        tree["feature"][node] = 99
+        rfc["trees"]["feature"][_first_split(rfc["trees"])] = 99
         payload["family"] = "voting"
         payload["model"] = {"family": "voting", "members": [gbdt, rfc]}
         assert self._predict(model, devices, payload) == 3
         assert "feature 99" in capsys.readouterr().err
 
     def test_gbdt_stage_narrower_than_classes(self, trained, capsys):
+        # trees are stored stage-major, so a short last stage leaves a tree
+        # count that is not a multiple of the class count
         model, devices = trained
         payload = json.loads(model.read_text())
         assert payload["model"]["n_classes"] == 4
-        payload["model"]["stages"] = [s[:2] for s in payload["model"]["stages"]]
+        trees = payload["model"]["trees"]
+        stages = len(trees["nodes"]) // 4
+        _drop_last_tree(trees)
         assert self._predict(model, devices, payload) == 3
-        assert "holds 2 trees, expected 4" in capsys.readouterr().err
+        assert (f"holds {4 * stages - 1} trees, not a multiple of its 4 classes"
+                in capsys.readouterr().err)
 
     def test_classification_leaf_narrower_than_classes(self, corpus, trained,
                                                        tmp_path, capsys):
         model, devices = trained
         payload = self._forest_payload(corpus, tmp_path)
-        tree = payload["model"]["trees"][0]
-        tree["value"] = [row[:3] for row in tree["value"]]
+        trees = payload["model"]["trees"]
+        trees["value"] = [row[:3] for row in trees["value"]]
         assert self._predict(model, devices, payload) == 3
         assert "classification leaf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("defect", [
-        "backwards_child", "child_out_of_range", "unequal_lengths", "missing_leaf_row",
-        "null_threshold", "null_leaf_value",
+        "backwards_child", "child_out_of_range", "child_past_its_tree", "shared_child",
+        "unequal_lengths", "missing_leaf_row", "null_threshold", "null_leaf_value",
+        "node_counts_off_by_one", "zero_node_tree", "text_node_count",
     ])
     def test_malformed_tree_arrays(self, trained, capsys, defect):
         model, devices = trained
         payload = json.loads(model.read_text())
-        trees = [tree for stage in payload["model"]["stages"] for tree in stage]
-        # a split below the root, so that pointing it back at node 0 is a cycle
-        tree, node = next((t, i) for t in trees
-                          for i in range(1, len(t["left"])) if t["left"][i] >= 0)
+        trees = payload["model"]["trees"]
+        nodes, right = trees["nodes"], trees["right"]
+        # the tree of the first split: its index, first node and second split
+        node = _first_split(trees)
+        tree = next(t for t in range(len(nodes)) if sum(nodes[:t + 1]) > node)
+        assert tree < len(nodes) - 1 and sum(nodes[:tree]) == node  # a root
+        second = next(i for i in range(node + 1, node + nodes[tree])
+                      if trees["feature"][i] >= 0)
         if defect == "backwards_child":
-            tree["left"][node] = 0
+            right[0] = 0
         elif defect == "child_out_of_range":
-            tree["right"][node] = len(tree["feature"]) + 5
+            right[0] = len(trees["feature"]) + 5
+        elif defect == "child_past_its_tree":
+            right[0] = nodes[tree]  # the root of the next tree
+        elif defect == "shared_child":
+            right[0] = right[sum(f >= 0 for f in trees["feature"][node:second])]
         elif defect == "unequal_lengths":
-            tree["threshold"].append(0.5)
+            trees["threshold"].append(0.5)
         elif defect == "missing_leaf_row":
-            tree["value"].pop()
+            trees["value"].pop()
         elif defect == "null_threshold":
-            tree["threshold"][node] = None  # would read as NaN
+            trees["threshold"][0] = None  # would read as NaN
+        elif defect == "null_leaf_value":
+            trees["value"][0] = None
+        elif defect == "node_counts_off_by_one":
+            nodes[-1] += 1
+        elif defect == "zero_node_tree":
+            nodes.insert(tree, 0)
         else:
-            tree["value"][0] = None
+            nodes[0] = "1"
         with _deadline(30):
             assert self._predict(model, devices, payload) == 3
-        assert "m.json: tree" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "m.json: tree" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("defect", [
         "no_n_features", "text_threshold", "no_dimred_mode", "model_not_an_object",
-        "file_not_an_object", "old_format", "sidecar_without_scaler",
+        "file_not_an_object", "old_format", "format_2", "short_init_scores",
+        "sidecar_without_scaler",
         "sidecar_without_feature", "sidecar_not_an_object",
     ])
     def test_malformed_payload_is_data_error(self, trained, capsys, defect):
@@ -313,9 +369,7 @@ class TestDoctoredModel:
         if defect == "no_n_features":
             del payload["model"]["n_features"]
         elif defect == "text_threshold":
-            tree, node = _first_split(
-                [tree for stage in payload["model"]["stages"] for tree in stage])
-            tree["threshold"][node] = "abc"
+            payload["model"]["trees"]["threshold"][0] = "abc"
         elif defect == "no_dimred_mode":
             del payload["dimred"]["mode"]
         elif defect == "model_not_an_object":
@@ -324,6 +378,10 @@ class TestDoctoredModel:
             payload = []
         elif defect == "old_format":
             payload["format"] = "iotrisk-model/1"
+        elif defect == "format_2":
+            payload["format"] = "iotrisk-model/2"
+        elif defect == "short_init_scores":
+            payload["model"]["init_scores"].pop()
         else:
             encoders = json.loads(sidecar.read_text())
             if defect == "sidecar_without_scaler":
@@ -335,7 +393,10 @@ class TestDoctoredModel:
             sidecar.write_text(json.dumps(encoders))
         assert self._predict(model, devices, payload) == 3
         broken = sidecar if defect.startswith("sidecar") else model
-        assert f"{broken}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{broken}: " in err
+        if defect.endswith("format"):
+            assert "retrain the model" in err
 
     @pytest.mark.parametrize("defect", [
         "no_pca", "short_cluster_freqs", "wide_components", "wide_centroids",

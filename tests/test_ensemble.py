@@ -21,12 +21,13 @@ from iotrisk.ensemble import (
     gbdt_fit,
     majority_fit,
     model_from_payload,
+    model_params,
     multinomial_deviance,
     samme_alpha,
     softmax,
     voting_predict,
 )
-from iotrisk.errors import ConfigError, DomainError, TrainingError
+from iotrisk.errors import ConfigError, DataFormatError, DomainError, TrainingError
 from iotrisk.pipeline import profile_params
 from iotrisk.tree import TreeParams, _best_split_exact, column_codes, fit_tree
 
@@ -457,6 +458,15 @@ class TestAdaboost:
         proba = model.predict_proba(X)
         assert np.allclose(proba.sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize("alphas", [lambda a: a + [1.0], lambda a: a[:-1],
+                                        lambda a: [math.nan] + a[1:]])
+    def test_payload_needs_one_finite_alpha_per_tree(self, alphas):
+        X, y = separable_toy(n=16)
+        payload = adaboost_fit(X, y, AdaboostParams(n_rounds=4)).to_payload()
+        payload["alphas"] = alphas(payload["alphas"])
+        with pytest.raises(DataFormatError, match="alphas"):
+            model_from_payload(payload)
+
 
 class TestSharedColumnCodes:
     """Each ensemble fit builds its column codes and row ranks once and
@@ -504,17 +514,18 @@ class TestSharedColumnCodes:
             assert alone.predict_value(probe).tobytes() == tree.predict_value(probe).tobytes()
 
     def test_adaboost(self):
-        # SAMME renormalizes the weights with sums taken in row order, so the
-        # learner weights may move by an ulp; the learners themselves may not
+        # SAMME sums the row weights in sorted order, so the learner weights
+        # and the learners are the same to the last bit
         X, y, probe, perm = self.duplicated_rows()
         params = AdaboostParams(n_rounds=20, base_depth=2)
         a = adaboost_fit(X, y, params, n_classes=4)
         b = adaboost_fit(X[perm], y[perm], params, n_classes=4)
         assert len(a.learners) == len(b.learners) > 1
         for s, t in zip(a.learners, b.learners):
-            for name in ("feature", "threshold", "left", "right"):
+            for name in ("feature", "threshold", "right"):
                 assert getattr(s, name).tobytes() == getattr(t, name).tobytes()
-        assert np.allclose(a.predict_proba(probe), b.predict_proba(probe), rtol=0, atol=1e-12)
+        assert a.alphas == b.alphas
+        assert a.predict_proba(probe).tobytes() == b.predict_proba(probe).tobytes()
 
     @pytest.mark.parametrize("fit", [
         lambda X, y: gbdt_fit(X, y, GbdtParams(n_stages=2), n_classes=2),
@@ -527,6 +538,83 @@ class TestSharedColumnCodes:
         X = np.array([[1.0, 0.0], [np.nan, 1.0], [3.0, 0.0], [4.0, 1.0]])
         with pytest.raises(DomainError, match="non-finite"):
             fit(X, np.array([0, 1, 0, 1]))
+
+
+class TestLabelRange:
+    """Every ensemble fit checks its labels against the class count once,
+    naming the first label outside [0, K)."""
+
+    @staticmethod
+    def toy(bad):
+        X = np.arange(16.0).reshape(8, 2)
+        y = np.array([0, 1, 2, 3, 0, 1, 2, bad])
+        return X, y
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_gbdt(self, bad):
+        with pytest.raises(DomainError, match=f"label {bad} "):
+            gbdt_fit(*self.toy(bad), GbdtParams(n_stages=2), n_classes=4)
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    @pytest.mark.parametrize("variant", ["random_forest", "extra_trees"])
+    def test_forest(self, bad, variant):
+        with pytest.raises(DomainError, match=f"label {bad} "):
+            forest_fit(*self.toy(bad), ForestParams(n_trees=2, variant=variant),
+                       n_classes=4)
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_adaboost(self, bad):
+        with pytest.raises(DomainError, match=f"label {bad} "):
+            adaboost_fit(*self.toy(bad), AdaboostParams(n_rounds=2), n_classes=4)
+
+
+class TestModelParams:
+    """Each params dataclass checks its fields where it is built."""
+
+    @pytest.mark.parametrize("family, params, field", [
+        ("gbdt", {"bogus": 1}, "bogus"),
+        ("gbdt", {"n_stages": "abc"}, "n_stages"),
+        ("gbdt", {"n_stages": 0}, "n_stages"),
+        ("gbdt", {"max_depth": 2.5}, "max_depth"),
+        ("gbdt", {"patience": 0}, "patience"),
+        ("rfc", {"min_impurity_decrease": math.nan}, "min_impurity_decrease"),
+        ("rfc", {"min_impurity_decrease": -0.1}, "min_impurity_decrease"),
+        ("rfc", {"class_weights": "foo"}, "class_weights"),
+        ("rfc", {"class_weights": {0: 2.0, 1: 0.0}}, "class_weights"),
+        ("rfc", {"class_weights": {"-1": 2.0}}, "class_weights"),
+        ("etc", {"max_features": 0.5}, "max_features"),
+        ("etc", {"variant": "jungle"}, "variant"),
+        ("etc", {"bootstrap": "yes"}, "bootstrap"),
+        ("abc", {"n_rounds": True}, "n_rounds"),
+        ("abc", {"track_weights": 1}, "track_weights"),
+        ("xgb", {}, "xgb"),
+    ])
+    def test_bad_parameter(self, family, params, field):
+        with pytest.raises(ConfigError, match=field):
+            model_params(family, params)
+
+    def test_defaults_and_accepted_values(self):
+        assert model_params("gbdt", {}) == GbdtParams()
+        assert model_params("etc", {}).variant == "extra_trees"
+        forest = model_params("rfc", {"class_weights": {"0": 1.5, 3: 2},
+                                      "max_depth": None, "bootstrap": False})
+        assert forest.variant == "random_forest"
+        assert model_params("rfc", {"class_weights": "balanced"}).class_weights == "balanced"
+
+    def test_class_weight_ordinal_checked_against_classes(self):
+        X, y = separable_toy(n=8)
+        with pytest.raises(ConfigError, match="class 2"):
+            forest_fit(X, y, ForestParams(n_trees=2, class_weights={2: 1.0}), n_classes=2)
+
+    def test_nan_min_impurity_decrease_rejected(self):
+        # NaN compares false, so it would refuse no split and grow full trees
+        X = np.arange(16.0).reshape(8, 2)
+        y = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+        model = forest_fit(X, y, ForestParams(n_trees=3, min_impurity_decrease=0.5),
+                           seed=1, n_classes=4)
+        assert all(t.node_count() == 1 for t in model.trees)
+        with pytest.raises(ConfigError, match="min_impurity_decrease"):
+            ForestParams(n_trees=3, min_impurity_decrease=math.nan)
 
 
 class _StubModel:

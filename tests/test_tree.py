@@ -4,7 +4,14 @@ import pytest
 from iotrisk.dataset import bundled_corpus_path, load_corpus
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DataFormatError, DomainError
-from iotrisk.tree import DecisionTree, TreeParams, _best_split_exact, column_codes, fit_tree
+from iotrisk.tree import (
+    TreeParams,
+    _best_split_exact,
+    column_codes,
+    fit_tree,
+    trees_from_payload,
+    trees_to_payload,
+)
 
 
 def column(values):
@@ -13,12 +20,11 @@ def column(values):
 
 def depths(tree):
     """Depth of every node; one forward pass suffices since children
-    always come after their parent."""
+    always come after their parent (the left child is the next node)."""
     depth = np.zeros(tree.node_count(), dtype=int)
     for i in range(tree.node_count()):
-        for child in (tree.left[i], tree.right[i]):
-            if child >= 0:
-                depth[child] = depth[i] + 1
+        if tree.feature[i] >= 0:
+            depth[[i + 1, tree.right[i]]] = depth[i] + 1
     return depth
 
 
@@ -27,13 +33,13 @@ class TestClassificationSplits:
         tree = fit_tree(column([0, 1, 2, 3]), np.array([0, 0, 1, 1]),
                         mode="classification", n_classes=2)
         assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
-        assert tree.value[tree.left[0]].tolist() == [1.0, 0.0]
+        assert tree.value[1].tolist() == [1.0, 0.0]
         assert tree.value[tree.right[0]].tolist() == [0.0, 1.0]
 
     def test_pure_node_is_single_leaf(self):
         tree = fit_tree(column([0, 1, 2]), np.array([1, 1, 1]),
                         mode="classification", n_classes=2)
-        assert tree.node_count() == 1 and tree.left[0] == -1
+        assert tree.node_count() == 1 and tree.feature[0] == tree.right[0] == -1
 
     def test_xor_depth_two(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -76,11 +82,11 @@ class TestClassificationSplits:
         splits = 0
         for i in range(tree.node_count()):
             rows = reach.pop(i)
-            if tree.left[i] < 0:
+            if tree.feature[i] < 0:
                 continue
             go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
             left, right = rows[go_left], rows[~go_left]
-            reach[tree.left[i]], reach[tree.right[i]] = left, right
+            reach[i + 1], reach[tree.right[i]] = left, right
             decrease = gini(rows) - (left.size * gini(left) + right.size * gini(right)) / rows.size
             assert decrease >= 0.01 - 1e-12
             splits += 1
@@ -105,7 +111,7 @@ class TestRegressionSplits:
         tree = fit_tree(column([0, 1, 2, 3]), np.array([0.0, 0.0, 10.0, 10.0]),
                         mode="regression")
         assert tree.threshold[0] == 1.5
-        assert tree.value[tree.left[0]] == 0.0
+        assert tree.value[1] == 0.0
         assert tree.value[tree.right[0]] == 10.0
 
     def test_constant_targets_single_leaf(self):
@@ -175,9 +181,9 @@ class TestContract:
 
         def walk(row):
             node = 0
-            while tree.left[node] >= 0:
+            while tree.feature[node] >= 0:
                 go_left = row[tree.feature[node]] <= tree.threshold[node]
-                node = tree.left[node] if go_left else tree.right[node]
+                node = node + 1 if go_left else tree.right[node]
             return tree.value[node]
 
         expected = np.array([walk(row) for row in probe])
@@ -187,20 +193,24 @@ class TestContract:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(60, 3))
         y = rng.integers(0, 4, 60)
-        tree = fit_tree(X, y, params=TreeParams(max_depth=4),
-                        mode="classification", n_classes=4)
-        assert tree.node_count() > 1
-        clone = DecisionTree.from_payload(tree.to_payload(), "classification", 4, 3)
-        for name in ("feature", "threshold", "left", "right", "value"):
-            assert np.array_equal(getattr(tree, name), getattr(clone, name))
+        trees = [fit_tree(X, y, params=TreeParams(max_depth=depth),
+                          mode="classification", n_classes=4) for depth in (4, 0, 2)]
+        assert [t.node_count() > 1 for t in trees] == [True, False, True]
+        payload = trees_to_payload(trees)
+        splits = sum(int((t.feature >= 0).sum()) for t in trees)
+        assert len(payload["threshold"]) == len(payload["right"]) == splits
+        clones = trees_from_payload(payload, "classification", 4, 3)
         probe = rng.normal(size=(20, 3))
-        assert np.array_equal(tree.predict_value(probe), clone.predict_value(probe))
+        for tree, clone in zip(trees, clones, strict=True):
+            for name in ("feature", "threshold", "right", "value"):
+                assert np.array_equal(getattr(tree, name), getattr(clone, name))
+            assert np.array_equal(tree.predict_value(probe), clone.predict_value(probe))
 
     def test_truncated_payload_rejected(self):
-        payload = {"feature": [0, -1], "threshold": [0.5, 0.0],
-                   "left": [1, -1], "right": [2, -1], "value": [1.0]}
-        with pytest.raises(DataFormatError):
-            DecisionTree.from_payload(payload, "regression", None, 1)
+        payload = {"nodes": [2], "feature": [0, -1], "threshold": [0.5],
+                   "right": [2], "value": [1.0]}
+        with pytest.raises(DataFormatError, match="right child"):
+            trees_from_payload(payload, "regression", None, 1)
 
     def test_extra_trees_thresholds_split_data(self):
         rng = np.random.default_rng(7)
