@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import FEATURE_COLUMNS
 from .dimred import KmeansModel, PcaModel
 from .encoding import CorpusEncoder, StandardScaler
-from .ensemble import model_from_payload
+from .ensemble import VotingModel, model_from_payload
 from .errors import DataFormatError
 from .nvd import RISK_CLASSES
 from .pipeline import MODES, DimredArtifacts, PipelineModel
@@ -147,6 +147,17 @@ def _dimred_from(payload: dict, mode) -> DimredArtifacts:
     return artifacts
 
 
+def _check_classes(model) -> None:
+    """Every model in a file, each voting member too, must score exactly
+    the file's classes."""
+    if isinstance(model, VotingModel):
+        for member in model.members:
+            _check_classes(member)
+    elif len(model.classes) != len(CLASS_ORDERING):
+        raise DataFormatError(f"{model.family} model scores {len(model.classes)} "
+                              f"classes, not the file's {len(CLASS_ORDERING)}")
+
+
 def save_model(
     path: str | Path, pipeline: PipelineModel, encoder_fingerprint: str
 ) -> None:
@@ -186,7 +197,7 @@ def load_model(
             "with a different encoder"
         )
     try:
-        return PipelineModel(
+        pipeline = PipelineModel(
             mode=payload["mode"],
             family=payload["family"],
             seed=int(payload["seed"]),
@@ -194,6 +205,8 @@ def load_model(
             dimred=_dimred_from(payload["dimred"], payload["mode"]),
             model=model_from_payload(payload["model"]),
         )
+        _check_classes(pipeline.model)
+        return pipeline
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     except _MALFORMED as exc:

@@ -42,6 +42,7 @@ from .evaluation import (
     ablation_study,
     compute_metrics,
     cross_validate,
+    grid_configs,
     grid_search,
     make_fold_plan,
     stratified_split,
@@ -285,6 +286,8 @@ def cmd_tune(args) -> int:
     config = _pipeline_config(args)
     if config.family == "voting":
         raise ConfigError("tune applies to a single model family (gbdt or rfc)")
+    base_params = config.model_spec().params
+    grid_configs(config.family, grid, base_params)  # a bad grid fails before encoding
     plan = _fold_plan(records, config)
     _, design, _ = fit_design(records, config)
     result = grid_search(
@@ -294,7 +297,7 @@ def cmd_tune(args) -> int:
         design.labels,
         plan,
         seed=config.seed,
-        base_params=config.model_spec().params,
+        base_params=base_params,
         metric=args.metric.replace("-", "_"),
     )
     if args.format == "csv":

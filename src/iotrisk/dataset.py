@@ -242,25 +242,32 @@ def _row_dict(cells, expected_header):
     return dict(zip(expected_header, cells))
 
 
+def _load_records(path, header, require_label: bool, what: str) -> list[DeviceRecord]:
+    """Read, convert and validate every row of a CSV with `header`; any
+    invalid row aborts with a DataFormatError "<path>: <what>" listing
+    every violation."""
+    records, problems = [], []
+    for number, cells in enumerate(_read_rows(path, header), start=2):
+        try:
+            record = _row_to_record(_row_dict(cells, header), require_label=require_label)
+        except DataFormatError as exc:
+            problems.append(f"line {number}: {exc}")
+            continue
+        for violation in validate(record, require_label=require_label):
+            problems.append(f"line {number}: {violation}")
+        records.append(record)
+    if problems:
+        raise DataFormatError(f"{path}: {what}\n  " + "\n  ".join(problems))
+    return records
+
+
 def load_corpus(path: str | Path) -> tuple[list[DeviceRecord], CorpusSummary]:
     """Load and validate a labelled corpus.
 
     Any invalid row aborts the load with a DataFormatError listing every
     violation; a corpus must be complete.
     """
-    rows = _read_rows(path, CSV_HEADER)
-    records, problems = [], []
-    for number, cells in enumerate(rows, start=2):
-        try:
-            record = _row_to_record(_row_dict(cells, CSV_HEADER), require_label=True)
-        except DataFormatError as exc:
-            problems.append(f"line {number}: {exc}")
-            continue
-        for violation in validate(record):
-            problems.append(f"line {number}: {violation}")
-        records.append(record)
-    if problems:
-        raise DataFormatError(f"{path}: invalid corpus\n  " + "\n  ".join(problems))
+    records = _load_records(path, CSV_HEADER, True, "invalid corpus")
     if not records:
         raise DataFormatError(f"{path}: no rows")
     return records, class_distribution(records)
@@ -269,20 +276,7 @@ def load_corpus(path: str | Path) -> tuple[list[DeviceRecord], CorpusSummary]:
 def load_devices(path: str | Path) -> list[DeviceRecord]:
     """Load unlabelled device rows (corpus header minus risk_score)."""
     header = tuple(c for c in CSV_HEADER if c != "risk_score")
-    rows = _read_rows(path, header)
-    records, problems = [], []
-    for number, cells in enumerate(rows, start=2):
-        try:
-            record = _row_to_record(_row_dict(cells, header), require_label=False)
-        except DataFormatError as exc:
-            problems.append(f"line {number}: {exc}")
-            continue
-        for violation in validate(record, require_label=False):
-            problems.append(f"line {number}: {violation}")
-        records.append(record)
-    if problems:
-        raise DataFormatError(f"{path}: invalid device rows\n  " + "\n  ".join(problems))
-    return records
+    return _load_records(path, header, False, "invalid device rows")
 
 
 @dataclass

@@ -16,6 +16,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .tree import (
     TreeParams,
     column_codes,
     fit_tree,
-    row_weights,
     trees_from_payload,
     trees_to_payload,
 )
@@ -55,6 +55,19 @@ def deviance_gradient(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def _argmax_labels(probabilities: np.ndarray) -> np.ndarray:
     return np.argmax(probabilities, axis=1)  # first maximum: lowest ordinal
+
+
+class _Classifier:
+    """Classes 0..n_classes-1 and the argmax of predict_proba."""
+
+    n_classes: int
+
+    @property
+    def classes(self) -> tuple[int, ...]:
+        return tuple(range(self.n_classes))
+
+    def predict(self, matrix) -> np.ndarray:
+        return _argmax_labels(self.predict_proba(matrix))
 
 
 def _check_columns(matrix, n_features: int | None) -> np.ndarray:
@@ -130,12 +143,11 @@ class GbdtParams:
     max_depth: int = 6
     min_impurity_decrease: float = 1e-3
     min_samples_split: int = 2
-    patience: int | None = None  # early stop on held-out deviance, off by default
 
     def __post_init__(self):
         _check(self, n_stages=_integer(1), learning_rate=_RATE,
                max_depth=_integer(0, optional=True), min_impurity_decrease=_RATE,
-               min_samples_split=_integer(2), patience=_integer(1, optional=True))
+               min_samples_split=_integer(2))
 
     def tree_params(self) -> TreeParams:
         return TreeParams(
@@ -145,7 +157,7 @@ class GbdtParams:
         )
 
 
-class GbdtModel:
+class GbdtModel(_Classifier):
     """Additive stages of per-class regression trees over log-prior scores."""
 
     family = "gbdt"
@@ -159,10 +171,6 @@ class GbdtModel:
         self.learning_rate = learning_rate
         self.loss_history = loss_history  # mean train deviance, stage 0 first
 
-    @property
-    def classes(self) -> tuple[int, ...]:
-        return tuple(range(self.n_classes))
-
     def decision_scores(self, matrix) -> np.ndarray:
         X = _check_columns(matrix, self.n_features)
         scores = np.tile(self.init_scores, (X.shape[0], 1))
@@ -173,9 +181,6 @@ class GbdtModel:
 
     def predict_proba(self, matrix) -> np.ndarray:
         return softmax(self.decision_scores(matrix))
-
-    def predict(self, matrix) -> np.ndarray:
-        return _argmax_labels(self.predict_proba(matrix))
 
     def to_payload(self) -> dict:
         return {
@@ -208,9 +213,6 @@ def gbdt_fit(
     labels,
     params: GbdtParams | None = None,
     seed: int = 0,
-    sample_weight=None,
-    valid_matrix=None,
-    valid_labels=None,
     n_classes: int | None = None,
 ) -> GbdtModel:
     """Fit multiclass softmax boosting.
@@ -219,7 +221,7 @@ def gbdt_fit(
     regression tree per class to the pseudo-residuals onehot(y) - p and
     applies the one-step Newton leaf update for multinomial deviance,
     shrunk by the learning rate, so rows the current model gets wrong
-    dominate the next stage's trees.
+    dominate the next stage's trees.  Every row weighs 1/n.
 
     A class whose last searched tree was a single leaf skips the search
     while a bound proves the next tree is one too (`_certified_leaf`); the
@@ -232,7 +234,7 @@ def gbdt_fit(
     if K < 2:
         raise ConfigError("need at least two classes")
     n = X.shape[0]
-    w = row_weights(sample_weight, n)
+    w = np.full(n, 1.0 / n)
     counts = np.bincount(y, weights=w, minlength=K)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
@@ -246,20 +248,6 @@ def gbdt_fit(
     scores = np.tile(init_scores, (n, 1))
     tree_params = params.tree_params()
     newton_scale = (K - 1) / K
-
-    if params.patience is not None and valid_matrix is None:
-        raise ConfigError("early stopping needs a validation split")
-    valid_scores = None
-    if valid_matrix is not None:
-        valid_matrix = _check_columns(valid_matrix, X.shape[1])
-        if valid_labels is None or np.shape(valid_labels) != (valid_matrix.shape[0],):
-            raise DomainError("validation labels must be one per validation row")
-        valid_labels = np.asarray(valid_labels, dtype=int)
-        if ((valid_labels < 0) | (valid_labels >= K)).any():
-            raise DomainError(f"validation labels must lie in [0, {K})")
-        valid_scores = np.tile(init_scores, (valid_matrix.shape[0], 1))
-    best_valid = math.inf
-    stalled = 0
     # per class: (sqrt of the root decrease, residual) of its last searched
     # tree, while that tree was a single leaf
     anchors = [None] * K
@@ -299,20 +287,9 @@ def gbdt_fit(
                 if tree.node_count() == 1:
                     anchors[c] = (math.sqrt(max(tree.root_decrease, 0.0)), residual)
             scores[:, c] += params.learning_rate * step
-            if valid_scores is not None:
-                valid_scores[:, c] += params.learning_rate * tree.predict_value(valid_matrix)
             stage.append(tree)
         stages.append(tuple(stage))
         loss_history.append(multinomial_deviance(scores, y) / n)
-        if params.patience is not None:
-            valid_loss = multinomial_deviance(valid_scores, valid_labels) / len(valid_labels)
-            if valid_loss < best_valid - 1e-12:
-                best_valid = valid_loss
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= params.patience:
-                    break
     return GbdtModel(
         n_classes=K,
         n_features=X.shape[1],
@@ -343,28 +320,35 @@ def _certified_leaf(anchor, residual, below: float) -> bool:
 
 @dataclass
 class ForestParams:
+    """A random forest: each tree grows on a bootstrap sample and takes the
+    best split over a random feature subset per node."""
+
+    variant: ClassVar[str] = "random_forest"
     n_trees: int = 100
-    variant: str = "random_forest"  # or "extra_trees"
     max_features: int | str | None = "sqrt"
     max_depth: int | None = None
     min_impurity_decrease: float = 0.0
     min_samples_split: int = 2
-    bootstrap: bool | None = None  # default: on for rf, off for extra trees
     class_weights: str | dict | None = None  # None | "balanced" | {ordinal: w}
 
     def __post_init__(self):
         _check(
             self, n_trees=_integer(1),
-            variant=(lambda v: v in ("random_forest", "extra_trees"),
-                     "random_forest or extra_trees"),
             max_features=(lambda v: v in (None, "sqrt") or _is_count(v, 1),
                           "'sqrt', an integer >= 1 or None"),
             max_depth=_integer(0, optional=True), min_impurity_decrease=_RATE,
             min_samples_split=_integer(2),
-            bootstrap=(lambda v: v is None or isinstance(v, bool), "true, false or None"),
             class_weights=(_class_weights_ok,
                            "None, 'balanced' or a map of class ordinals to positive weights"),
         )
+
+
+@dataclass
+class ExtraTreesParams(ForestParams):
+    """Extra-trees (Geurts et al., 2006): each tree grows on every row and
+    draws one random threshold per candidate feature."""
+
+    variant: ClassVar[str] = "extra_trees"
 
 
 def _class_weights_ok(value) -> bool:
@@ -376,8 +360,8 @@ def _class_weights_ok(value) -> bool:
     )
 
 
-class ForestModel:
-    """Bagged classification trees with soft voting across trees."""
+class ForestModel(_Classifier):
+    """Classification trees with soft voting across trees."""
 
     def __init__(self, trees, n_classes, variant, n_features=None):
         self.trees = trees
@@ -387,19 +371,12 @@ class ForestModel:
 
     family = property(lambda self: self.variant)
 
-    @property
-    def classes(self) -> tuple[int, ...]:
-        return tuple(range(self.n_classes))
-
     def predict_proba(self, matrix) -> np.ndarray:
         X = _check_columns(matrix, self.n_features)
         acc = np.zeros((X.shape[0], self.n_classes))
         for tree in self.trees:
             acc += tree.predict_value(X)
         return acc / len(self.trees)
-
-    def predict(self, matrix) -> np.ndarray:
-        return _argmax_labels(self.predict_proba(matrix))
 
     def to_payload(self) -> dict:
         return {
@@ -431,19 +408,14 @@ def forest_fit(
     seed: int = 0,
     n_classes: int | None = None,
 ) -> ForestModel:
-    """Fit a random forest or extra-trees ensemble.
-
-    random_forest bootstraps rows and searches the best split on a random
-    feature subset per node; extra_trees skips the bootstrap and draws one
-    random threshold per candidate feature.  Class weights scale sample
-    weights during fitting.
+    """Fit the forest kind of `params`: a random forest for ForestParams,
+    extra-trees for ExtraTreesParams.  Class weights scale sample weights
+    during fitting.
     """
     X, y, K = _fit_data(matrix, labels, n_classes)
     params = params or ForestParams()
     n, d = X.shape
-    bootstrap = params.bootstrap
-    if bootstrap is None:
-        bootstrap = params.variant == "random_forest"
+    bootstrap = params.variant == "random_forest"
 
     if params.class_weights == "balanced":
         class_w = balanced_class_weights(y, K)
@@ -461,7 +433,7 @@ def forest_fit(
         min_impurity_decrease=params.min_impurity_decrease,
         min_samples_split=params.min_samples_split,
         max_features=_resolve_max_features(params.max_features, d),
-        random_thresholds=params.variant == "extra_trees",
+        random_thresholds=not bootstrap,
     )
     codes, rank = column_codes(X)
     children = np.random.SeedSequence(seed).spawn(params.n_trees)
@@ -501,7 +473,7 @@ def samme_alpha(error: float, n_classes: int) -> float:
     return math.log((1.0 - error) / error) + math.log(n_classes - 1)
 
 
-class AdaboostModel:
+class AdaboostModel(_Classifier):
     """SAMME-weighted shallow trees."""
 
     family = "abc"
@@ -515,10 +487,6 @@ class AdaboostModel:
         self.n_classes = n_classes
         self.weight_history = weight_history or []
         self.n_features = n_features
-
-    @property
-    def classes(self) -> tuple[int, ...]:
-        return tuple(range(self.n_classes))
 
     def decision_scores(self, matrix) -> np.ndarray:
         X = _check_columns(matrix, self.n_features)
@@ -611,13 +579,11 @@ def adaboost_fit(
                          n_features=X.shape[1])
 
 
-def voting_predict(models, matrix, mode: str = "soft"):
-    """Unweighted mean of member probabilities; argmax labels.
+def voting_predict(models, matrix):
+    """Unweighted mean of member probabilities (soft voting); argmax labels.
 
     All members must share one class ordering.
     """
-    if mode != "soft":
-        raise ConfigError(f"unsupported voting mode {mode!r}")
     if not models:
         raise ConfigError("voting needs at least one member model")
     orderings = {tuple(m.classes) for m in models}
@@ -628,7 +594,7 @@ def voting_predict(models, matrix, mode: str = "soft"):
     return _argmax_labels(averaged), averaged
 
 
-class VotingModel:
+class VotingModel(_Classifier):
     """Container applying soft voting over fitted member models."""
 
     family = "voting"
@@ -646,10 +612,6 @@ class VotingModel:
         _, averaged = voting_predict(self.members, matrix)
         return averaged
 
-    def predict(self, matrix) -> np.ndarray:
-        labels, _ = voting_predict(self.members, matrix)
-        return labels
-
     def to_payload(self) -> dict:
         return {
             "family": self.family,
@@ -658,34 +620,36 @@ class VotingModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "VotingModel":
-        return cls([model_from_payload(p) for p in payload["members"]])
+        members = [model_from_payload(p) for p in payload["members"]]
+        if not members:
+            raise DataFormatError("voting model has no members")
+        return cls(members)
 
 
-class MajorityModel:
+class MajorityModel(_Classifier):
     """Constant baseline: the training class distribution everywhere."""
 
     family = "majority"
 
     def __init__(self, distribution: np.ndarray):
         self.distribution = distribution
-
-    @property
-    def classes(self) -> tuple[int, ...]:
-        return tuple(range(len(self.distribution)))
+        self.n_classes = len(distribution)
 
     def predict_proba(self, matrix) -> np.ndarray:
         n = np.asarray(matrix).shape[0]
         return np.tile(self.distribution, (n, 1))
-
-    def predict(self, matrix) -> np.ndarray:
-        return _argmax_labels(self.predict_proba(matrix))
 
     def to_payload(self) -> dict:
         return {"family": self.family, "distribution": self.distribution.tolist()}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "MajorityModel":
-        return cls(np.asarray(payload["distribution"], dtype=float))
+        distribution = np.asarray(payload["distribution"], dtype=float)
+        if distribution.ndim != 1 or not (np.isfinite(distribution)
+                                          & (distribution >= 0)).all():
+            raise DataFormatError("majority distribution is not a list of "
+                                  "finite, non-negative probabilities")
+        return cls(distribution)
 
 
 def majority_fit(matrix, labels, n_classes: int = 4) -> MajorityModel:
@@ -702,11 +666,13 @@ class ModelSpec:
     seed: int = 0
 
 
-_PARAM_CLASSES = {
-    "gbdt": GbdtParams,
-    "rfc": ForestParams,
-    "etc": ForestParams,
-    "abc": AdaboostParams,
+# family -> (params dataclass, name of its fit function); fit_model looks
+# the function up when it runs, so a wrapper set on this module sees the fit
+_FAMILIES = {
+    "gbdt": (GbdtParams, "gbdt_fit"),
+    "rfc": (ForestParams, "forest_fit"),
+    "etc": (ExtraTreesParams, "forest_fit"),
+    "abc": (AdaboostParams, "adaboost_fit"),
 }
 
 
@@ -714,15 +680,12 @@ def model_params(family: str, params: dict):
     """Keyword params as the checked params dataclass of a single-model
     family; an unknown family, an unknown name or a bad value is a
     ConfigError."""
-    if family not in _PARAM_CLASSES:
+    if family not in _FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")
-    cls = _PARAM_CLASSES[family]
+    cls = _FAMILIES[family][0]
     unknown = sorted(set(params) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {family} parameter {unknown[0]!r}")
-    if cls is ForestParams:
-        params = {"variant": "random_forest" if family == "rfc" else "extra_trees",
-                  **params}
     return cls(**params)
 
 
@@ -752,21 +715,23 @@ def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = 4):
     if family == "majority":
         return majority_fit(matrix, labels, n_classes)
     params = model_params(family, spec.params)
-    fit = {GbdtParams: gbdt_fit, ForestParams: forest_fit,
-           AdaboostParams: adaboost_fit}[type(params)]
+    fit = globals()[_FAMILIES[family][1]]
     return fit(matrix, labels, params, seed=spec.seed, n_classes=n_classes)
 
 
+_MODEL_CLASSES = {
+    "gbdt": GbdtModel,
+    "random_forest": ForestModel,
+    "extra_trees": ForestModel,
+    "abc": AdaboostModel,
+    "voting": VotingModel,
+    "majority": MajorityModel,
+}
+
+
 def model_from_payload(payload: dict):
+    """The model a payload describes; an unknown family is a DataFormatError."""
     family = payload.get("family")
-    if family == "gbdt":
-        return GbdtModel.from_payload(payload)
-    if family in ("random_forest", "extra_trees"):
-        return ForestModel.from_payload(payload)
-    if family == "abc":
-        return AdaboostModel.from_payload(payload)
-    if family == "voting":
-        return VotingModel.from_payload(payload)
-    if family == "majority":
-        return MajorityModel.from_payload(payload)
-    raise ConfigError(f"unknown model family in payload: {family!r}")
+    if family not in _MODEL_CLASSES:
+        raise DataFormatError(f"unknown model family in payload: {family!r}")
+    return _MODEL_CLASSES[family].from_payload(payload)

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 
-from .ensemble import ModelSpec, fit_model
+from .ensemble import ModelSpec, check_spec, fit_model
 from .errors import ConfigError, DomainError, EvaluationError
 from .nvd import RiskClass
 from .util import derived_seed, largest_remainder
@@ -263,6 +263,22 @@ class TuneResult:
         return self.configs[self.winner_index]
 
 
+def grid_configs(family: str, grid: dict[str, list],
+                 base_params: dict | None = None) -> list[dict]:
+    """Every configuration of a grid, in lexicographic order of the grid as
+    given, each checked as a `family` spec over base_params, so that a bad
+    grid fails before any data is encoded or cross-validated."""
+    if not grid:
+        raise ConfigError("empty parameter grid")
+    for name, choices in grid.items():
+        if not choices:
+            raise ConfigError(f"grid entry {name!r} has no values")
+    configs = [dict(zip(grid, combo)) for combo in product(*grid.values())]
+    for config in configs:
+        check_spec(ModelSpec(family, {**(base_params or {}), **config}))
+    return configs
+
+
 def grid_search(
     family: str,
     grid: dict[str, list],
@@ -276,17 +292,11 @@ def grid_search(
 ) -> TuneResult:
     """Exhaustively cross-validate every configuration of the grid.
 
-    Configurations enumerate in lexicographic order of the grid as given;
-    the winner maximizes the mean selection metric (accuracy by default,
+    Configurations enumerate as `grid_configs` gives them; the winner
+    maximizes the mean selection metric (accuracy by default,
     macro_f1 behind the flag), ties resolved to the earliest configuration.
     """
-    if not grid:
-        raise ConfigError("empty parameter grid")
-    names = list(grid.keys())
-    for name, choices in grid.items():
-        if not choices:
-            raise ConfigError(f"grid entry {name!r} has no values")
-    configs = [dict(zip(names, combo)) for combo in product(*grid.values())]
+    configs = grid_configs(family, grid, base_params)
     results = []
     for index, config in enumerate(configs):
         spec = ModelSpec(family, {**(base_params or {}), **config},

@@ -169,6 +169,7 @@ class TestTrainPredict:
     @pytest.mark.parametrize("family, param", [
         ("gbdt", "bogus=1"), ("gbdt", "n_stages=abc"),
         ("rfc", "min_impurity_decrease=nan"), ("rfc", "class_weights=foo"),
+        ("gbdt", "patience=3"), ("rfc", "bootstrap=false"), ("rfc", "variant=extra_trees"),
     ])
     def test_bad_param_is_usage_error_before_encoding(self, corpus, tmp_path, capsys,
                                                       monkeypatch, family, param):
@@ -313,6 +314,13 @@ class TestDoctoredModel:
         assert self._predict(model, devices, payload) == 3
         assert "classification leaf" in capsys.readouterr().err
 
+    def test_majority_payload_predicts(self, trained, capsys):
+        model, devices = trained
+        payload = json.loads(model.read_text())
+        payload["model"] = {"family": "majority", "distribution": [0.1, 0.2, 0.3, 0.4]}
+        assert self._predict(model, devices, payload) == 0
+        assert "Critical" in capsys.readouterr().out
+
     @pytest.mark.parametrize("defect", [
         "backwards_child", "child_out_of_range", "child_past_its_tree", "shared_child",
         "unequal_lengths", "missing_leaf_row", "null_threshold", "null_leaf_value",
@@ -361,12 +369,46 @@ class TestDoctoredModel:
         "file_not_an_object", "old_format", "format_2", "short_init_scores",
         "sidecar_without_scaler",
         "sidecar_without_feature", "sidecar_not_an_object",
+        "unknown_family", "six_classes", "two_classes", "majority_six_classes",
+        "majority_null", "majority_negative", "majority_nested", "voting_no_members",
+        "voting_two_class_member", "nested_voting_six_classes",
     ])
     def test_malformed_payload_is_data_error(self, trained, capsys, defect):
         model, devices = trained
         payload = json.loads(model.read_text())
         sidecar = model.parent / (model.name + ".encoders.json")
-        if defect == "no_n_features":
+        gbdt = payload["model"]
+        narrow = {**gbdt, "n_classes": 2, "init_scores": [-1.0] * 2}
+        six = {"family": "majority", "distribution": [0.1] * 6}
+
+        def voting(*members):
+            return {"family": "voting", "members": list(members)}
+
+        # defect: (the model payload put in the file, the error it must name);
+        # the file's classes are four, so every model in it must score four
+        replaced = {
+            "unknown_family": ({**gbdt, "family": "xgb"},
+                               "unknown model family in payload: 'xgb'"),
+            "six_classes": ({**gbdt, "n_classes": 6, "init_scores": [-1.0] * 6},
+                            "gbdt model scores 6 classes, not the file's 4"),
+            "two_classes": (narrow, "gbdt model scores 2 classes"),
+            "majority_six_classes": (six, "majority model scores 6 classes"),
+            "majority_null": ({"family": "majority", "distribution": [0.5, None, 0.25, 0.25]},
+                              "majority distribution"),
+            "majority_negative": ({"family": "majority",
+                                   "distribution": [0.5, -0.25, 0.25, 0.5]},
+                                  "majority distribution"),
+            "majority_nested": ({"family": "majority", "distribution": [[0.25] * 4]},
+                                "majority distribution"),
+            "voting_no_members": (voting(), "voting model has no members"),
+            "voting_two_class_member": (voting(gbdt, narrow), "gbdt model scores 2 classes"),
+            "nested_voting_six_classes": (voting(gbdt, voting(gbdt, six)),
+                                          "majority model scores 6 classes"),
+        }
+        expected = ""
+        if defect in replaced:
+            payload["model"], expected = replaced[defect]
+        elif defect == "no_n_features":
             del payload["model"]["n_features"]
         elif defect == "text_threshold":
             payload["model"]["trees"]["threshold"][0] = "abc"
@@ -393,8 +435,9 @@ class TestDoctoredModel:
             sidecar.write_text(json.dumps(encoders))
         assert self._predict(model, devices, payload) == 3
         broken = sidecar if defect.startswith("sidecar") else model
-        err = capsys.readouterr().err
-        assert f"{broken}: " in err
+        out, err = capsys.readouterr()
+        assert f"{broken}: " in err and expected in err
+        assert "Traceback" not in err and "nan" not in out
         if defect.endswith("format"):
             assert "retrain the model" in err
 
@@ -501,6 +544,26 @@ class TestEvaluateCv:
                    "--grid", str(grid), "--model", "voting"])
         assert rc == 2
         assert "single model family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"n_stages": [2, "abc"]}, "n_stages must be an integer >= 1, got 'abc'"),
+        ({"n_stages": [2], "bogus": [1]}, "unknown gbdt parameter 'bogus'"),
+        ({"patience": [3]}, "unknown gbdt parameter 'patience'"),
+        ({"n_stages": []}, "grid entry 'n_stages' has no values"),
+        ({}, "empty parameter grid"),
+    ], ids=["text_value", "unknown_name", "removed_name", "empty_values", "empty_grid"])
+    def test_bad_grid_fails_before_any_reduction(self, corpus, tmp_path, capsys,
+                                                 monkeypatch, grid, message):
+        def no_tsne(*args, **kwargs):
+            raise AssertionError("t-SNE ran before the grid was checked")
+
+        monkeypatch.setattr(pipeline, "tsne_embed", no_tsne)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        rc = main(["tune", "--corpus", str(corpus), "--seed", "4", "--mode", "tsne",
+                   "--grid", str(path), "--k", "2", "--repeats", "1"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_oversized_k_fails_before_any_reduction(self, corpus, tmp_path, capsys,
                                                      monkeypatch):
