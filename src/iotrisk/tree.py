@@ -1,27 +1,35 @@
-"""CART decision trees grown by exhaustive best-split search.
+"""CART decision trees, grown by one of two split proposals.
 
-One grower serves both modes:
+Exhaustive best-split search grows one node at a time and serves both
+modes (random forests, GBDT stages, AdaBoost learners):
 
 * classification -- weighted Gini impurity, leaves hold class-probability
   vectors;
 * regression -- weighted variance, leaves hold scalars (these trees carry
   the stages of the gradient-boosted ensemble).
 
-Split candidates are the midpoints between consecutive distinct sorted
-values of a feature; rows with value <= threshold go left.  The accepted
-split maximizes the weighted impurity decrease (normalized to the node's
-own weight), tie-broken toward the lowest feature index and then the
-lowest threshold.  Rows are put into a canonical order before growth, so a
-fit depends only on the row multiset, never on input row order.
+Its split candidates are the midpoints between consecutive distinct
+sorted values of a feature; rows with value <= threshold go left.  The
+accepted split maximizes the weighted impurity decrease (normalized to
+the node's own weight), tie-broken toward the lowest feature index and
+then the lowest threshold.
 
 The search is exact greedy over presorted integer column codes, as in
 XGBoost's column blocks: `column_codes` replaces every value by its index
 among its column's sorted distinct values and ranks the rows in
 X-lexicographic order, once per ensemble fit rather than once per tree.
-The canonical order is then a three-key sort (rank, target, weight), each
-node orders its rows per feature by a stable radix sort of the int16
+Each node orders its rows per feature by a stable radix sort of the int16
 codes, and impurity is scored only at value boundaries.  The arithmetic
-matches a float sort and a full scan bit for bit.  Input must be finite.
+matches a float sort and a full scan bit for bit.
+
+Extra-trees random thresholds (classification only) grow one depth level
+at a time, every open node of the level at once: one uniform threshold
+per candidate feature in [min, max) of the node's rows, the Gini decrease
+scored for all of them by one bincount (`_grow_level_wise`).
+
+Both growers put the rows into a canonical order first, a three-key sort
+(rank, target, weight), so a fit depends only on the row multiset, never
+on input row order.  Input must be finite.
 """
 
 from dataclasses import dataclass
@@ -239,17 +247,17 @@ def _best_split_exact(codes, value_rows, mode):
     wr = right[:, -1]
     # extreme weight skew can cancel a side's weight to exactly zero; such
     # positions are ruled out below rather than allowed to go NaN -> argmax
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if mode == "classification":
-            gini_left = 1.0 - np.square(left[:, :-1] / wl[:, None]).sum(axis=-1)
-            gini_right = 1.0 - np.square(right[:, :-1] / wr[:, None]).sum(axis=-1)
-            parent = 1.0 - np.square(total[:, :-1] / tot_w[:, None]).sum(axis=-1)
-            decrease = parent[feat] - (wl * gini_left + wr * gini_right) / tot_w[feat]
-        else:
-            sse_parent = total[:, 1] - np.square(total[:, 0]) / tot_w
-            sse_left = left[:, 1] - np.square(left[:, 0]) / wl
-            sse_right = right[:, 1] - np.square(right[:, 0]) / wr
-            decrease = (sse_parent[feat] - sse_left - sse_right) / tot_w[feat]
+    # (fit_tree silences the division warnings once per tree)
+    if mode == "classification":
+        gini_left = 1.0 - np.square(left[:, :-1] / wl[:, None]).sum(axis=-1)
+        gini_right = 1.0 - np.square(right[:, :-1] / wr[:, None]).sum(axis=-1)
+        parent = 1.0 - np.square(total[:, :-1] / tot_w[:, None]).sum(axis=-1)
+        decrease = parent[feat] - (wl * gini_left + wr * gini_right) / tot_w[feat]
+    else:
+        sse_parent = total[:, 1] - np.square(total[:, 0]) / tot_w
+        sse_left = left[:, 1] - np.square(left[:, 0]) / wl
+        sse_right = right[:, 1] - np.square(right[:, 0]) / wr
+        decrease = (sse_parent[feat] - sse_left - sse_right) / tot_w[feat]
     decrease[~np.isfinite(decrease)] = -np.inf
     best = int(decrease.argmax())  # first max: lowest feature, then threshold
     if not np.isfinite(decrease[best]):
@@ -258,37 +266,184 @@ def _best_split_exact(codes, value_rows, mode):
     return j, int(order[j, i]), int(order[j, i + 1]), float(decrease[best])
 
 
-def _best_split_random(Xn, value_rows, mode, rng):
-    """One uniform-random threshold per feature (extra-trees proposal)."""
-    lo = Xn.min(axis=0)
-    hi = Xn.max(axis=0)
-    spread = hi > lo
-    if not spread.any():
-        return None
-    thresholds = rng.uniform(lo, hi)
-    mask = Xn <= thresholds  # both sides non-empty wherever spread holds
-    left = np.einsum("mk,mf->fk", value_rows, mask)
-    total = value_rows.sum(axis=0)
-    right = total[None, :] - left
-    tot_w = total[-1]
-    wl = left[:, -1]
-    wr = right[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if mode == "classification":
-            gini_left = 1.0 - np.square(left[:, :-1] / wl[:, None]).sum(axis=-1)
-            gini_right = 1.0 - np.square(right[:, :-1] / wr[:, None]).sum(axis=-1)
-            parent = 1.0 - np.square(total[:-1] / tot_w).sum()
-            decrease = parent - (wl * gini_left + wr * gini_right) / tot_w
+def _grow_level_wise(X, y, w, K, params, rng, rows):
+    """Extra-trees growth (Geurts et al., 2006), one depth level at a time.
+
+    Every open node of a level is proposed a split at once, over ``rows``
+    grouped by node, each group in canonical order.  Per level the tree's
+    rng draws, in this order, the nodes' feature subsets (argsort of one
+    (nodes, d) uniform block, first max_features columns, sorted; no draw
+    when every feature is a candidate) and one uniform per (node, feature)
+    placing the threshold in [min, max) of the feature over the node's rows.
+    Left and right class sums come from one bincount over (node, feature,
+    side, class); the split maximizes the Gini decrease, tie-broken toward
+    the lowest feature index.  A candidate that leaves a side empty (no
+    spread, or a threshold rounded up to the maximum) is never taken, and
+    pure nodes and nodes below min_samples_split stay leaves.
+
+    Returns preorder node arrays and the root's best decrease.
+    """
+    n, d = X.shape
+    mf = d if params.max_features is None else min(params.max_features, d)
+    sizes = np.array([n])
+    levels = []  # (feature, threshold, value) per level, nodes in level order
+    root_decrease = 0.0
+    depth = 0
+    while True:
+        nb = sizes.size
+        starts = np.cumsum(sizes) - sizes
+        node = np.repeat(np.arange(nb), sizes)
+        node_y = y[rows]
+        sums = np.bincount(node * K + node_y, weights=w[rows], minlength=nb * K).reshape(nb, K)
+        weight = sums.sum(axis=1)
+        value = sums / weight[:, None]
+        feature, threshold = np.full(nb, -1, dtype=np.intp), np.zeros(nb)
+        levels.append((feature, threshold, value))
+        if depth == params.max_depth:
+            break
+        if mf < d:
+            feats = np.sort(np.argsort(rng.random((nb, d)), axis=1)[:, :mf], axis=1)
+            xs = X[rows[:, None], feats[node]]
         else:
-            sse_parent = total[1] - total[0] ** 2 / tot_w
-            sse_left = left[:, 1] - np.square(left[:, 0]) / wl
-            sse_right = right[:, 1] - np.square(right[:, 0]) / wr
-            decrease = (sse_parent - sse_left - sse_right) / tot_w
-    decrease[~spread | ~np.isfinite(decrease)] = -np.inf
-    j = int(decrease.argmax())
-    if not np.isfinite(decrease[j]):
-        return None
-    return j, float(thresholds[j]), float(decrease[j])
+            feats = np.broadcast_to(np.arange(d), (nb, d))
+            xs = X[rows]
+        lo = np.minimum.reduceat(xs, starts, axis=0)
+        hi = np.maximum.reduceat(xs, starts, axis=0)
+        cut = lo + (hi - lo) * rng.random((nb, mf))
+        goes_right = xs > cut[node]
+        key = ((node[:, None] * mf + np.arange(mf)) * 2 + goes_right) * K + node_y[:, None]
+        side = np.bincount(key.ravel(), weights=np.repeat(w[rows], mf),
+                           minlength=nb * mf * 2 * K).reshape(nb, mf, 2, K)
+        side_w = side.sum(axis=3)
+        gini = 1.0 - np.square(side / side_w[..., None]).sum(axis=3)
+        parent = 1.0 - np.square(value).sum(axis=1)
+        decrease = parent[:, None] - (side_w * gini).sum(axis=2) / weight[:, None]
+        decrease[~(hi > lo) | ~np.isfinite(decrease)] = -np.inf
+        best = decrease.argmax(axis=1)  # first max: lowest feature index
+        gain = decrease[np.arange(nb), best]
+        searched = ((sizes >= params.min_samples_split) & np.isfinite(gain)
+                    & (np.minimum.reduceat(node_y, starts) < np.maximum.reduceat(node_y, starts)))
+        if depth == 0 and searched[0]:
+            root_decrease = float(gain[0])
+        ok = searched & (gain >= params.min_impurity_decrease)
+        if not ok.any():
+            break
+        feature[ok] = feats[ok, best[ok]]
+        threshold[ok] = cut[ok, best[ok]]
+        value[ok] = 0.0
+        # stable partition: each split node's rows go to its left child,
+        # then its right child, in canonical order; children keep level order
+        keep = ok[node]
+        child = 2 * (np.cumsum(ok) - 1)[node[keep]] + goes_right[keep, best[node[keep]]]
+        rows = rows[keep][np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * int(ok.sum()))
+        depth += 1
+    return _preorder(levels, K) + (root_decrease,)
+
+
+def _preorder(levels, K):
+    """Level-order node arrays renumbered into preorder, one level at a
+    time: the children of a level's splits are the next level's nodes,
+    (left, right) pairs in the order of their parents."""
+    subtree = [None] * len(levels)
+    below = None
+    for i in reversed(range(len(levels))):
+        split = levels[i][0] >= 0
+        size = np.ones(split.size, dtype=np.intp)
+        if below is not None:
+            size[split] += below[0::2] + below[1::2]
+        subtree[i] = below = size
+    total = int(subtree[0][0])
+    feature = np.full(total, -1, dtype=np.intp)
+    threshold = np.zeros(total)
+    right = np.full(total, -1, dtype=np.intp)
+    value = np.zeros((total, K))
+    pre = np.zeros(1, dtype=np.intp)
+    for i, (f, t, v) in enumerate(levels):
+        feature[pre], threshold[pre], value[pre] = f, t, v
+        if i + 1 == len(levels):
+            break
+        parents = pre[f >= 0]
+        left = parents + 1
+        right[parents] = left + subtree[i + 1][0::2]
+        pre = np.column_stack([left, right[parents]]).ravel()
+    return feature, threshold, right, value
+
+
+def _grow_depth_first(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows):
+    """Exhaustive best-split growth, one node at a time.
+
+    Every node keeps its rows in canonical order.  Nodes are numbered in
+    preorder as they are popped, so a left child is its parent + 1; a
+    right child fills in its parent's `right` slot when it is created.
+    Returns preorder node arrays and the root's best decrease.
+    """
+    n, d = X.shape
+    # Last value column is the weight itself, so one cumulative sum per
+    # node yields all split statistics.
+    if mode == "classification":
+        values = np.zeros((n, K + 1), dtype=float)
+        values[np.arange(n), y] = w
+        values[:, K] = w
+    else:
+        values = np.column_stack([w * y, w * y * y, w])
+    onehot = np.eye(K) if mode == "classification" and leaf_value_fn is None else None
+
+    def leaf_payload(idx):
+        if leaf_value_fn is not None:
+            return leaf_value_fn(idx)
+        sums = values[idx].sum(axis=0)
+        if mode == "classification":
+            return sums[:-1] / sums[-1]
+        return float(sums[0] / sums[-1])
+
+    feature, threshold, right, value = [], [], [], []
+    blank = 0.0 if mode == "regression" else np.zeros(K)
+    root_decrease = 0.0
+    stack = [(rows, 0, None)]
+    while stack:
+        idx, depth, parent = stack.pop()
+        node = len(feature)
+        if parent is not None:
+            right[parent] = node
+        split = None
+        pure = idx.size == 1
+        depth_ok = params.max_depth is None or depth < params.max_depth
+        if depth_ok and idx.size >= params.min_samples_split:
+            node_y = y[idx]
+            pure = (node_y == node_y[0]).all()
+            if not pure:
+                if params.max_features is not None and params.max_features < d:
+                    feats = rng.choice(d, size=params.max_features, replace=False)
+                    feats.sort()
+                    node_codes = codes[feats[:, None], idx]
+                else:
+                    feats = None
+                    node_codes = codes.take(idx, axis=1)
+                found = _best_split_exact(node_codes, values[idx], mode)
+                if found is not None:
+                    j, lo, hi, decrease = found
+                    f = j if feats is None else int(feats[j])
+                    split = (f, float((X[idx[lo], f] + X[idx[hi], f]) / 2.0), decrease)
+        if node == 0 and split is not None:
+            root_decrease = split[2]
+        right.append(-1)
+        if split is None or split[2] < params.min_impurity_decrease:
+            feature.append(-1)
+            threshold.append(0.0)
+            # a pure node's class and weight columns sum the same sequence,
+            # so its share vector is exactly one-hot
+            value.append(onehot[y[idx[0]]] if pure and onehot is not None
+                         else leaf_payload(idx))
+            continue
+        feature.append(split[0])
+        threshold.append(split[1])
+        value.append(blank)
+        mask = X[idx, split[0]] <= split[1]
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, None))
+    return (np.array(feature, dtype=np.intp), np.array(threshold),
+            np.array(right, dtype=np.intp), np.array(value, dtype=float), root_decrease)
 
 
 def fit_tree(
@@ -310,7 +465,8 @@ def fit_tree(
     partition the rows.  `rng` drives the per-node feature subsets and
     the random thresholds, when enabled.  `codes` is `column_codes(matrix)`,
     built once by a caller that fits many trees on the same rows; without
-    it the tree builds its own.
+    it the tree builds its own.  Random thresholds grow classification
+    trees with class-share leaves only.
     """
     if mode not in ("classification", "regression"):
         raise ConfigError(f"unknown tree mode {mode!r}")
@@ -332,77 +488,20 @@ def fit_tree(
     params = params or TreeParams()
     if (params.max_features is not None or params.random_thresholds) and rng is None:
         raise ConfigError("random feature subsets / thresholds need an rng")
+    if params.random_thresholds and (mode != "classification" or leaf_value_fn is not None):
+        raise ConfigError("random thresholds grow classification trees with "
+                          "class-share leaves only")
 
-    # Last value column is the weight itself, so one cumulative sum per
-    # node yields all split statistics.
-    if mode == "classification":
-        values = np.zeros((n, K + 1), dtype=float)
-        values[np.arange(n), y] = w
-        values[:, K] = w
-    else:
-        values = np.column_stack([w * y, w * y * y, w])
-
-    def leaf_payload(idx):
-        if leaf_value_fn is not None:
-            return leaf_value_fn(idx)
-        sums = values[idx].sum(axis=0)
-        if mode == "classification":
-            return sums[:-1] / sums[-1]
-        return float(sums[0] / sums[-1])
-
-    # Every node keeps its rows in canonical order: X-lexicographic, ties
-    # resolved by target and weight, so identical row multisets grow
-    # identical trees.  Nodes are numbered in preorder as they are popped,
-    # so a left child is its parent + 1; a right child fills in its
-    # parent's `right` slot when it is created.
-    feature, threshold, right, value = [], [], [], []
-    blank = 0.0 if mode == "regression" else np.zeros(K)
-    root_decrease = 0.0
-    stack = [(np.lexsort((w, y, rank)), 0, None)]
-    while stack:
-        idx, depth, parent = stack.pop()
-        node = len(feature)
-        if parent is not None:
-            right[parent] = node
-        split = None
-        depth_ok = params.max_depth is None or depth < params.max_depth
-        if depth_ok and idx.size >= params.min_samples_split:
-            node_y = y[idx]
-            if not (node_y == node_y[0]).all():
-                if params.max_features is not None and params.max_features < d:
-                    feats = np.sort(rng.choice(d, size=params.max_features, replace=False))
-                else:
-                    feats = np.arange(d)
-                if params.random_thresholds:
-                    split = _best_split_random(X[idx][:, feats], values[idx], mode, rng)
-                    if split is not None:
-                        split = (int(feats[split[0]]), split[1], split[2])
-                else:
-                    node_codes = codes.take(idx, axis=1)
-                    if feats.size < d:
-                        node_codes = node_codes[feats]
-                    found = _best_split_exact(node_codes, values[idx], mode)
-                    if found is not None:
-                        j, lo, hi, decrease = found
-                        f = int(feats[j])
-                        split = (f, float((X[idx[lo], f] + X[idx[hi], f]) / 2.0), decrease)
-        if node == 0 and split is not None:
-            root_decrease = split[2]
-        right.append(-1)
-        if split is None or split[2] < params.min_impurity_decrease:
-            feature.append(-1)
-            threshold.append(0.0)
-            value.append(leaf_payload(idx))
-            continue
-        feature.append(split[0])
-        threshold.append(split[1])
-        value.append(blank)
-        mask = X[idx, split[0]] <= split[1]
-        stack.append((idx[~mask], depth + 1, node))
-        stack.append((idx[mask], depth + 1, None))
-    tree = DecisionTree(
-        np.array(feature, dtype=np.intp), np.array(threshold),
-        np.array(right, dtype=np.intp), np.array(value, dtype=float), mode,
-    )
+    # Canonical row order: X-lexicographic, ties resolved by target and
+    # weight, so identical row multisets grow identical trees.
+    rows = np.lexsort((w, y, rank))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if params.random_thresholds:
+            grown = _grow_level_wise(X, y, w, K, params, rng, rows)
+        else:
+            grown = _grow_depth_first(X, codes, y, w, K, mode, params, rng,
+                                      leaf_value_fn, rows)
+    *arrays, root_decrease = grown
+    tree = DecisionTree(*arrays, mode)
     tree.root_decrease = root_decrease
     return tree

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from iotrisk import evaluation, pipeline
+from iotrisk import cli, evaluation, pipeline
 from iotrisk.cli import build_parser, main
 from iotrisk.dataset import CSV_HEADER
 from iotrisk.ensemble import fit_model
@@ -170,6 +170,7 @@ class TestTrainPredict:
         ("gbdt", "bogus=1"), ("gbdt", "n_stages=abc"),
         ("rfc", "min_impurity_decrease=nan"), ("rfc", "class_weights=foo"),
         ("gbdt", "patience=3"), ("rfc", "bootstrap=false"), ("rfc", "variant=extra_trees"),
+        ("rfc", 'class_weights={"7": 2.0}'),
     ])
     def test_bad_param_is_usage_error_before_encoding(self, corpus, tmp_path, capsys,
                                                       monkeypatch, family, param):
@@ -564,6 +565,19 @@ class TestEvaluateCv:
                    "--grid", str(path), "--k", "2", "--repeats", "1"])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_class_weight_outside_the_classes_fails_before_encoding(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        def no_design(*args, **kwargs):
+            raise AssertionError("the design matrix was built")
+
+        monkeypatch.setattr(cli, "fit_design", no_design)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"class_weights": [{"7": 2.0}], "n_trees": [3]}))
+        rc = main(["tune", "--corpus", str(corpus), "--seed", "4", "--model", "rfc",
+                   "--grid", str(grid), "--k", "2", "--repeats", "1"])
+        assert rc == 2
+        assert "class weight for class 7, outside [0, 4)" in capsys.readouterr().err
 
     def test_oversized_k_fails_before_any_reduction(self, corpus, tmp_path, capsys,
                                                      monkeypatch):

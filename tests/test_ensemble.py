@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 
@@ -16,6 +17,7 @@ from iotrisk.ensemble import (
     ModelSpec,
     adaboost_fit,
     balanced_class_weights,
+    check_spec,
     deviance_gradient,
     fit_model,
     forest_fit,
@@ -29,7 +31,7 @@ from iotrisk.ensemble import (
     voting_predict,
 )
 from iotrisk.errors import ConfigError, DataFormatError, DomainError, TrainingError
-from iotrisk.pipeline import profile_params
+from iotrisk.pipeline import PipelineConfig, fit_design, profile_params
 from iotrisk.tree import TreeParams, _best_split_exact, column_codes, fit_tree
 
 
@@ -567,6 +569,17 @@ class TestModelParams:
         with pytest.raises(ConfigError, match="class 2"):
             forest_fit(X, y, ForestParams(n_trees=2, class_weights={2: 1.0}), n_classes=2)
 
+    def test_spec_class_weight_ordinal_checked_before_fitting(self):
+        for weights in ({"0": 1.5, 3: 2}, "balanced", None):
+            check_spec(ModelSpec("rfc", {"class_weights": weights}))
+        with pytest.raises(ConfigError, match="class 4, outside"):
+            check_spec(ModelSpec("rfc", {"class_weights": {"1": 2.0, "4": 1.0}}))
+        with pytest.raises(ConfigError, match="class 7, outside"):
+            check_spec(ModelSpec("voting", {"members": [
+                {"family": "etc", "params": {"class_weights": {7: 1.0}}}]}))
+        with pytest.raises(ConfigError, match="class 2, outside"):
+            check_spec(ModelSpec("rfc", {"class_weights": {2: 1.0}}), n_classes=2)
+
     def test_nan_min_impurity_decrease_rejected(self):
         # NaN compares false, so it would refuse no split and grow full trees
         X = np.arange(16.0).reshape(8, 2)
@@ -613,6 +626,34 @@ class TestVoting:
     def test_empty_members(self):
         with pytest.raises(ConfigError):
             voting_predict([], np.zeros((1, 2)))
+
+
+class TestGoldenDigests:
+    """Seed-7 fits of the depth-first families on the bundled design, pinned
+    by the sha256 of their payload JSON and of their predict_proba bytes."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        records, _ = load_corpus(bundled_corpus_path())
+        return fit_design(records, PipelineConfig(seed=7))[1]
+
+    @pytest.mark.parametrize("family, params, payload_sha, proba_sha", [
+        ("rfc", {"n_trees": 10, "class_weights": "balanced"},
+         "c4a73de2b14f1d6f63981b824fe7c6b4defa2804543f7961f62f5b44564e7b46",
+         "6da00a359a08490e295feb70950143893da7cf0d59d43fe45c365ef10efbfe03"),
+        ("gbdt", {"n_stages": 25},
+         "3ea765f604cfade568d206fe6b14df193a079ccb7daf9f876d17226b72f40ea1",
+         "cf40305022fa332e137a0431f755ae72968cd974dc7688501c66dde0a0dfada8"),
+        ("abc", {"n_rounds": 20, "base_depth": 3},
+         "f8c6b0517e3fa568c96a9656df26d3e8d973a04f0c0d6bde66e1377689a32dcb",
+         "88cbc76aac0afcf6c48a99609213d40286c18ba23ba812f422103c9abdcc1d7a"),
+    ])
+    def test_fit_is_unchanged(self, design, family, params, payload_sha, proba_sha):
+        model = fit_model(ModelSpec(family, params, seed=7), design.data, design.labels)
+        payload = json.dumps(model.to_payload(), sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == payload_sha
+        proba = model.predict_proba(design.data)
+        assert hashlib.sha256(proba.tobytes()).hexdigest() == proba_sha
 
 
 class TestModelSpec:

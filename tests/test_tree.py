@@ -223,6 +223,123 @@ class TestContract:
         assert (tree.predict(X) == y).mean() > 0.9
 
 
+def reaching_rows(tree, X):
+    """Boolean (n_nodes, n) mask of the training rows that reach each node;
+    one forward pass, since children come after their parent."""
+    reach = np.zeros((tree.node_count(), len(X)), dtype=bool)
+    reach[0] = True
+    for i in np.flatnonzero(tree.feature >= 0):
+        left = X[:, tree.feature[i]] <= tree.threshold[i]
+        reach[i + 1] = reach[i] & left
+        reach[tree.right[i]] = reach[i] & ~left
+    return reach
+
+
+class TestLevelWiseGrower:
+    """Extra-trees growth: every open node of a level searched at once, the
+    tree renumbered into preorder at the end."""
+
+    @staticmethod
+    def data(binary=False):
+        rng = np.random.default_rng(11)
+        X = rng.choice(np.linspace(-1, 1, 2 if binary else 7), size=(150, 4))
+        if not binary:
+            X[:, 3] = rng.normal(size=150)
+        X[100:] = X[:50]  # duplicated rows, some with other labels
+        y = ((X[:, 0] + X[:, 1] > 0).astype(int) + (rng.random(150) < 0.3)) % 3
+        w = rng.uniform(0.5, 2.0, 150)
+        return X, y, w / w.sum()
+
+    # On two-valued features every threshold in [min, max) cuts where the
+    # exhaustive search would, so a leaf stopped by min_impurity_decrease
+    # can be checked against the exhaustive best split.
+    PARAMS = {
+        "defaults": (TreeParams(random_thresholds=True), False),
+        "deep_subsets": (TreeParams(max_depth=None, min_samples_split=5, max_features=2,
+                                    random_thresholds=True), False),
+        "min_decrease": (TreeParams(max_depth=5, min_impurity_decrease=0.004,
+                                    random_thresholds=True), True),
+    }
+
+    @pytest.fixture(params=sorted(PARAMS))
+    def grown(self, request):
+        params, binary = self.PARAMS[request.param]
+        X, y, w = self.data(binary)
+        tree = fit_tree(X, y, w, params, mode="classification", n_classes=3,
+                        rng=np.random.default_rng(5))
+        assert tree.node_count() > 5
+        return tree, X, y, w, params
+
+    def test_splits_cut_inside_their_rows(self, grown):
+        tree, X, y, w, params = grown
+        reach = reaching_rows(tree, X)
+        depth = depths(tree)
+        for i in np.flatnonzero(tree.feature >= 0):
+            x = X[reach[i], tree.feature[i]]
+            assert x.min() <= tree.threshold[i] < x.max()
+            assert reach[i + 1].any() and reach[tree.right[i]].any()
+            assert reach[i].sum() >= params.min_samples_split
+            assert params.max_depth is None or depth[i] < params.max_depth
+
+    def test_split_decreases_meet_the_threshold(self, grown):
+        tree, X, y, w, params = grown
+        reach = reaching_rows(tree, X)
+
+        def gini(rows):
+            shares = np.bincount(y[rows], weights=w[rows], minlength=3) / w[rows].sum()
+            return 1.0 - np.square(shares).sum()
+
+        for i in np.flatnonzero(tree.feature >= 0):
+            node, left, right = reach[i], reach[i + 1], reach[tree.right[i]]
+            decrease = gini(node) - (w[left].sum() * gini(left)
+                                     + w[right].sum() * gini(right)) / w[node].sum()
+            assert decrease >= params.min_impurity_decrease - 1e-12
+
+    def test_every_leaf_has_a_reason_to_stop(self, grown):
+        tree, X, y, w, params = grown
+        reach = reaching_rows(tree, X)
+        d = X.shape[1]
+        drawn = params.max_features or d
+        for i in np.flatnonzero(tree.feature < 0):
+            rows = reach[i]
+            Xn = X[rows]
+            spread = int((Xn.max(axis=0) > Xn.min(axis=0)).sum())
+            values = np.zeros((rows.sum(), 4))
+            values[np.arange(rows.sum()), y[rows]] = w[rows]
+            values[:, 3] = w[rows]
+            best = full_scan_split(Xn, values, "classification")
+            assert (len(set(y[rows])) == 1
+                    or rows.sum() < params.min_samples_split
+                    or depths(tree)[i] == params.max_depth
+                    or spread <= d - drawn  # every drawn feature may be constant
+                    or 0 < best[2] < params.min_impurity_decrease), i
+            shares = np.bincount(y[rows], weights=w[rows], minlength=3) / w[rows].sum()
+            assert np.allclose(tree.value[i], shares, rtol=0, atol=1e-12)
+
+    def test_payload_round_trip(self, grown):
+        tree, X, y, w, params = grown
+        clone, = trees_from_payload(trees_to_payload([tree]), "classification", 3, 4)
+        for name in ("feature", "threshold", "right", "value"):
+            assert np.array_equal(getattr(tree, name), getattr(clone, name))
+        assert np.array_equal(tree.predict_value(X), clone.predict_value(X))
+
+    def test_same_seed_same_tree(self, grown):
+        tree, X, y, w, params = grown
+        again = fit_tree(X, y, w, params, mode="classification", n_classes=3,
+                         rng=np.random.default_rng(5))
+        for name in ("feature", "threshold", "right", "value"):
+            assert getattr(tree, name).tobytes() == getattr(again, name).tobytes()
+
+    @pytest.mark.parametrize("kwargs", [{"mode": "regression"},
+                                        {"leaf_value_fn": lambda rows: [0.5, 0.5]}],
+                             ids=["regression", "leaf_value_fn"])
+    def test_refused_combinations(self, kwargs):
+        X, y, w = self.data()
+        with pytest.raises(ConfigError, match="random thresholds"):
+            fit_tree(X, y, w, TreeParams(random_thresholds=True),
+                     rng=np.random.default_rng(0), **{"mode": "classification", **kwargs})
+
+
 def full_scan_split(Xn, value_rows, mode):
     """The original split search, kept as the oracle: a stable float sort of
     every feature and an impurity score at every sorted position."""
