@@ -696,18 +696,18 @@ def _voting_members(spec: ModelSpec) -> list[ModelSpec]:
     return [ModelSpec(m["family"], m.get("params", {}), spec.seed) for m in members]
 
 
-def check_spec(spec: ModelSpec, n_classes: int = 4) -> None:
+def check_spec(spec: ModelSpec) -> None:
     """Build the params of every model a spec fits, so that a bad one fails
     before any data is encoded or reduced.  A class weight must name one of
-    the n_classes classes the spec will be fitted on."""
+    the four risk classes every command fits."""
     if spec.family == "voting":
         for member in _voting_members(spec):
-            check_spec(member, n_classes)
+            check_spec(member)
     elif spec.family != "majority":
         weights = getattr(model_params(spec.family, spec.params), "class_weights", None)
-        bad = [o for o in weights if int(o) >= n_classes] if isinstance(weights, Mapping) else []
+        bad = [o for o in weights if int(o) >= 4] if isinstance(weights, Mapping) else []
         if bad:
-            raise ConfigError(f"class weight for class {bad[0]}, outside [0, {n_classes})")
+            raise ConfigError(f"class weight for class {bad[0]}, outside [0, 4)")
 
 
 def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = 4):

@@ -387,7 +387,6 @@ def _grow_depth_first(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows)
         values[:, K] = w
     else:
         values = np.column_stack([w * y, w * y * y, w])
-    onehot = np.eye(K) if mode == "classification" and leaf_value_fn is None else None
 
     def leaf_payload(idx):
         if leaf_value_fn is not None:
@@ -407,23 +406,20 @@ def _grow_depth_first(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows)
         if parent is not None:
             right[parent] = node
         split = None
-        pure = idx.size == 1
         depth_ok = params.max_depth is None or depth < params.max_depth
         if depth_ok and idx.size >= params.min_samples_split:
             node_y = y[idx]
-            pure = (node_y == node_y[0]).all()
-            if not pure:
+            if not (node_y == node_y[0]).all():
                 if params.max_features is not None and params.max_features < d:
-                    feats = rng.choice(d, size=params.max_features, replace=False)
-                    feats.sort()
+                    feats = np.sort(rng.choice(d, size=params.max_features, replace=False))
                     node_codes = codes[feats[:, None], idx]
                 else:
-                    feats = None
+                    feats = np.arange(d)
                     node_codes = codes.take(idx, axis=1)
                 found = _best_split_exact(node_codes, values[idx], mode)
                 if found is not None:
                     j, lo, hi, decrease = found
-                    f = j if feats is None else int(feats[j])
+                    f = int(feats[j])
                     split = (f, float((X[idx[lo], f] + X[idx[hi], f]) / 2.0), decrease)
         if node == 0 and split is not None:
             root_decrease = split[2]
@@ -431,10 +427,7 @@ def _grow_depth_first(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows)
         if split is None or split[2] < params.min_impurity_decrease:
             feature.append(-1)
             threshold.append(0.0)
-            # a pure node's class and weight columns sum the same sequence,
-            # so its share vector is exactly one-hot
-            value.append(onehot[y[idx[0]]] if pure and onehot is not None
-                         else leaf_payload(idx))
+            value.append(leaf_payload(idx))
             continue
         feature.append(split[0])
         threshold.append(split[1])

@@ -577,8 +577,6 @@ class TestModelParams:
         with pytest.raises(ConfigError, match="class 7, outside"):
             check_spec(ModelSpec("voting", {"members": [
                 {"family": "etc", "params": {"class_weights": {7: 1.0}}}]}))
-        with pytest.raises(ConfigError, match="class 2, outside"):
-            check_spec(ModelSpec("rfc", {"class_weights": {2: 1.0}}), n_classes=2)
 
     def test_nan_min_impurity_decrease_rejected(self):
         # NaN compares false, so it would refuse no split and grow full trees
