@@ -212,7 +212,10 @@ def cmd_build(args) -> int:
             seed=args.seed, total=args.total, signal_strength=args.signal
         )
         if args.fractions:
-            values = [float(v) for v in args.fractions.split(",")]
+            try:
+                values = [float(v) for v in args.fractions.split(",")]
+            except ValueError:
+                raise ConfigError(f"--fractions needs numbers, got {args.fractions!r}") from None
             if len(values) != 4:
                 raise ConfigError("--fractions needs four comma-separated values")
             spec.class_fractions = dict(zip(dataset.RISK_CLASSES, values))
@@ -500,32 +503,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per error family.  Bytes that are not UTF-8 and a truncated
+# gzip stream are malformed input like any other.
+EXIT_CODES = {ConfigError: 2, DataFormatError: 3, DomainError: 3, TransformError: 3,
+              OSError: 3, UnicodeDecodeError: 3, EOFError: 3, TrainingError: 4,
+              EvaluationError: 5}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
-    except (IotRiskError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 3
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         return args.handler(args)
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, DomainError, TransformError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

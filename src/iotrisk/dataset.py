@@ -331,7 +331,11 @@ def synthesize_corpus(spec: SynthesisSpec) -> list[DeviceRecord]:
     against the total; per-feature distinct values never exceed the
     configured cardinalities.
     """
+    if not isinstance(spec.total, (int, np.integer)) or spec.total < 1:
+        raise ConfigError(f"total must be a positive row count, got {spec.total!r}")
     fractions = [spec.class_fractions.get(c, 0.0) for c in RISK_CLASSES]
+    if not all(0.0 <= f <= 1.0 for f in fractions):  # also refuses NaN
+        raise ConfigError(f"class fractions must lie in [0, 1], got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"class fractions sum to {sum(fractions)}, expected 1")
     if not 0.0 <= spec.signal_strength <= 1.0:

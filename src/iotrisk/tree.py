@@ -1,35 +1,39 @@
-"""CART decision trees, grown by one of two split proposals.
+"""CART decision trees, grown one depth level at a time.
 
-Exhaustive best-split search grows one node at a time and serves both
-modes (random forests, GBDT stages, AdaBoost learners):
+Every tree -- random-forest members, GBDT stages, AdaBoost learners and
+extra-trees -- is grown by one grower (`_grow`), in either mode:
 
 * classification -- weighted Gini impurity, leaves hold class-probability
   vectors;
 * regression -- weighted variance, leaves hold scalars (these trees carry
   the stages of the gradient-boosted ensemble).
 
-Its split candidates are the midpoints between consecutive distinct
-sorted values of a feature; rows with value <= threshold go left.  The
-accepted split maximizes the weighted impurity decrease (normalized to
-the node's own weight), tie-broken toward the lowest feature index and
-then the lowest threshold.
+Each level proposes a split for every open node at once, as extra-trees
+were defined (Geurts et al., 2006) and as XGBoost's depthwise policy
+grows.  The stops (max_depth, min_samples_split, purity,
+min_impurity_decrease), the per-node feature subsets, the leaf values and
+the renumbering into preorder are shared; only the split proposal differs.
 
-The search is exact greedy over presorted integer column codes, as in
-XGBoost's column blocks: `column_codes` replaces every value by its index
-among its column's sorted distinct values and ranks the rows in
-X-lexicographic order, once per ensemble fit rather than once per tree.
-Each node orders its rows per feature by a stable radix sort of the int16
-codes, and impurity is scored only at value boundaries.  The arithmetic
-matches a float sort and a full scan bit for bit.
+The exhaustive proposal (`_exact_splits`) takes the midpoints between
+consecutive distinct sorted values of a feature as candidates; rows with
+value <= threshold go left.  The accepted split maximizes the weighted
+impurity decrease (normalized to the node's own weight), tie-broken toward
+the lowest feature index and then the lowest threshold.  The search is
+exact greedy over presorted integer column codes, as in XGBoost's column
+blocks: `column_codes` replaces every value by its index among its
+column's sorted distinct values and ranks the rows in X-lexicographic
+order, once per ensemble fit rather than once per tree.  Each node orders
+its rows per feature by a stable radix sort of the int16 codes, and
+impurity is scored only at value boundaries.  The arithmetic matches a
+float sort and a full scan bit for bit.
 
-Extra-trees random thresholds (classification only) grow one depth level
-at a time, every open node of the level at once: one uniform threshold
-per candidate feature in [min, max) of the node's rows, the Gini decrease
-scored for all of them by one bincount (`_grow_level_wise`).
+The extra-trees proposal (`_random_splits`, classification only) draws one
+uniform threshold per candidate feature in [min, max) of the node's rows
+and scores the Gini decrease of all of them by one bincount.
 
-Both growers put the rows into a canonical order first, a three-key sort
-(rank, target, weight), so a fit depends only on the row multiset, never
-on input row order.  Input must be finite.
+The rows are put into a canonical order first, a three-key sort (rank,
+target, weight), so a fit depends only on the row multiset, never on
+input row order.  Input must be finite.
 """
 
 from dataclasses import dataclass
@@ -266,177 +270,159 @@ def _best_split_exact(codes, value_rows, mode):
     return j, int(order[j, i]), int(order[j, i + 1]), float(decrease[best])
 
 
-def _grow_level_wise(X, y, w, K, params, rng, rows):
-    """Extra-trees growth (Geurts et al., 2006), one depth level at a time.
+def _random_splits(X, node_y, node_w, K, rows, node, starts, feats, rng):
+    """Extra-trees proposals (Geurts et al., 2006) for every node of a level.
 
-    Every open node of a level is proposed a split at once, over ``rows``
-    grouped by node, each group in canonical order.  Per level the tree's
-    rng draws, in this order, the nodes' feature subsets (argsort of one
-    (nodes, d) uniform block, first max_features columns, sorted; no draw
-    when every feature is a candidate) and one uniform per (node, feature)
-    placing the threshold in [min, max) of the feature over the node's rows.
-    Left and right class sums come from one bincount over (node, feature,
-    side, class); the split maximizes the Gini decrease, tie-broken toward
-    the lowest feature index.  A candidate that leaves a side empty (no
-    spread, or a threshold rounded up to the maximum) is never taken, and
-    pure nodes and nodes below min_samples_split stay leaves.
+    Per candidate feature the rng draws one uniform placing the threshold
+    in [min, max) of the feature over the node's rows; left and right class
+    sums come from one bincount over (node, feature, side, class), and each
+    node takes its best Gini decrease, tie-broken toward the lowest feature
+    index.  A candidate that leaves a side empty (no spread, or a threshold
+    rounded up to the maximum) scores -inf.
+    """
+    nb = starts.size
+    sums = np.bincount(node * K + node_y, weights=node_w, minlength=nb * K).reshape(nb, K)
+    weight = sums.sum(axis=1)
+    if feats is None:
+        feats = np.broadcast_to(np.arange(X.shape[1]), (nb, X.shape[1]))
+        xs = X[rows]
+    else:
+        xs = X[rows[:, None], feats[node]]
+    mf = feats.shape[1]
+    lo = np.minimum.reduceat(xs, starts, axis=0)
+    hi = np.maximum.reduceat(xs, starts, axis=0)
+    cut = lo + (hi - lo) * rng.random((nb, mf))
+    key = ((node[:, None] * mf + np.arange(mf)) * 2 + (xs > cut[node])) * K + node_y[:, None]
+    side = np.bincount(key.ravel(), weights=np.repeat(node_w, mf),
+                       minlength=nb * mf * 2 * K).reshape(nb, mf, 2, K)
+    side_w = side.sum(axis=3)
+    gini = 1.0 - np.square(side / side_w[..., None]).sum(axis=3)
+    parent = 1.0 - np.square(sums / weight[:, None]).sum(axis=1)
+    decrease = parent[:, None] - (side_w * gini).sum(axis=2) / weight[:, None]
+    decrease[~(hi > lo) | ~np.isfinite(decrease)] = -np.inf
+    pick = np.arange(nb), decrease.argmax(axis=1)  # first max: lowest feature index
+    return decrease[pick], feats[pick], cut[pick]
 
-    Returns preorder node arrays and the root's best decrease.
+
+def _exact_splits(X, codes, stats, rows, starts, sizes, open_, feats, mode):
+    """The exhaustive best split of every open node of a level, one
+    `_best_split_exact` call each, its threshold the midpoint of the two
+    values around the best boundary (the lower value where the midpoint
+    rounds up to the upper); -inf where a node has none."""
+    nb = starts.size
+    gain, feature, threshold = np.full(nb, -np.inf), np.full(nb, -1, dtype=np.intp), np.zeros(nb)
+    for i in open_.nonzero()[0]:
+        idx = rows[starts[i]:starts[i] + sizes[i]]
+        node_codes = codes.take(idx, axis=1) if feats is None else codes[feats[i, :, None], idx]
+        found = _best_split_exact(node_codes, stats[idx], mode)
+        if found is not None:
+            j, lo, hi, gain[i] = found
+            f = feature[i] = j if feats is None else feats[i, j]
+            below, above = X[idx[lo], f], X[idx[hi], f]
+            middle = (below + above) / 2.0
+            # the midpoint of two adjacent floats can round up to the upper one
+            threshold[i] = middle if middle < above else below
+    return gain, feature, threshold
+
+
+def _grow(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows):
+    """CART growth one depth level at a time, every node of a level at once.
+
+    ``rows`` is grouped by node, each group in canonical order.  A node
+    below max_depth is open when it holds at least min_samples_split rows
+    of more than one target value.  Per level the tree's rng first draws
+    the nodes' feature subsets (argsort of one (nodes, d) uniform block,
+    first max_features columns, sorted; no draw when every feature is a
+    candidate), then the split proposal scores the nodes (`_random_splits`
+    or `_exact_splits`).  An open node splits when its best decrease is at
+    least min_impurity_decrease; its rows go stably to the left child
+    (value <= threshold), then the right.  Leaves take
+    ``leaf_value_fn(rows)`` or the weighted class shares / mean, summed per
+    node in row order.  Returns preorder node arrays and the root's best
+    decrease.
     """
     n, d = X.shape
     mf = d if params.max_features is None else min(params.max_features, d)
+    # Last column is the weight itself, so one cumulative sum per node
+    # yields all split statistics.
+    if mode == "classification":
+        stats = np.zeros((n, K + 1))
+        stats[np.arange(n), y] = w
+        stats[:, K] = w
+    else:
+        stats = np.column_stack([w * y, w * y * y, w])
     sizes = np.array([n])
+    node = np.zeros(n, dtype=np.intp)  # each row's node within its level
     levels = []  # (feature, threshold, value) per level, nodes in level order
     root_decrease = 0.0
     depth = 0
     while True:
         nb = sizes.size
-        starts = np.cumsum(sizes) - sizes
-        node = np.repeat(np.arange(nb), sizes)
+        starts = sizes.cumsum() - sizes
+        feats = (np.sort(np.argsort(rng.random((nb, d)), axis=1)[:, :mf], axis=1)
+                 if mf < d else None)
         node_y = y[rows]
-        sums = np.bincount(node * K + node_y, weights=w[rows], minlength=nb * K).reshape(nb, K)
-        weight = sums.sum(axis=1)
-        value = sums / weight[:, None]
-        feature, threshold = np.full(nb, -1, dtype=np.intp), np.zeros(nb)
-        levels.append((feature, threshold, value))
-        if depth == params.max_depth:
-            break
-        if mf < d:
-            feats = np.sort(np.argsort(rng.random((nb, d)), axis=1)[:, :mf], axis=1)
-            xs = X[rows[:, None], feats[node]]
+        open_ = ((depth != params.max_depth) & (sizes >= params.min_samples_split)
+                 & (np.minimum.reduceat(node_y, starts) < np.maximum.reduceat(node_y, starts)))
+        if params.random_thresholds:
+            gain, f, t = _random_splits(X, node_y, w[rows], K, rows, node, starts, feats, rng)
         else:
-            feats = np.broadcast_to(np.arange(d), (nb, d))
-            xs = X[rows]
-        lo = np.minimum.reduceat(xs, starts, axis=0)
-        hi = np.maximum.reduceat(xs, starts, axis=0)
-        cut = lo + (hi - lo) * rng.random((nb, mf))
-        goes_right = xs > cut[node]
-        key = ((node[:, None] * mf + np.arange(mf)) * 2 + goes_right) * K + node_y[:, None]
-        side = np.bincount(key.ravel(), weights=np.repeat(w[rows], mf),
-                           minlength=nb * mf * 2 * K).reshape(nb, mf, 2, K)
-        side_w = side.sum(axis=3)
-        gini = 1.0 - np.square(side / side_w[..., None]).sum(axis=3)
-        parent = 1.0 - np.square(value).sum(axis=1)
-        decrease = parent[:, None] - (side_w * gini).sum(axis=2) / weight[:, None]
-        decrease[~(hi > lo) | ~np.isfinite(decrease)] = -np.inf
-        best = decrease.argmax(axis=1)  # first max: lowest feature index
-        gain = decrease[np.arange(nb), best]
-        searched = ((sizes >= params.min_samples_split) & np.isfinite(gain)
-                    & (np.minimum.reduceat(node_y, starts) < np.maximum.reduceat(node_y, starts)))
-        if depth == 0 and searched[0]:
+            gain, f, t = _exact_splits(X, codes, stats, rows, starts, sizes, open_, feats, mode)
+        if depth == 0 and open_[0] and np.isfinite(gain[0]):
             root_decrease = float(gain[0])
-        ok = searched & (gain >= params.min_impurity_decrease)
-        if not ok.any():
+        split = open_ & (gain >= params.min_impurity_decrease)
+        feature, threshold = np.where(split, f, -1), np.where(split, t, 0.0)
+        n_split = np.count_nonzero(split)
+        value = np.zeros((nb, K) if mode == "classification" else nb)
+        if leaf_value_fn is not None:
+            for i in (~split).nonzero()[0]:
+                value[i] = leaf_value_fn(rows[starts[i]:starts[i] + sizes[i]])
+        elif n_split < nb:
+            # bincount adds each node's rows one by one in row order, as a
+            # running total over the node would
+            node_w = w[rows]
+            weight = np.bincount(node, weights=node_w, minlength=nb)
+            if mode == "classification":
+                sums = np.bincount(node * K + y[rows], weights=node_w, minlength=nb * K)
+                value = sums.reshape(nb, K) / weight[:, None]
+            else:
+                value = np.bincount(node, weights=stats[rows, 0], minlength=nb) / weight
+            value[split] = 0.0
+        levels.append((feature, threshold, value))
+        if not n_split:
             break
-        feature[ok] = feats[ok, best[ok]]
-        threshold[ok] = cut[ok, best[ok]]
-        value[ok] = 0.0
         # stable partition: each split node's rows go to its left child,
         # then its right child, in canonical order; children keep level order
-        keep = ok[node]
-        child = 2 * (np.cumsum(ok) - 1)[node[keep]] + goes_right[keep, best[node[keep]]]
-        rows = rows[keep][np.argsort(child, kind="stable")]
-        sizes = np.bincount(child, minlength=2 * int(ok.sum()))
+        keep = split[node]
+        rows, at = rows[keep], node[keep]
+        child = (2 * split.cumsum() - 2)[at] + (X.take(rows * d + feature[at]) > threshold[at])
+        order = np.argsort(child, kind="stable")
+        rows, node = rows[order], child[order]
+        sizes = np.bincount(child, minlength=2 * n_split)
         depth += 1
-    return _preorder(levels, K) + (root_decrease,)
+    return _preorder(levels) + (root_decrease,)
 
 
-def _preorder(levels, K):
-    """Level-order node arrays renumbered into preorder, one level at a
-    time: the children of a level's splits are the next level's nodes,
-    (left, right) pairs in the order of their parents."""
-    subtree = [None] * len(levels)
-    below = None
-    for i in reversed(range(len(levels))):
-        split = levels[i][0] >= 0
-        size = np.ones(split.size, dtype=np.intp)
-        if below is not None:
-            size[split] += below[0::2] + below[1::2]
-        subtree[i] = below = size
-    total = int(subtree[0][0])
-    feature = np.full(total, -1, dtype=np.intp)
-    threshold = np.zeros(total)
-    right = np.full(total, -1, dtype=np.intp)
-    value = np.zeros((total, K))
-    pre = np.zeros(1, dtype=np.intp)
-    for i, (f, t, v) in enumerate(levels):
-        feature[pre], threshold[pre], value[pre] = f, t, v
-        if i + 1 == len(levels):
-            break
-        parents = pre[f >= 0]
-        left = parents + 1
-        right[parents] = left + subtree[i + 1][0::2]
-        pre = np.column_stack([left, right[parents]]).ravel()
+def _preorder(levels):
+    """Level-order node arrays renumbered into preorder: a level's split
+    nodes have the next level's nodes as children, (left, right) pairs in
+    the order of their parents, so each level's preorder numbers follow
+    from its parents' and the left subtrees' sizes."""
+    splits = [f >= 0 for f, _, _ in levels]
+    subtree = [np.ones(s.size, dtype=np.intp) for s in splits]
+    for i in reversed(range(len(levels) - 1)):
+        subtree[i][splits[i]] += subtree[i + 1][0::2] + subtree[i + 1][1::2]
+    pre = [np.zeros(1, dtype=np.intp)]
+    right = np.full(int(subtree[0][0]), -1, dtype=np.intp)
+    for split, below in zip(splits, subtree[1:]):
+        parents = pre[-1][split]
+        children = np.repeat(parents + 1, 2)
+        children[1::2] += below[0::2]
+        right[parents] = children[1::2]
+        pre.append(children)
+    order = np.argsort(np.concatenate(pre))
+    feature, threshold, value = (np.concatenate(arrays)[order] for arrays in zip(*levels))
     return feature, threshold, right, value
-
-
-def _grow_depth_first(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows):
-    """Exhaustive best-split growth, one node at a time.
-
-    Every node keeps its rows in canonical order.  Nodes are numbered in
-    preorder as they are popped, so a left child is its parent + 1; a
-    right child fills in its parent's `right` slot when it is created.
-    Returns preorder node arrays and the root's best decrease.
-    """
-    n, d = X.shape
-    # Last value column is the weight itself, so one cumulative sum per
-    # node yields all split statistics.
-    if mode == "classification":
-        values = np.zeros((n, K + 1), dtype=float)
-        values[np.arange(n), y] = w
-        values[:, K] = w
-    else:
-        values = np.column_stack([w * y, w * y * y, w])
-
-    def leaf_payload(idx):
-        if leaf_value_fn is not None:
-            return leaf_value_fn(idx)
-        sums = values[idx].sum(axis=0)
-        if mode == "classification":
-            return sums[:-1] / sums[-1]
-        return float(sums[0] / sums[-1])
-
-    feature, threshold, right, value = [], [], [], []
-    blank = 0.0 if mode == "regression" else np.zeros(K)
-    root_decrease = 0.0
-    stack = [(rows, 0, None)]
-    while stack:
-        idx, depth, parent = stack.pop()
-        node = len(feature)
-        if parent is not None:
-            right[parent] = node
-        split = None
-        depth_ok = params.max_depth is None or depth < params.max_depth
-        if depth_ok and idx.size >= params.min_samples_split:
-            node_y = y[idx]
-            if not (node_y == node_y[0]).all():
-                if params.max_features is not None and params.max_features < d:
-                    feats = np.sort(rng.choice(d, size=params.max_features, replace=False))
-                    node_codes = codes[feats[:, None], idx]
-                else:
-                    feats = np.arange(d)
-                    node_codes = codes.take(idx, axis=1)
-                found = _best_split_exact(node_codes, values[idx], mode)
-                if found is not None:
-                    j, lo, hi, decrease = found
-                    f = int(feats[j])
-                    split = (f, float((X[idx[lo], f] + X[idx[hi], f]) / 2.0), decrease)
-        if node == 0 and split is not None:
-            root_decrease = split[2]
-        right.append(-1)
-        if split is None or split[2] < params.min_impurity_decrease:
-            feature.append(-1)
-            threshold.append(0.0)
-            value.append(leaf_payload(idx))
-            continue
-        feature.append(split[0])
-        threshold.append(split[1])
-        value.append(blank)
-        mask = X[idx, split[0]] <= split[1]
-        stack.append((idx[~mask], depth + 1, node))
-        stack.append((idx[mask], depth + 1, None))
-    return (np.array(feature, dtype=np.intp), np.array(threshold),
-            np.array(right, dtype=np.intp), np.array(value, dtype=float), root_decrease)
 
 
 def fit_tree(
@@ -450,16 +436,17 @@ def fit_tree(
     leaf_value_fn=None,
     codes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DecisionTree:
-    """Grow a CART tree.
+    """Grow a CART tree, one depth level at a time (`_grow`).
 
     `leaf_value_fn(row_indices)` overrides the default leaf payload
-    (class-probability vector / weighted mean); it receives indices into
-    the caller's row order and is called once per leaf, and the leaves
-    partition the rows.  `rng` drives the per-node feature subsets and
-    the random thresholds, when enabled.  `codes` is `column_codes(matrix)`,
-    built once by a caller that fits many trees on the same rows; without
-    it the tree builds its own.  Random thresholds grow classification
-    trees with class-share leaves only.
+    (class-probability vector / weighted mean, summed in row order); it
+    receives indices into the caller's row order and is called once per
+    leaf, and the leaves partition the rows.  `rng` draws the feature
+    subsets, one (nodes, d) uniform block per level, and the random
+    thresholds, when enabled.  `codes` is `column_codes(matrix)`, built
+    once by a caller that fits many trees on the same rows; without it the
+    tree builds its own.  Random thresholds grow classification trees with
+    class-share leaves only.
     """
     if mode not in ("classification", "regression"):
         raise ConfigError(f"unknown tree mode {mode!r}")
@@ -489,12 +476,8 @@ def fit_tree(
     # weight, so identical row multisets grow identical trees.
     rows = np.lexsort((w, y, rank))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if params.random_thresholds:
-            grown = _grow_level_wise(X, y, w, K, params, rng, rows)
-        else:
-            grown = _grow_depth_first(X, codes, y, w, K, mode, params, rng,
-                                      leaf_value_fn, rows)
-    *arrays, root_decrease = grown
+        *arrays, root_decrease = _grow(X, codes, y, w, K, mode, params, rng,
+                                       leaf_value_fn, rows)
     tree = DecisionTree(*arrays, mode)
     tree.root_decrease = root_decrease
     return tree

@@ -11,8 +11,8 @@ def largest_remainder(targets, total: int) -> np.ndarray:
     result always sums to `total` exactly.
     """
     targets = np.asarray(targets, dtype=float)
-    if np.any(targets < 0):
-        raise ValueError("targets must be non-negative")
+    if total < 0 or not (np.isfinite(targets) & (targets >= 0)).all():
+        raise ValueError("targets must be finite and non-negative, total non-negative")
     counts = np.floor(targets).astype(int)
     remainders = targets - counts
     short = int(total) - int(counts.sum())

@@ -75,6 +75,62 @@ class TestBuild:
         assert rc == 3
         assert "missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--fractions", "nan,0.5,0.25,0.25"],
+        ["--total", "0"],
+        ["--total", "-5"],
+        ["--fractions", "1.5,-0.5,0,0"],
+        ["--fractions", "a,b,c,d"],
+    ], ids=["nan_fraction", "zero_total", "negative_total", "negative_fraction",
+            "not_a_number"])
+    def test_bad_synthesis_input_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "corpus.csv"
+        with _deadline(30):  # a NaN fraction used to loop forever
+            rc = main(["build", "--synthesize", "--seed", "1", *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestUndecodableInput:
+    """A reader given bytes that are not UTF-8, or a truncated gzip feed,
+    exits 3 with an error line."""
+
+    @pytest.fixture
+    def files(self, corpus, tmp_path):
+        model = tmp_path / "m.json"
+        assert main(["train", "--corpus", str(corpus), "--model", "gbdt", "--seed", "7",
+                     "--out", str(model), *QUICK]) == 0
+        devices = tmp_path / "devices.csv"
+        devices.write_text(DEVICE_HEADER + "\nbrand_000,type_000,SmartHome,49.0,wifi,"
+                           "Remote,Yes,No,wifi_2_4ghz,None,false\n")
+        feed = tmp_path / "feed.json"
+        feed.write_text(feed_document([feed_item()]))
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("category,pattern\ncaf\xe9=1\n".encode("latin-1"))
+        truncated = tmp_path / "feed.json.gz"
+        truncated.write_bytes(gzip.compress(feed.read_bytes())[:-12])
+        return {"corpus": corpus, "model": model, "encoders": f"{model}.encoders.json",
+                "devices": devices, "feed": feed, "bad": bad, "truncated": truncated,
+                "out": tmp_path / "out.csv"}
+
+    READERS = {
+        "corpus": "train --corpus {bad} --seed 1 --out {out}",
+        "devices": "predict --model {model} --encoders {encoders} --input {bad}",
+        "model": "predict --model {bad} --encoders {encoders} --input {devices}",
+        "encoders": "predict --model {model} --encoders {bad} --input {devices}",
+        "rules": "ingest --feed {feed} --rules {bad} --out {out}",
+        "feed": "ingest --feed {bad} --out {out}",
+        "truncated_gz_feed": "ingest --feed {truncated} --out {out}",
+        "config": "cv --config {bad} --corpus {corpus}",
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_exits_3(self, files, capsys, reader):
+        rc = main(self.READERS[reader].format(**files).split())
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTrainPredict:
     def test_round_trip_with_unseen_warning(self, corpus, tmp_path, capsys):

@@ -627,8 +627,8 @@ class TestVoting:
 
 
 class TestGoldenDigests:
-    """Seed-7 fits of the depth-first families on the bundled design, pinned
-    by the sha256 of their payload JSON and of their predict_proba bytes."""
+    """Seed-7 fits of every family on the bundled design, pinned by the
+    sha256 of their payload JSON and of their predict_proba bytes."""
 
     @pytest.fixture(scope="class")
     def design(self):
@@ -637,14 +637,17 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("family, params, payload_sha, proba_sha", [
         ("rfc", {"n_trees": 10, "class_weights": "balanced"},
-         "c4a73de2b14f1d6f63981b824fe7c6b4defa2804543f7961f62f5b44564e7b46",
-         "6da00a359a08490e295feb70950143893da7cf0d59d43fe45c365ef10efbfe03"),
+         "5945a5e3a893dd29a0d10839e2d65fac81d7c0c018fa46ba3a65114b3aa6c455",
+         "ffbe6ba266d244bd6063b8a647b2b7ff5494383277ff7faf5b888c3a5aee2881"),
         ("gbdt", {"n_stages": 25},
          "3ea765f604cfade568d206fe6b14df193a079ccb7daf9f876d17226b72f40ea1",
          "cf40305022fa332e137a0431f755ae72968cd974dc7688501c66dde0a0dfada8"),
         ("abc", {"n_rounds": 20, "base_depth": 3},
          "f8c6b0517e3fa568c96a9656df26d3e8d973a04f0c0d6bde66e1377689a32dcb",
          "88cbc76aac0afcf6c48a99609213d40286c18ba23ba812f422103c9abdcc1d7a"),
+        ("etc", {"n_trees": 10, "class_weights": "balanced"},
+         "38a080ac508a67bfa5b17181d827b795f67ff0188c8cd4dafd40fa0dbcd90c87",
+         "38a2b2dd0be943bbb13284aa2eb4ad47f0ef12f326abb884c98452b6cd340d03"),
     ])
     def test_fit_is_unchanged(self, design, family, params, payload_sha, proba_sha):
         model = fit_model(ModelSpec(family, params, seed=7), design.data, design.labels)

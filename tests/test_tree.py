@@ -61,6 +61,16 @@ class TestClassificationSplits:
                         mode="classification", n_classes=2)
         assert tree.threshold[0] == 0.5
 
+    def test_adjacent_floats_split_into_two_children(self):
+        # their midpoint rounds up to the upper value, which would send
+        # every row left
+        below = np.nextafter(1.0, 0.0)
+        tree = fit_tree(column([below, 1.0, below, 1.0]), np.array([0, 1, 0, 1]),
+                        mode="classification", n_classes=2)
+        assert tree.node_count() == 3 and tree.threshold[0] == below
+        assert tree.value[1].tolist() == [1.0, 0.0]
+        assert tree.value[2].tolist() == [0.0, 1.0]
+
     def test_min_impurity_decrease_blocks_weak_split(self):
         params = TreeParams(min_impurity_decrease=0.2)
         tree = fit_tree(column([0, 1, 2, 3]), np.array([0, 0, 1, 0]),
@@ -236,8 +246,9 @@ def reaching_rows(tree, X):
 
 
 class TestLevelWiseGrower:
-    """Extra-trees growth: every open node of a level searched at once, the
-    tree renumbered into preorder at the end."""
+    """The one grower of every tree, under both split proposals: every open
+    node of a level searched at once, the tree renumbered into preorder at
+    the end."""
 
     @staticmethod
     def data(binary=False):
@@ -252,13 +263,16 @@ class TestLevelWiseGrower:
 
     # On two-valued features every threshold in [min, max) cuts where the
     # exhaustive search would, so a leaf stopped by min_impurity_decrease
-    # can be checked against the exhaustive best split.
+    # can be checked against the exhaustive best split under either proposal.
     PARAMS = {
         "defaults": (TreeParams(random_thresholds=True), False),
         "deep_subsets": (TreeParams(max_depth=None, min_samples_split=5, max_features=2,
                                     random_thresholds=True), False),
         "min_decrease": (TreeParams(max_depth=5, min_impurity_decrease=0.004,
                                     random_thresholds=True), True),
+        "exact_subsets": (TreeParams(max_depth=None, min_samples_split=5, max_features=2),
+                          False),
+        "exact_min_decrease": (TreeParams(max_depth=5, min_impurity_decrease=0.004), True),
     }
 
     @pytest.fixture(params=sorted(PARAMS))
