@@ -9,7 +9,8 @@
 
 Every model exposes ``classes``, ``predict_proba`` (rows sum to 1) and
 ``predict`` (argmax, lowest ordinal wins ties), and serializes through
-``to_payload``/``from_payload``.
+``to_payload``/``from_payload``.  A tree ensemble holds one `TreeSet` and
+sums its per-tree terms in tree order, by `np.add.reduce` over the tree axis.
 """
 
 import math
@@ -21,14 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DomainError, TrainingError
-from .tree import (
-    DecisionTree,
-    TreeParams,
-    column_codes,
-    fit_tree,
-    trees_from_payload,
-    trees_to_payload,
-)
+from .tree import DecisionTree, TreeParams, TreeSet, column_codes, fit_tree
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -68,6 +62,14 @@ class _Classifier:
 
     def predict(self, matrix) -> np.ndarray:
         return _argmax_labels(self.predict_proba(matrix))
+
+
+class _TreeEnsemble(_Classifier):
+    """A classifier over one `TreeSet` ``trees``, fitted on n_features columns."""
+
+    def to_payload(self) -> dict:
+        return {"family": self.family, "n_classes": self.n_classes,
+                "n_features": self.n_features, "trees": self.trees.to_payload()}
 
 
 def _check_columns(matrix, n_features: int | None) -> np.ndarray:
@@ -114,7 +116,6 @@ def _is_rate(value) -> bool:
 
 
 _RATE = (_is_rate, "a finite number >= 0")
-_FLAG = (lambda value: isinstance(value, bool), "true or false")
 
 
 def _check(params, **rules) -> None:
@@ -157,40 +158,41 @@ class GbdtParams:
         )
 
 
-class GbdtModel(_Classifier):
-    """Additive stages of per-class regression trees over log-prior scores."""
+class GbdtModel(_TreeEnsemble):
+    """Additive stages of per-class regression trees over log-prior scores,
+    stored stage-major: K trees per stage, class 0 first."""
 
     family = "gbdt"
 
-    def __init__(self, n_classes, n_features, init_scores, stages, learning_rate,
+    def __init__(self, n_classes, n_features, init_scores, trees, learning_rate,
                  loss_history):
         self.n_classes = n_classes
         self.n_features = n_features
         self.init_scores = init_scores
-        self.stages = stages  # list of K-tuples of regression trees
+        self.trees = trees
         self.learning_rate = learning_rate
         self.loss_history = loss_history  # mean train deviance, stage 0 first
 
+    # the index in trees of each stage's per-class tree, (stages, K)
+    stages = property(lambda self: np.arange(self.trees.nodes.size).reshape(-1, self.n_classes))
+
     def decision_scores(self, matrix) -> np.ndarray:
         X = _check_columns(matrix, self.n_features)
-        scores = np.tile(self.init_scores, (X.shape[0], 1))
-        for stage in self.stages:
-            for c, tree in enumerate(stage):
-                scores[:, c] += self.learning_rate * tree.predict_value(X)
-        return scores
+        K = self.n_classes
+
+        def combine(values):  # (stages * K, rows)
+            steps = self.learning_rate * values.reshape(len(values) // K, K, -1)
+            init = np.broadcast_to(self.init_scores[:, None], (1,) + steps.shape[1:])
+            return np.add.reduce(np.concatenate([init, steps]), axis=0).T
+
+        return self.trees.apply(X, combine)
 
     def predict_proba(self, matrix) -> np.ndarray:
         return softmax(self.decision_scores(matrix))
 
     def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "init_scores": self.init_scores.tolist(),
-            "learning_rate": self.learning_rate,
-            "trees": trees_to_payload([t for stage in self.stages for t in stage]),
-        }
+        return {**super().to_payload(), "init_scores": self.init_scores.tolist(),
+                "learning_rate": self.learning_rate}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GbdtModel":
@@ -200,12 +202,11 @@ class GbdtModel(_Classifier):
         if init_scores.shape != (K,) or not np.isfinite([*init_scores, learning_rate]).all():
             raise DataFormatError(f"GBDT init_scores are not {K} finite scores "
                                   "or its learning_rate is not finite")
-        trees = trees_from_payload(payload["trees"], "regression", None, n_features)
-        if len(trees) % K:
+        trees = TreeSet.from_payload(payload["trees"], "regression", None, n_features)
+        if trees.nodes.size % K:
             raise DataFormatError(
-                f"GBDT holds {len(trees)} trees, not a multiple of its {K} classes")
-        stages = [tuple(trees[i:i + K]) for i in range(0, len(trees), K)]  # stage-major
-        return cls(K, n_features, init_scores, stages, learning_rate, loss_history=[])
+                f"GBDT holds {trees.nodes.size} trees, not a multiple of its {K} classes")
+        return cls(K, n_features, init_scores, trees, learning_rate, loss_history=[])
 
 
 def gbdt_fit(
@@ -253,11 +254,10 @@ def gbdt_fit(
     anchors = [None] * K
     certify_below = math.sqrt(params.min_impurity_decrease) * (1.0 - 1e-9)
 
-    stages = []
+    trees = []  # stage-major
     loss_history = [multinomial_deviance(scores, y) / n]
     for _ in range(params.n_stages):
         probabilities = softmax(scores)
-        stage = []
         for c in range(K):
             residual = onehot[:, c] - probabilities[:, c]
             step = np.empty(n)  # each training row's leaf value, set as leaves close
@@ -287,17 +287,10 @@ def gbdt_fit(
                 if tree.node_count() == 1:
                     anchors[c] = (math.sqrt(max(tree.root_decrease, 0.0)), residual)
             scores[:, c] += params.learning_rate * step
-            stage.append(tree)
-        stages.append(tuple(stage))
+            trees.append(tree)
         loss_history.append(multinomial_deviance(scores, y) / n)
-    return GbdtModel(
-        n_classes=K,
-        n_features=X.shape[1],
-        init_scores=init_scores,
-        stages=stages,
-        learning_rate=params.learning_rate,
-        loss_history=loss_history,
-    )
+    return GbdtModel(K, X.shape[1], init_scores, TreeSet.concat(trees), params.learning_rate,
+                     loss_history)
 
 
 def _certified_leaf(anchor, residual, below: float) -> bool:
@@ -360,7 +353,7 @@ def _class_weights_ok(value) -> bool:
     )
 
 
-class ForestModel(_Classifier):
+class ForestModel(_TreeEnsemble):
     """Classification trees with soft voting across trees."""
 
     def __init__(self, trees, n_classes, variant, n_features=None):
@@ -373,23 +366,13 @@ class ForestModel(_Classifier):
 
     def predict_proba(self, matrix) -> np.ndarray:
         X = _check_columns(matrix, self.n_features)
-        acc = np.zeros((X.shape[0], self.n_classes))
-        for tree in self.trees:
-            acc += tree.predict_value(X)
-        return acc / len(self.trees)
-
-    def to_payload(self) -> dict:
-        return {
-            "family": self.variant,
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "trees": trees_to_payload(self.trees),
-        }
+        total = self.trees.apply(X, lambda values: np.add.reduce(values, axis=0, initial=0.0))
+        return total / self.trees.nodes.size
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ForestModel":
         n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
-        trees = trees_from_payload(payload["trees"], "classification", n_classes, n_features)
+        trees = TreeSet.from_payload(payload["trees"], "classification", n_classes, n_features)
         return cls(trees, n_classes, payload["family"], n_features=n_features)
 
 
@@ -417,16 +400,14 @@ def forest_fit(
     n, d = X.shape
     bootstrap = params.variant == "random_forest"
 
+    class_w = np.ones(K)
     if params.class_weights == "balanced":
         class_w = balanced_class_weights(y, K)
     elif params.class_weights is not None:
-        class_w = np.ones(K)
         for ordinal, weight in params.class_weights.items():
             if int(ordinal) >= K:
                 raise ConfigError(f"class weight for class {ordinal}, outside [0, {K})")
             class_w[int(ordinal)] = float(weight)
-    else:
-        class_w = np.ones(K)
 
     tree_params = TreeParams(
         max_depth=params.max_depth,
@@ -440,10 +421,7 @@ def forest_fit(
 
     def fit_one(child):
         rng = np.random.default_rng(child)
-        if bootstrap:
-            rows = rng.integers(0, n, n)
-        else:
-            rows = np.arange(n)
+        rows = rng.integers(0, n, n) if bootstrap else np.arange(n)
         Xi, yi = X[rows], y[rows]
         wi = class_w[yi]
         wi = wi / wi.sum()
@@ -453,7 +431,7 @@ def forest_fit(
             codes=(codes[:, rows], rank[rows]),
         )
 
-    trees = [fit_one(child) for child in children]
+    trees = TreeSet.concat(fit_one(child) for child in children)
     return ForestModel(trees, K, params.variant, n_features=d)
 
 
@@ -461,11 +439,9 @@ def forest_fit(
 class AdaboostParams:
     n_rounds: int = 50
     base_depth: int = 1
-    track_weights: bool = False
 
     def __post_init__(self):
-        _check(self, n_rounds=_integer(1), base_depth=_integer(0, optional=True),
-               track_weights=_FLAG)
+        _check(self, n_rounds=_integer(1), base_depth=_integer(0, optional=True))
 
 
 def samme_alpha(error: float, n_classes: int) -> float:
@@ -473,28 +449,29 @@ def samme_alpha(error: float, n_classes: int) -> float:
     return math.log((1.0 - error) / error) + math.log(n_classes - 1)
 
 
-class AdaboostModel(_Classifier):
+class AdaboostModel(_TreeEnsemble):
     """SAMME-weighted shallow trees."""
 
     family = "abc"
     PERFECT_ALPHA = 1e10  # finite surrogate for a zero-error learner
 
-    def __init__(self, learners, alphas, errors, n_classes,
-                 weight_history=None, n_features=None):
-        self.learners = learners
+    def __init__(self, trees, alphas, errors, n_classes, n_features=None):
+        self.trees = trees
         self.alphas = alphas
         self.errors = errors
         self.n_classes = n_classes
-        self.weight_history = weight_history or []
         self.n_features = n_features
 
     def decision_scores(self, matrix) -> np.ndarray:
+        """Per row and class, the summed alphas of the trees voting for it."""
         X = _check_columns(matrix, self.n_features)
-        scores = np.zeros((X.shape[0], self.n_classes))
-        for alpha, tree in zip(self.alphas, self.learners):
-            predictions = tree.predict(X)
-            scores[np.arange(X.shape[0]), predictions] += alpha
-        return scores
+        alphas = np.asarray(self.alphas, dtype=float)[:, None, None]
+
+        def combine(values):  # (trees, rows, K)
+            votes = values.argmax(axis=2)[..., None] == np.arange(self.n_classes)
+            return np.add.reduce(np.where(votes, alphas, 0.0), axis=0, initial=0.0)
+
+        return self.trees.apply(X, combine)
 
     def predict_proba(self, matrix) -> np.ndarray:
         scores = self.decision_scores(matrix)
@@ -504,26 +481,17 @@ class AdaboostModel(_Classifier):
         return _argmax_labels(self.decision_scores(matrix))
 
     def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "alphas": list(self.alphas),
-            "trees": trees_to_payload(self.learners),
-        }
+        return {**super().to_payload(), "alphas": list(self.alphas)}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "AdaboostModel":
         n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
-        learners = trees_from_payload(payload["trees"], "classification", n_classes,
-                                      n_features)
+        trees = TreeSet.from_payload(payload["trees"], "classification", n_classes, n_features)
         alphas = [float(a) for a in payload["alphas"]]
-        if len(alphas) != len(learners) or not all(map(math.isfinite, alphas)):
-            raise DataFormatError(
-                f"AdaBoost holds {len(alphas)} alphas for {len(learners)} trees, "
-                "or one is not finite"
-            )
-        return cls(learners, alphas, [], n_classes, n_features=n_features)
+        if len(alphas) != trees.nodes.size or not all(map(math.isfinite, alphas)):
+            raise DataFormatError(f"AdaBoost holds {len(alphas)} alphas for "
+                                  f"{trees.nodes.size} trees, or one is not finite")
+        return cls(trees, alphas, [], n_classes, n_features=n_features)
 
 
 def adaboost_fit(
@@ -551,32 +519,25 @@ def adaboost_fit(
     codes = column_codes(X)
 
     learners, alphas, errors = [], [], []
-    weight_history = [w.copy()] if params.track_weights else []
     for _ in range(params.n_rounds):
         tree = fit_tree(X, y, sample_weight=w, params=tree_params,
                         mode="classification", n_classes=K, codes=codes)
         miss = tree.predict(X) != y
         # sorted sums keep the weights independent of row order
         error = float(np.sort(w[miss]).sum())
-        if error == 0.0:
-            learners.append(tree)
-            alphas.append(AdaboostModel.PERFECT_ALPHA)
-            errors.append(error)
-            break
         if error >= 1.0 - 1.0 / K:
             break
-        alpha = samme_alpha(error, K)
+        alpha = AdaboostModel.PERFECT_ALPHA if error == 0.0 else samme_alpha(error, K)
         learners.append(tree)
         alphas.append(alpha)
         errors.append(error)
+        if error == 0.0:
+            break
         w = w * np.exp(alpha * miss)
         w = w / np.sort(w).sum()
-        if params.track_weights:
-            weight_history.append(w.copy())
     if not learners:
         raise TrainingError("no weak learner beat random guessing")
-    return AdaboostModel(learners, alphas, errors, K, weight_history,
-                         n_features=X.shape[1])
+    return AdaboostModel(TreeSet.concat(learners), alphas, errors, K, n_features=X.shape[1])
 
 
 def voting_predict(models, matrix):

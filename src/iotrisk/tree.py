@@ -34,6 +34,11 @@ and scores the Gini decrease of all of them by one bincount.
 The rows are put into a canonical order first, a three-key sort (rank,
 target, weight), so a fit depends only on the row multiset, never on
 input row order.  Input must be finite.
+
+An ensemble holds its trees as one `TreeSet`, the node arrays its model
+file stores, and scores them in one traversal: all (tree, row) pairs
+descend a level per step, as in Hummingbird (Nakandala et al., 2020).
+`fit_tree` returns a `DecisionTree`, a set of one tree.
 """
 
 from dataclasses import dataclass
@@ -52,14 +57,123 @@ class TreeParams:
     random_thresholds: bool = False  # extra-trees style split proposal
 
 
-class DecisionTree:
-    """A fitted CART tree stored as parallel node arrays (node 0 is the root).
+# (tree, row) pairs per traversal block, so a block's leaf payloads stay small
+BLOCK_PAIRS = 1 << 14
 
-    Nodes are numbered in preorder, so a split's left child is the next
-    node; ``right`` holds its right child, which comes later still.
-    ``feature`` and ``right`` are -1 at leaves.  ``value`` holds one row
-    per node, (n_nodes, K) class probabilities or (n_nodes,) scalars, and
-    is meaningful at leaves only.
+
+class TreeSet:
+    """Fitted CART trees as one set of concatenated node arrays.
+
+    ``nodes`` holds each tree's node count; ``start``, each tree's root, is
+    derived on use, so a fitted tree holds no more arrays than it needs.
+    Nodes are in preorder within a tree, so a split's left child is the
+    next node; ``right`` holds the tree-local index of its right child.
+    ``feature`` and ``right`` are -1 at leaves; ``value`` holds (n_nodes, K)
+    class probabilities or (n_nodes,) scalars, meaningful at leaves only.
+    """
+
+    def __init__(self, nodes, feature, threshold, right, value):
+        self.nodes, self.feature, self.threshold, self.right, self.value = (
+            nodes, feature, threshold, right, value)
+
+    start = property(lambda self: np.cumsum(self.nodes) - self.nodes)
+
+    @classmethod
+    def concat(cls, trees) -> "TreeSet":
+        """The trees of an iterable, in order, as one set.  Each is appended
+        in place, so a forest grown tree by tree is never held twice; no view
+        of the growing arrays exists, which lets them be resized."""
+        nodes, arrays = [], None
+        for tree in trees:
+            parts = (tree.feature, tree.threshold, tree.right, tree.value)
+            arrays = arrays or [np.empty((0,) + p.shape[1:], p.dtype) for p in parts]
+            start = len(arrays[0])
+            for array, part in zip(arrays, parts):
+                array.resize((start + len(part),) + part.shape[1:], refcheck=False)
+                array[start:] = part
+            nodes.append(len(tree.feature))
+        return cls(np.array(nodes), *arrays)
+
+    def apply(self, matrix, combine) -> np.ndarray:
+        """``combine(values)`` per block of about BLOCK_PAIRS (tree, row) pairs,
+        stacked in row order; ``values`` holds the block's leaf payloads,
+        (trees, rows, K) or (trees, rows), and combine reduces its tree axis."""
+        X = np.ascontiguousarray(matrix, dtype=float)
+        step = max(1, BLOCK_PAIRS // self.nodes.size)
+        return np.concatenate([combine(self.value[self._leaves(X[i:i + step])])
+                               for i in range(0, max(len(X), 1), step)])
+
+    def _leaves(self, X) -> np.ndarray:
+        """The leaf every (tree, row) pair reaches, (trees, rows).  All
+        pairs descend together, one level per step."""
+        n, d = X.shape
+        root = np.repeat(self.start, n)  # tree-major pairs
+        node, pairs = root.copy(), np.arange(root.size)
+        while pairs.size:
+            at = node[pairs]
+            feature = self.feature[at]
+            inner = feature >= 0
+            pairs, at, feature = pairs[inner], at[inner], feature[inner]
+            go_left = X.take(pairs % n * d + feature) <= self.threshold[at]
+            node[pairs] = np.where(go_left, at + 1, root[pairs] + self.right[at])
+        return node.reshape(self.nodes.size, n)
+
+    def to_payload(self) -> dict:
+        """The arrays a model file stores: ``threshold`` and ``right`` for
+        splits only, ``value`` for leaves only."""
+        split = self.feature >= 0
+        return {"nodes": self.nodes.tolist(), "feature": self.feature.tolist(),
+                "threshold": self.threshold[split].tolist(),
+                "right": self.right[split].tolist(), "value": self.value[~split].tolist()}
+
+    @classmethod
+    def from_payload(cls, payload: dict, mode: str, n_classes: int | None,
+                     n_features: int) -> "TreeSet":
+        """The set of `to_payload` output, checked in one pass: any array
+        that does not describe non-empty trees over n_features columns with
+        finite K-wide (classification) or scalar (regression) leaves is a
+        DataFormatError."""
+        nodes, feature, right = (_index_array(payload, k) for k in ("nodes", "feature", "right"))
+        n = len(feature)
+        if not nodes.size or ((nodes < 1) | (nodes > n)).any() or nodes.sum() != n:
+            raise DataFormatError(f"tree node counts are not positive or do not sum to {n}")
+        bad = feature[(feature < -1) | (feature >= n_features)]
+        if bad.size:
+            raise DataFormatError(f"split on feature {bad[0]}, outside [0, {n_features})")
+        split = feature >= 0
+        at = np.flatnonzero(split)
+        threshold = np.asarray(payload["threshold"], dtype=float)
+        if threshold.shape != at.shape or right.shape != at.shape:
+            raise DataFormatError(f"tree arrays hold {threshold.size} thresholds and "
+                                  f"{right.size} right children for {at.size} splits")
+        # right is local to its tree; a left child is always the next node
+        start = np.cumsum(nodes) - nodes
+        tree_of = np.repeat(np.arange(nodes.size), nodes)[at]
+        local = at - start[tree_of]
+        if not ((right > local + 1) & (right < nodes[tree_of])).all():
+            raise DataFormatError("tree right child not after its left child or past its tree")
+        # children come after their parent within its tree, so no root is one
+        parents = np.bincount(np.concatenate([at + 1, right + start[tree_of]]), minlength=n)
+        parents[start] += 1
+        if (parents != 1).any():
+            raise DataFormatError("tree node without exactly one parent")
+        leaf_shape = () if mode == "regression" else (n_classes,)
+        leaf_values = np.asarray(payload["value"], dtype=float)
+        expected = (n - at.size,) + leaf_shape
+        if leaf_values.shape != expected:
+            raise DataFormatError(f"tree {mode} leaf values have shape "
+                                  f"{leaf_values.shape}, expected {expected}")
+        if not (np.isfinite(threshold).all() and np.isfinite(leaf_values).all()):
+            raise DataFormatError("tree split threshold or leaf value is not finite")
+        node_threshold, node_right = np.zeros(n), np.full(n, -1, dtype=np.intp)
+        node_threshold[at], node_right[at] = threshold, right
+        value = np.zeros((n,) + leaf_shape)
+        value[~split] = leaf_values
+        return cls(nodes, feature, node_threshold, node_right, value)
+
+
+class DecisionTree(TreeSet):
+    """One fitted CART tree, a set of one tree (node 0 is the root).
 
     A tree grown by `fit_tree` also carries ``root_decrease``, the best
     impurity decrease its root search found (0.0 when the root was not
@@ -68,105 +182,27 @@ class DecisionTree:
 
     root_decrease: float | None = None
 
-    def __init__(self, feature, threshold, right, value, mode: str):
-        self.feature = feature
-        self.threshold = threshold
-        self.right = right
-        self.value = value
-        self.mode = mode
+    def __init__(self, feature, threshold, right, value):
+        super().__init__(np.array([feature.size]), feature, threshold, right, value)
 
     @classmethod
     def leaf(cls, value: float) -> "DecisionTree":
         """A one-node regression tree, as `fit_tree` stores a single leaf."""
         return cls(np.array([-1], dtype=np.intp), np.array([0.0]),
-                   np.array([-1], dtype=np.intp), np.array([value], dtype=float),
-                   "regression")
+                   np.array([-1], dtype=np.intp), np.array([value], dtype=float))
 
     def predict_value(self, matrix) -> np.ndarray:
-        """Leaf payload per row: (n, K) probabilities or (n,) scalars.
-
-        All rows descend together, one level per step."""
-        X = np.asarray(matrix, dtype=float)
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        rows = np.arange(X.shape[0])
-        while rows.size:
-            at = node[rows]
-            feature = self.feature[at]
-            inner = feature >= 0
-            rows, at, feature = rows[inner], at[inner], feature[inner]
-            go_left = X[rows, feature] <= self.threshold[at]
-            node[rows] = np.where(go_left, at + 1, self.right[at])
-        return self.value[node]
+        """Leaf payload per row: (n, K) probabilities or (n,) scalars."""
+        return self.apply(matrix, lambda values: values[0])
 
     def predict(self, matrix) -> np.ndarray:
         """Class labels (argmax with lowest-ordinal tie-break)."""
-        if self.mode != "classification":
+        if self.value.ndim != 2:
             raise DomainError("predict() is for classification trees")
         return np.argmax(self.predict_value(matrix), axis=1)
 
     def node_count(self) -> int:
         return len(self.feature)
-
-
-def trees_to_payload(trees: list[DecisionTree]) -> dict:
-    """A list of trees as one set of arrays: the node count of each tree,
-    ``feature`` over all nodes, ``threshold`` and tree-local ``right`` for
-    splits only, and ``value`` for leaves only, trees in list order."""
-    feature = np.concatenate([t.feature for t in trees])
-    split = feature >= 0
-    return {
-        "nodes": [t.node_count() for t in trees],
-        "feature": feature.tolist(),
-        "threshold": np.concatenate([t.threshold for t in trees])[split].tolist(),
-        "right": np.concatenate([t.right for t in trees])[split].tolist(),
-        "value": np.concatenate([t.value for t in trees])[~split].tolist(),
-    }
-
-
-def trees_from_payload(payload: dict, mode: str, n_classes: int | None,
-                       n_features: int) -> list[DecisionTree]:
-    """Rebuild the trees of `trees_to_payload` output, checked in one pass:
-    any array that does not describe non-empty trees over n_features
-    columns with finite K-wide (classification) or scalar (regression)
-    leaves is a DataFormatError."""
-    nodes, feature, right = (_index_array(payload, k) for k in ("nodes", "feature", "right"))
-    n = len(feature)
-    if not nodes.size or ((nodes < 1) | (nodes > n)).any() or nodes.sum() != n:
-        raise DataFormatError(f"tree node counts are not positive or do not sum to {n}")
-    bad = feature[(feature < -1) | (feature >= n_features)]
-    if bad.size:
-        raise DataFormatError(f"split on feature {bad[0]}, outside [0, {n_features})")
-    split = feature >= 0
-    at = np.flatnonzero(split)
-    threshold = np.asarray(payload["threshold"], dtype=float)
-    if threshold.shape != at.shape or right.shape != at.shape:
-        raise DataFormatError(f"tree arrays hold {threshold.size} thresholds and "
-                              f"{right.size} right children for {at.size} splits")
-    # right is local to its tree; a left child is always the next node
-    start = np.cumsum(nodes) - nodes
-    tree_of = np.repeat(np.arange(nodes.size), nodes)[at]
-    local = at - start[tree_of]
-    if not ((right > local + 1) & (right < nodes[tree_of])).all():
-        raise DataFormatError("tree right child not after its left child or past its tree")
-    # children come after their parent within its tree, so no root is one
-    parents = np.bincount(np.concatenate([at + 1, right + start[tree_of]]), minlength=n)
-    parents[start] += 1
-    if (parents != 1).any():
-        raise DataFormatError("tree node without exactly one parent")
-    leaf_shape = () if mode == "regression" else (n_classes,)
-    leaf_values = np.asarray(payload["value"], dtype=float)
-    expected = (n - at.size,) + leaf_shape
-    if leaf_values.shape != expected:
-        raise DataFormatError(f"tree {mode} leaf values have shape "
-                              f"{leaf_values.shape}, expected {expected}")
-    if not (np.isfinite(threshold).all() and np.isfinite(leaf_values).all()):
-        raise DataFormatError("tree split threshold or leaf value is not finite")
-    node_threshold, node_right = np.zeros(n), np.full(n, -1, dtype=np.intp)
-    node_threshold[at], node_right[at] = threshold, right
-    value = np.zeros((n,) + leaf_shape)
-    value[~split] = leaf_values
-    arrays = (np.split(a, start[1:]) for a in (feature, node_threshold, node_right, value))
-    return [DecisionTree(*tree, mode) for tree in zip(*arrays)]
 
 
 def _index_array(payload: dict, key: str) -> np.ndarray:
@@ -478,6 +514,6 @@ def fit_tree(
     with np.errstate(divide="ignore", invalid="ignore"):
         *arrays, root_decrease = _grow(X, codes, y, w, K, mode, params, rng,
                                        leaf_value_fn, rows)
-    tree = DecisionTree(*arrays, mode)
+    tree = DecisionTree(*arrays)
     tree.root_decrease = root_decrease
     return tree

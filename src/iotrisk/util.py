@@ -13,6 +13,8 @@ def largest_remainder(targets, total: int) -> np.ndarray:
     targets = np.asarray(targets, dtype=float)
     if total < 0 or not (np.isfinite(targets) & (targets >= 0)).all():
         raise ValueError("targets must be finite and non-negative, total non-negative")
+    if total > 0 and not targets.size:
+        raise ValueError("a positive total needs at least one target")
     counts = np.floor(targets).astype(int)
     remainders = targets - counts
     short = int(total) - int(counts.sum())

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,21 @@ class TestLargestRemainder:
 
     def test_exact_targets_unchanged(self):
         assert largest_remainder([2.0, 3.0, 5.0], 10).tolist() == [2, 3, 5]
+
+    def test_positive_total_without_targets_raises_within_deadline(self):
+        # nothing can take the units, so the allocation loop must not start
+        def expire(signum, frame):
+            raise TimeoutError("largest_remainder([], 3) did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match="at least one target"):
+                largest_remainder([], 3)
+            assert largest_remainder([], 0).tolist() == []
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestSynthesize:

@@ -32,7 +32,7 @@ from iotrisk.ensemble import (
 )
 from iotrisk.errors import ConfigError, DataFormatError, DomainError, TrainingError
 from iotrisk.pipeline import PipelineConfig, fit_design, profile_params
-from iotrisk.tree import TreeParams, _best_split_exact, column_codes, fit_tree
+from iotrisk.tree import BLOCK_PAIRS, TreeParams, _best_split_exact, column_codes, fit_tree
 
 
 def separable_toy(n=20, seed=0):
@@ -376,26 +376,20 @@ class TestAdaboost:
     def test_hand_computed_three_round_trajectory(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 0])
-        model = adaboost_fit(X, y, AdaboostParams(n_rounds=3, track_weights=True))
+        model = adaboost_fit(X, y, AdaboostParams(n_rounds=3))
+        # each round's error is the weight its rows carried on the ones it
+        # missed, so the trajectory checks the reweighting into rounds 2-3:
+        # row weights [1/4]*4, then [1/6, 1/6, 1/2, 1/6], then [0.1, 0.1, 0.3, 0.5]
         assert model.errors == pytest.approx([1 / 4, 1 / 6, 1 / 5], rel=1e-12)
         assert model.alphas == pytest.approx(
             [math.log(3), math.log(5), math.log(4)], rel=1e-12
         )
-        expected_weights = [
-            [0.25, 0.25, 0.25, 0.25],
-            [1 / 6, 1 / 6, 1 / 2, 1 / 6],
-            [0.1, 0.1, 0.3, 0.5],
-            [0.25, 0.25, 0.1875, 0.3125],
-        ]
-        assert len(model.weight_history) == 4
-        for got, want in zip(model.weight_history, expected_weights):
-            assert got == pytest.approx(want, rel=1e-12)
         assert (model.predict(X) == y).all()
 
     def test_perfect_learner_stops_with_capped_alpha(self):
         X, y = separable_toy(n=20)
         model = adaboost_fit(X, y, AdaboostParams(n_rounds=10, base_depth=3))
-        assert len(model.learners) == 1
+        assert model.trees.nodes.size == 1
         assert model.alphas == [1e10]
         assert (model.predict(X) == y).all()
 
@@ -466,13 +460,14 @@ class TestSharedColumnCodes:
         params = ForestParams(n_trees=8, max_depth=4)
         model = forest_fit(X, y, params, seed=4, n_classes=4)
         tree_params = TreeParams(max_depth=4, max_features=1)
-        for child, tree in zip(np.random.SeedSequence(4).spawn(8), model.trees):
+        per_tree = model.trees.apply(probe, lambda values: values.swapaxes(0, 1))
+        for i, child in enumerate(np.random.SeedSequence(4).spawn(8)):
             rng = np.random.default_rng(child)
             rows = rng.integers(0, n, n)[perm]
             alone = fit_tree(X[rows], y[rows], sample_weight=np.full(n, 1 / n),
                              params=tree_params, mode="classification", n_classes=4,
                              rng=rng)
-            assert alone.predict_value(probe).tobytes() == tree.predict_value(probe).tobytes()
+            assert alone.predict_value(probe).tobytes() == per_tree[:, i].tobytes()
 
     def test_adaboost(self):
         # SAMME sums the row weights in sorted order, so the learner weights
@@ -481,10 +476,9 @@ class TestSharedColumnCodes:
         params = AdaboostParams(n_rounds=20, base_depth=2)
         a = adaboost_fit(X, y, params, n_classes=4)
         b = adaboost_fit(X[perm], y[perm], params, n_classes=4)
-        assert len(a.learners) == len(b.learners) > 1
-        for s, t in zip(a.learners, b.learners):
-            for name in ("feature", "threshold", "right"):
-                assert getattr(s, name).tobytes() == getattr(t, name).tobytes()
+        assert a.trees.nodes.size > 1
+        for name in ("nodes", "feature", "threshold", "right"):
+            assert getattr(a.trees, name).tobytes() == getattr(b.trees, name).tobytes()
         assert a.alphas == b.alphas
         assert a.predict_proba(probe).tobytes() == b.predict_proba(probe).tobytes()
 
@@ -584,7 +578,7 @@ class TestModelParams:
         y = np.array([0, 1, 2, 3, 0, 1, 2, 3])
         model = forest_fit(X, y, ForestParams(n_trees=3, min_impurity_decrease=0.5),
                            seed=1, n_classes=4)
-        assert all(t.node_count() == 1 for t in model.trees)
+        assert (model.trees.nodes == 1).all()
         with pytest.raises(ConfigError, match="min_impurity_decrease"):
             ForestParams(n_trees=3, min_impurity_decrease=math.nan)
 
@@ -655,6 +649,34 @@ class TestGoldenDigests:
         assert hashlib.sha256(payload).hexdigest() == payload_sha
         proba = model.predict_proba(design.data)
         assert hashlib.sha256(proba.tobytes()).hexdigest() == proba_sha
+
+
+class TestBlockedScoring:
+    """Scoring traverses every (tree, row) pair in blocks of rows; all 1,153
+    bundled rows in one call must give the bytes of one row at a time."""
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        records, _ = load_corpus(bundled_corpus_path())
+        design = fit_design(records, PipelineConfig(seed=7))[1]
+        specs = [("gbdt", {"n_stages": 25}), ("rfc", {"n_trees": 40}),
+                 ("etc", {"n_trees": 40}), ("abc", {"n_rounds": 50, "base_depth": 3})]
+        return design.data, {family: fit_model(ModelSpec(family, params, seed=7),
+                                               design.data, design.labels)
+                             for family, params in specs}
+
+    @pytest.mark.parametrize("family", ["gbdt", "rfc", "etc", "abc", "voting"])
+    def test_all_rows_equal_one_row_at_a_time(self, members, family):
+        X, models = members
+        assert len(X) == 1153
+        model = (ensemble.VotingModel(list(models.values())) if family == "voting"
+                 else models[family])
+        for member in getattr(model, "members", [model]):
+            assert len(X) * member.trees.nodes.size > BLOCK_PAIRS  # more than one block
+        batch = model.predict_proba(X)
+        rows = np.concatenate([model.predict_proba(X[i:i + 1]) for i in range(len(X))])
+        assert batch.shape == (1153, 4)
+        assert batch.tobytes() == rows.tobytes()
 
 
 class TestModelSpec:

@@ -1,6 +1,7 @@
 """The bench tracer wraps package functions by name; renaming or moving
 one of them must fail here, not only in a traced bench run."""
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -47,3 +48,38 @@ def test_traced_cv_records_every_layer_of_its_path(tmp_path):
         "dataset.load_corpus", "encoding.fit", "pipeline.build_design",
         "evaluation.cross_validate", "evaluation.fit_model",
     }
+
+
+def test_traced_train_and_predict_record_every_attr_the_bench_reads(tmp_path):
+    tracing = load_tracing()
+    corpus, devices, model = tmp_path / "corpus.csv", tmp_path / "devices.csv", tmp_path / "m.json"
+    assert cli.main(["build", "--synthesize", "--total", "120", "--seed", "3",
+                     "--signal", "0.8", "--out", str(corpus)]) == 0
+    with corpus.open(encoding="utf-8", newline="") as handle:
+        table = list(csv.reader(handle))
+    label = table[0].index("risk_score")
+    with devices.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(row[:label] + row[label + 1:] for row in table[:6])
+    with tracing.Tracer().installed() as tracer:
+        assert cli.main(["train", "--corpus", str(corpus), "--model", "voting",
+                         "--seed", "7", "--out", str(model)]) == 0
+        fitted = len(tracer.spans)
+        assert cli.main(["predict", "--model", str(model), "--encoders",
+                         f"{model}.encoders.json", "--input", str(devices)]) == 0
+    fit, scored = tracer.spans[:fitted], tracer.spans[fitted:]
+    assert [s.attrs for s in fit if s.name == "ensemble.gbdt_fit"] == [{"stages": 300}]
+    assert sorted(s.attrs["variant"] for s in fit if s.name == "ensemble.forest_fit") == [
+        "extra_trees", "random_forest"]
+    # the voting model, with each of its four members inside it
+    assert [s.name for s in scored].count("ensemble.predict_proba") == 5
+    assert len(tracing._outermost(tracer.spans, "ensemble.predict_proba")) == 1
+    # models score their tree sets directly; only AdaBoost's fit-time
+    # predict still scores one tree, once per fitted round
+    abc = next(i for i, s in enumerate(fit) if s.name == "ensemble.adaboost_fit")
+    rounds = [s for s in fit if s.name == "tree.fit_tree" and s.parent == abc]
+    assert [s.parent for s in tracer.spans if s.name == "tree.predict_value"] == [abc] * len(rounds)
+    figures = tracing.layer_metrics(tracer.spans, 1.0, 1.0, tsne_iterations=1000)
+    for name in ("ensemble.gbdt_stage_ms", "ensemble.forest_fit_s.rfc",
+                 "ensemble.forest_fit_s.etc", "ensemble.predict_proba_s",
+                 "tree.predict_ns_per_tree_row"):
+        assert figures[name] > 0, name

@@ -6,11 +6,10 @@ from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DataFormatError, DomainError
 from iotrisk.tree import (
     TreeParams,
+    TreeSet,
     _best_split_exact,
     column_codes,
     fit_tree,
-    trees_from_payload,
-    trees_to_payload,
 )
 
 
@@ -206,21 +205,24 @@ class TestContract:
         trees = [fit_tree(X, y, params=TreeParams(max_depth=depth),
                           mode="classification", n_classes=4) for depth in (4, 0, 2)]
         assert [t.node_count() > 1 for t in trees] == [True, False, True]
-        payload = trees_to_payload(trees)
+        trees_set = TreeSet.concat(trees)
+        payload = trees_set.to_payload()
         splits = sum(int((t.feature >= 0).sum()) for t in trees)
         assert len(payload["threshold"]) == len(payload["right"]) == splits
-        clones = trees_from_payload(payload, "classification", 4, 3)
+        assert payload["right"] == [r for t in trees for r in t.right[t.feature >= 0].tolist()]
+        clone = TreeSet.from_payload(payload, "classification", 4, 3)
+        for name in ("nodes", "feature", "threshold", "right", "value"):
+            assert np.array_equal(getattr(trees_set, name), getattr(clone, name))
         probe = rng.normal(size=(20, 3))
-        for tree, clone in zip(trees, clones, strict=True):
-            for name in ("feature", "threshold", "right", "value"):
-                assert np.array_equal(getattr(tree, name), getattr(clone, name))
-            assert np.array_equal(tree.predict_value(probe), clone.predict_value(probe))
+        per_tree = clone.apply(probe, lambda values: values.swapaxes(0, 1))
+        for i, tree in enumerate(trees):
+            assert np.array_equal(tree.predict_value(probe), per_tree[:, i])
 
     def test_truncated_payload_rejected(self):
         payload = {"nodes": [2], "feature": [0, -1], "threshold": [0.5],
                    "right": [2], "value": [1.0]}
         with pytest.raises(DataFormatError, match="right child"):
-            trees_from_payload(payload, "regression", None, 1)
+            TreeSet.from_payload(payload, "regression", None, 1)
 
     def test_extra_trees_thresholds_split_data(self):
         rng = np.random.default_rng(7)
@@ -332,10 +334,11 @@ class TestLevelWiseGrower:
 
     def test_payload_round_trip(self, grown):
         tree, X, y, w, params = grown
-        clone, = trees_from_payload(trees_to_payload([tree]), "classification", 3, 4)
-        for name in ("feature", "threshold", "right", "value"):
+        clone = TreeSet.from_payload(tree.to_payload(), "classification", 3, 4)
+        for name in ("nodes", "feature", "threshold", "right", "value"):
             assert np.array_equal(getattr(tree, name), getattr(clone, name))
-        assert np.array_equal(tree.predict_value(X), clone.predict_value(X))
+        assert np.array_equal(tree.predict_value(X),
+                              clone.apply(X, lambda values: values[0]))
 
     def test_same_seed_same_tree(self, grown):
         tree, X, y, w, params = grown
