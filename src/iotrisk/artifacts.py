@@ -1,10 +1,12 @@
 """Versioned on-disk formats for encoders and trained models.
 
 Both artifacts are canonical JSON (sorted keys, fixed separators), so a
-run with identical inputs and seed writes byte-identical files.  A model
-file pins the fingerprint of the encoder it was trained with, and loading
-rejects a mismatched sidecar.  Any payload that does not parse into a
-model or an encoder is a DataFormatError naming the file.
+run with identical inputs and seed writes byte-identical files.  A model's
+tree arrays are base64 strings of little-endian binary (`tree.TreeSet`),
+so a load parses no float text.  A model file pins the fingerprint of the
+encoder it was trained with, and loading rejects a mismatched sidecar.
+Any payload that does not parse into a model or an encoder is a
+DataFormatError naming the file.
 """
 
 import json
@@ -21,16 +23,12 @@ from .nvd import RISK_CLASSES
 from .pipeline import MODES, DimredArtifacts, PipelineModel
 
 ENCODER_FORMAT = "iotrisk-encoders/2"
-MODEL_FORMAT = "iotrisk-model/3"
+MODEL_FORMAT = "iotrisk-model/4"
 
 # what a payload with a missing key or a mistyped value raises while parsed
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 
 CLASS_ORDERING = [c.name for c in RISK_CLASSES]
-
-
-def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def save_encoder(path: str | Path, encoder: CorpusEncoder) -> None:
@@ -172,7 +170,10 @@ def save_model(
         "dimred": _dimred_payload(pipeline.dimred),
         "model": pipeline.model.to_payload(),
     }
-    Path(path).write_text(canonical_json(payload), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        # written piece by piece, so the whole text is never held at once
+        json.dump(payload, out, sort_keys=True, separators=(",", ":"))
+        out.write("\n")
 
 
 def load_model(

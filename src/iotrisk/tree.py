@@ -41,6 +41,8 @@ descend a level per step, as in Hummingbird (Nakandala et al., 2020).
 `fit_tree` returns a `DecisionTree`, a set of one tree.
 """
 
+import base64
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,13 @@ class TreeParams:
 
 # (tree, row) pairs per traversal block, so a block's leaf payloads stay small
 BLOCK_PAIRS = 1 << 14
+
+# Each stored array is one base64 string of these little-endian items; a
+# model file never names them, so changing one is a new model format.
+# Features are int8 because a design is at most 10 columns wide; floats are
+# stored whole, so a loaded model scores bit for bit as the fitted one.
+PAYLOAD_DTYPES = {"nodes": "<i4", "feature": "<i1", "threshold": "<f8",
+                  "right": "<i4", "value": "<f8"}
 
 
 class TreeSet:
@@ -108,32 +117,36 @@ class TreeSet:
         pairs descend together, one level per step."""
         n, d = X.shape
         root = np.repeat(self.start, n)  # tree-major pairs
+        offset = np.tile(np.arange(0, n * d, d), self.nodes.size)  # row start in flat X
         node, pairs = root.copy(), np.arange(root.size)
         while pairs.size:
             at = node[pairs]
             feature = self.feature[at]
             inner = feature >= 0
             pairs, at, feature = pairs[inner], at[inner], feature[inner]
-            go_left = X.take(pairs % n * d + feature) <= self.threshold[at]
+            go_left = X.take(offset[pairs] + feature) <= self.threshold[at]
             node[pairs] = np.where(go_left, at + 1, root[pairs] + self.right[at])
         return node.reshape(self.nodes.size, n)
 
     def to_payload(self) -> dict:
-        """The arrays a model file stores: ``threshold`` and ``right`` for
-        splits only, ``value`` for leaves only."""
+        """The arrays a model file stores, each as base64 of its `PAYLOAD_DTYPES`
+        bytes: ``threshold`` and ``right`` for splits only, ``value`` for
+        leaves only (row-major, K numbers per classification leaf)."""
         split = self.feature >= 0
-        return {"nodes": self.nodes.tolist(), "feature": self.feature.tolist(),
-                "threshold": self.threshold[split].tolist(),
-                "right": self.right[split].tolist(), "value": self.value[~split].tolist()}
+        arrays = {"nodes": self.nodes, "feature": self.feature,
+                  "threshold": self.threshold[split], "right": self.right[split],
+                  "value": self.value[~split]}
+        return {key: _encode(key, array) for key, array in arrays.items()}
 
     @classmethod
     def from_payload(cls, payload: dict, mode: str, n_classes: int | None,
                      n_features: int) -> "TreeSet":
         """The set of `to_payload` output, checked in one pass: any array
-        that does not describe non-empty trees over n_features columns with
-        finite K-wide (classification) or scalar (regression) leaves is a
-        DataFormatError."""
-        nodes, feature, right = (_index_array(payload, k) for k in ("nodes", "feature", "right"))
+        that does not decode, or does not describe non-empty trees over
+        n_features columns with finite K-wide (classification) or scalar
+        (regression) leaves, is a DataFormatError."""
+        nodes, feature, right = (_decode(payload, k).astype(np.intp)
+                                 for k in ("nodes", "feature", "right"))
         n = len(feature)
         if not nodes.size or ((nodes < 1) | (nodes > n)).any() or nodes.sum() != n:
             raise DataFormatError(f"tree node counts are not positive or do not sum to {n}")
@@ -142,7 +155,7 @@ class TreeSet:
             raise DataFormatError(f"split on feature {bad[0]}, outside [0, {n_features})")
         split = feature >= 0
         at = np.flatnonzero(split)
-        threshold = np.asarray(payload["threshold"], dtype=float)
+        threshold = _decode(payload, "threshold")
         if threshold.shape != at.shape or right.shape != at.shape:
             raise DataFormatError(f"tree arrays hold {threshold.size} thresholds and "
                                   f"{right.size} right children for {at.size} splits")
@@ -158,17 +171,17 @@ class TreeSet:
         if (parents != 1).any():
             raise DataFormatError("tree node without exactly one parent")
         leaf_shape = () if mode == "regression" else (n_classes,)
-        leaf_values = np.asarray(payload["value"], dtype=float)
+        leaf_values = _decode(payload, "value")
         expected = (n - at.size,) + leaf_shape
-        if leaf_values.shape != expected:
-            raise DataFormatError(f"tree {mode} leaf values have shape "
-                                  f"{leaf_values.shape}, expected {expected}")
+        if leaf_values.size != math.prod(expected):
+            raise DataFormatError(f"tree {mode} leaf values hold {leaf_values.size} "
+                                  f"numbers, expected shape {expected}")
         if not (np.isfinite(threshold).all() and np.isfinite(leaf_values).all()):
             raise DataFormatError("tree split threshold or leaf value is not finite")
         node_threshold, node_right = np.zeros(n), np.full(n, -1, dtype=np.intp)
         node_threshold[at], node_right[at] = threshold, right
         value = np.zeros((n,) + leaf_shape)
-        value[~split] = leaf_values
+        value[~split] = leaf_values.reshape(expected)
         return cls(nodes, feature, node_threshold, node_right, value)
 
 
@@ -205,11 +218,26 @@ class DecisionTree(TreeSet):
         return len(self.feature)
 
 
-def _index_array(payload: dict, key: str) -> np.ndarray:
-    array = np.asarray(payload[key])
-    if array.ndim != 1 or (array.size and array.dtype.kind != "i"):
-        raise DataFormatError(f"tree {key!r} is not a list of integers")
-    return array.astype(np.intp)
+def _encode(key: str, array: np.ndarray) -> str:
+    stored = array.astype(PAYLOAD_DTYPES[key])
+    if not np.array_equal(stored, array, equal_nan=True):
+        raise DomainError(f"tree {key!r} does not fit the stored type {stored.dtype}")
+    return base64.b64encode(stored.tobytes()).decode("ascii")
+
+
+def _decode(payload: dict, key: str) -> np.ndarray:
+    text = payload[key]
+    if not isinstance(text, str):
+        raise DataFormatError(f"tree {key!r} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DataFormatError(f"tree {key!r} is not base64 ({exc})") from exc
+    dtype = np.dtype(PAYLOAD_DTYPES[key])
+    if len(raw) % dtype.itemsize:
+        raise DataFormatError(f"tree {key!r} holds {len(raw)} bytes, not a multiple "
+                              f"of its {dtype.itemsize}-byte items")
+    return np.frombuffer(raw, dtype)
 
 
 def row_weights(sample_weight, n: int) -> np.ndarray:

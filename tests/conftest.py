@@ -1,9 +1,12 @@
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from iotrisk.dataset import DeviceRecord
 from iotrisk.nvd import RiskClass
+from iotrisk.tree import PAYLOAD_DTYPES
 
 
 def make_record(
@@ -34,6 +37,27 @@ def make_record(
         risk_score=risk_score,
         synthetic=synthetic,
     )
+
+
+def tree_lists(trees):
+    """The arrays of a tree-set payload, decoded to lists of numbers."""
+    assert all(isinstance(text, str) for text in trees.values())
+    return {key: np.frombuffer(base64.b64decode(text, validate=True),
+                               PAYLOAD_DTYPES[key]).tolist()
+            for key, text in trees.items()}
+
+
+def tree_payload(lists):
+    """Lists of numbers encoded back into a tree-set payload."""
+    return {key: base64.b64encode(np.array(values, PAYLOAD_DTYPES[key]).tobytes()).decode()
+            for key, values in lists.items()}
+
+
+def assert_same_arrays(tree_set, clone):
+    """Every array of two tree sets holds the same type and the same bits."""
+    for name in ("nodes", "feature", "threshold", "right", "value"):
+        a, b = getattr(tree_set, name), getattr(clone, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def feed_item(cve_id="CVE-2019-0001", base_score=9.8, cpe_uris=None,

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import gzip
 import json
@@ -11,7 +12,7 @@ from iotrisk.cli import build_parser, main
 from iotrisk.dataset import CSV_HEADER
 from iotrisk.ensemble import fit_model
 
-from conftest import feed_document, feed_item
+from conftest import feed_document, feed_item, tree_lists, tree_payload
 
 DEVICE_HEADER = ",".join(c for c in CSV_HEADER if c != "risk_score")
 QUICK = ["--param", "n_stages=15", "--param", "learning_rate=0.2",
@@ -243,12 +244,12 @@ class TestTrainPredict:
 
 
 def _first_split(trees):
-    """Node index of the first split in a tree-set payload."""
+    """Node index of the first split in decoded tree-set arrays."""
     return next(i for i, feature in enumerate(trees["feature"]) if feature >= 0)
 
 
 def _drop_last_tree(trees):
-    """Remove the last tree of a tree-set payload from each of its arrays."""
+    """Remove the last tree of decoded tree-set arrays from each of them."""
     count = trees["nodes"].pop()
     splits = sum(feature >= 0 for feature in trees["feature"][-count:])
     for key, size in (("feature", count), ("threshold", splits), ("right", splits),
@@ -322,8 +323,9 @@ class TestDoctoredModel:
     def test_split_feature_out_of_range(self, trained, capsys, feature):
         model, devices = trained
         payload = json.loads(model.read_text())
-        trees = payload["model"]["trees"]
+        trees = tree_lists(payload["model"]["trees"])
         trees["feature"][_first_split(trees)] = feature
+        payload["model"]["trees"] = tree_payload(trees)
         assert self._predict(model, devices, payload) == 3
         # feature -1 marks a leaf, so the split's threshold and right are extra
         expected = "right children for" if feature == -1 else f"split on feature {feature},"
@@ -332,8 +334,9 @@ class TestDoctoredModel:
     def test_split_feature_below_leaf_marker(self, trained, capsys):
         model, devices = trained
         payload = json.loads(model.read_text())
-        trees = payload["model"]["trees"]
+        trees = tree_lists(payload["model"]["trees"])
         trees["feature"][_first_split(trees)] = -2
+        payload["model"]["trees"] = tree_payload(trees)
         assert self._predict(model, devices, payload) == 3
         assert "split on feature -2," in capsys.readouterr().err
 
@@ -343,7 +346,9 @@ class TestDoctoredModel:
         gbdt = json.loads(model.read_text())["model"]
         payload = self._forest_payload(corpus, tmp_path)
         rfc = payload["model"]
-        rfc["trees"]["feature"][_first_split(rfc["trees"])] = 99
+        trees = tree_lists(rfc["trees"])
+        trees["feature"][_first_split(trees)] = 99
+        rfc["trees"] = tree_payload(trees)
         payload["family"] = "voting"
         payload["model"] = {"family": "voting", "members": [gbdt, rfc]}
         assert self._predict(model, devices, payload) == 3
@@ -355,9 +360,10 @@ class TestDoctoredModel:
         model, devices = trained
         payload = json.loads(model.read_text())
         assert payload["model"]["n_classes"] == 4
-        trees = payload["model"]["trees"]
+        trees = tree_lists(payload["model"]["trees"])
         stages = len(trees["nodes"]) // 4
         _drop_last_tree(trees)
+        payload["model"]["trees"] = tree_payload(trees)
         assert self._predict(model, devices, payload) == 3
         assert (f"holds {4 * stages - 1} trees, not a multiple of its 4 classes"
                 in capsys.readouterr().err)
@@ -366,8 +372,10 @@ class TestDoctoredModel:
                                                        tmp_path, capsys):
         model, devices = trained
         payload = self._forest_payload(corpus, tmp_path)
-        trees = payload["model"]["trees"]
-        trees["value"] = [row[:3] for row in trees["value"]]
+        trees = tree_lists(payload["model"]["trees"])
+        # leaves hold 4 class shares each; keep the first 3 of every leaf
+        trees["value"] = [v for i, v in enumerate(trees["value"]) if i % 4 != 3]
+        payload["model"]["trees"] = tree_payload(trees)
         assert self._predict(model, devices, payload) == 3
         assert "classification leaf" in capsys.readouterr().err
 
@@ -382,11 +390,12 @@ class TestDoctoredModel:
         "backwards_child", "child_out_of_range", "child_past_its_tree", "shared_child",
         "unequal_lengths", "missing_leaf_row", "null_threshold", "null_leaf_value",
         "node_counts_off_by_one", "zero_node_tree", "text_node_count",
+        "ragged_node_count_bytes", "ragged_threshold_bytes", "non_ascii_feature",
     ])
     def test_malformed_tree_arrays(self, trained, capsys, defect):
         model, devices = trained
         payload = json.loads(model.read_text())
-        trees = payload["model"]["trees"]
+        trees = tree_lists(payload["model"]["trees"])
         nodes, right = trees["nodes"], trees["right"]
         # the tree of the first split: its index, first node and second split
         node = _first_split(trees)
@@ -407,15 +416,22 @@ class TestDoctoredModel:
         elif defect == "missing_leaf_row":
             trees["value"].pop()
         elif defect == "null_threshold":
-            trees["threshold"][0] = None  # would read as NaN
+            trees["threshold"][0] = float("nan")
         elif defect == "null_leaf_value":
-            trees["value"][0] = None
+            trees["value"][0] = float("nan")
         elif defect == "node_counts_off_by_one":
             nodes[-1] += 1
         elif defect == "zero_node_tree":
             nodes.insert(tree, 0)
-        else:
-            nodes[0] = "1"
+        stored = payload["model"]["trees"] = tree_payload(trees)
+        if defect == "text_node_count":
+            stored["nodes"] = nodes  # a list of numbers, not base64 text
+        elif defect.startswith("ragged"):
+            key = "nodes" if defect == "ragged_node_count_bytes" else "threshold"
+            raw = base64.b64decode(stored[key]) + b"\0"  # one byte past the last item
+            stored[key] = base64.b64encode(raw).decode()
+        elif defect == "non_ascii_feature":
+            stored["feature"] = "\u00e9" + stored["feature"][1:]
         with _deadline(30):
             assert self._predict(model, devices, payload) == 3
         err = capsys.readouterr().err
@@ -423,7 +439,7 @@ class TestDoctoredModel:
 
     @pytest.mark.parametrize("defect", [
         "no_n_features", "text_threshold", "no_dimred_mode", "model_not_an_object",
-        "file_not_an_object", "old_format", "format_2", "short_init_scores",
+        "file_not_an_object", "old_format", "format_2", "format_3", "short_init_scores",
         "sidecar_without_scaler",
         "sidecar_without_feature", "sidecar_not_an_object",
         "unknown_family", "six_classes", "two_classes", "majority_six_classes",
@@ -468,7 +484,10 @@ class TestDoctoredModel:
         elif defect == "no_n_features":
             del payload["model"]["n_features"]
         elif defect == "text_threshold":
-            payload["model"]["trees"]["threshold"][0] = "abc"
+            trees = payload["model"]["trees"]
+            # whole quads of non-alphabet characters, which a lax decoder skips
+            trees["threshold"] = "****" + trees["threshold"]
+            expected = "m.json: tree 'threshold' is not base64"
         elif defect == "no_dimred_mode":
             del payload["dimred"]["mode"]
         elif defect == "model_not_an_object":
@@ -477,8 +496,8 @@ class TestDoctoredModel:
             payload = []
         elif defect == "old_format":
             payload["format"] = "iotrisk-model/1"
-        elif defect == "format_2":
-            payload["format"] = "iotrisk-model/2"
+        elif defect in ("format_2", "format_3"):
+            payload["format"] = "iotrisk-model/" + defect[-1]
         elif defect == "short_init_scores":
             payload["model"]["init_scores"].pop()
         else:
@@ -495,7 +514,7 @@ class TestDoctoredModel:
         out, err = capsys.readouterr()
         assert f"{broken}: " in err and expected in err
         assert "Traceback" not in err and "nan" not in out
-        if defect.endswith("format"):
+        if "format" in defect:
             assert "retrain the model" in err
 
     @pytest.mark.parametrize("defect", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from iotrisk import ensemble
+from iotrisk.artifacts import load_model, save_model
 from iotrisk.dataset import SynthesisSpec, bundled_corpus_path, load_corpus, synthesize_corpus
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.ensemble import (
@@ -31,8 +32,16 @@ from iotrisk.ensemble import (
     voting_predict,
 )
 from iotrisk.errors import ConfigError, DataFormatError, DomainError, TrainingError
-from iotrisk.pipeline import PipelineConfig, fit_design, profile_params
+from iotrisk.pipeline import (
+    DimredArtifacts,
+    PipelineConfig,
+    PipelineModel,
+    fit_design,
+    profile_params,
+)
 from iotrisk.tree import BLOCK_PAIRS, TreeParams, _best_split_exact, column_codes, fit_tree
+
+from conftest import assert_same_arrays
 
 
 def separable_toy(n=20, seed=0):
@@ -631,16 +640,16 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("family, params, payload_sha, proba_sha", [
         ("rfc", {"n_trees": 10, "class_weights": "balanced"},
-         "5945a5e3a893dd29a0d10839e2d65fac81d7c0c018fa46ba3a65114b3aa6c455",
+         "2649ffb130c2c774c415510124cf725dba355370e8c966cb1e7643b7e49aea73",
          "ffbe6ba266d244bd6063b8a647b2b7ff5494383277ff7faf5b888c3a5aee2881"),
         ("gbdt", {"n_stages": 25},
-         "3ea765f604cfade568d206fe6b14df193a079ccb7daf9f876d17226b72f40ea1",
+         "d9328d848db31b5ae0eb16bb24996cc53a27b89c13b044f951f9add9892695f3",
          "cf40305022fa332e137a0431f755ae72968cd974dc7688501c66dde0a0dfada8"),
         ("abc", {"n_rounds": 20, "base_depth": 3},
-         "f8c6b0517e3fa568c96a9656df26d3e8d973a04f0c0d6bde66e1377689a32dcb",
+         "877409b47cd60c9f341a643cf223b515f38361600ebf86bd2bf05e036bcb3e7f",
          "88cbc76aac0afcf6c48a99609213d40286c18ba23ba812f422103c9abdcc1d7a"),
         ("etc", {"n_trees": 10, "class_weights": "balanced"},
-         "38a080ac508a67bfa5b17181d827b795f67ff0188c8cd4dafd40fa0dbcd90c87",
+         "10c4057c744e29d6f8df28057e81e5139da5e4e6190e0e5374b2819c9e218875",
          "38a2b2dd0be943bbb13284aa2eb4ad47f0ef12f326abb884c98452b6cd340d03"),
     ])
     def test_fit_is_unchanged(self, design, family, params, payload_sha, proba_sha):
@@ -649,6 +658,34 @@ class TestGoldenDigests:
         assert hashlib.sha256(payload).hexdigest() == payload_sha
         proba = model.predict_proba(design.data)
         assert hashlib.sha256(proba.tobytes()).hexdigest() == proba_sha
+
+    def test_model_file_round_trip_is_bit_exact(self, design, tmp_path):
+        """A saved and reloaded model of every family, and a voting model of
+        them all, holds bit-equal tree arrays, scores the same bytes, and
+        saves again to the same file."""
+        members = [{"family": "rfc", "params": {"n_trees": 10}},
+                   {"family": "gbdt", "params": {"n_stages": 25}},
+                   {"family": "abc", "params": {"n_rounds": 20, "base_depth": 3}},
+                   {"family": "etc", "params": {"n_trees": 10}}]
+        specs = [ModelSpec(m["family"], m["params"], seed=7) for m in members]
+        specs.append(ModelSpec("voting", {"members": members}, seed=7))
+        for spec in specs:
+            model = fit_model(spec, design.data, design.labels)
+            pipeline = PipelineModel(mode="wo_dr", family=spec.family, seed=7,
+                                     params=spec.params, dimred=DimredArtifacts("wo_dr"),
+                                     model=model)
+            path = tmp_path / f"{spec.family}.json"
+            save_model(path, pipeline, "fingerprint")
+            clone = load_model(path, "fingerprint").model
+            for fitted, loaded in zip(getattr(model, "members", [model]),
+                                      getattr(clone, "members", [clone])):
+                assert_same_arrays(fitted.trees, loaded.trees)
+            assert (clone.predict_proba(design.data).tobytes()
+                    == model.predict_proba(design.data).tobytes()), spec.family
+            again = tmp_path / f"{spec.family}.again.json"
+            save_model(again, PipelineModel(**{**vars(pipeline), "model": clone}),
+                       "fingerprint")
+            assert again.read_bytes() == path.read_bytes(), spec.family
 
 
 class TestBlockedScoring:

@@ -12,6 +12,8 @@ from iotrisk.tree import (
     fit_tree,
 )
 
+from conftest import assert_same_arrays, tree_lists, tree_payload
+
 
 def column(values):
     return np.asarray(values, dtype=float).reshape(-1, 1)
@@ -207,20 +209,30 @@ class TestContract:
         assert [t.node_count() > 1 for t in trees] == [True, False, True]
         trees_set = TreeSet.concat(trees)
         payload = trees_set.to_payload()
+        stored = tree_lists(payload)
         splits = sum(int((t.feature >= 0).sum()) for t in trees)
-        assert len(payload["threshold"]) == len(payload["right"]) == splits
-        assert payload["right"] == [r for t in trees for r in t.right[t.feature >= 0].tolist()]
+        assert len(stored["threshold"]) == len(stored["right"]) == splits
+        assert stored["right"] == [r for t in trees for r in t.right[t.feature >= 0].tolist()]
+        assert len(stored["value"]) == 4 * (trees_set.feature.size - splits)
         clone = TreeSet.from_payload(payload, "classification", 4, 3)
-        for name in ("nodes", "feature", "threshold", "right", "value"):
-            assert np.array_equal(getattr(trees_set, name), getattr(clone, name))
+        assert_same_arrays(trees_set, clone)
         probe = rng.normal(size=(20, 3))
         per_tree = clone.apply(probe, lambda values: values.swapaxes(0, 1))
         for i, tree in enumerate(trees):
             assert np.array_equal(tree.predict_value(probe), per_tree[:, i])
 
+    def test_feature_beyond_stored_type_not_saved(self):
+        # features are stored as int8; a split on column 150 must not wrap
+        X = np.zeros((20, 200))
+        X[10:, 150] = 1.0
+        tree = fit_tree(X, (X[:, 150] > 0).astype(int), mode="classification")
+        assert tree.feature[0] == 150
+        with pytest.raises(DomainError, match="'feature' does not fit"):
+            tree.to_payload()
+
     def test_truncated_payload_rejected(self):
-        payload = {"nodes": [2], "feature": [0, -1], "threshold": [0.5],
-                   "right": [2], "value": [1.0]}
+        payload = tree_payload({"nodes": [2], "feature": [0, -1], "threshold": [0.5],
+                                "right": [2], "value": [1.0]})
         with pytest.raises(DataFormatError, match="right child"):
             TreeSet.from_payload(payload, "regression", None, 1)
 
@@ -335,8 +347,7 @@ class TestLevelWiseGrower:
     def test_payload_round_trip(self, grown):
         tree, X, y, w, params = grown
         clone = TreeSet.from_payload(tree.to_payload(), "classification", 3, 4)
-        for name in ("nodes", "feature", "threshold", "right", "value"):
-            assert np.array_equal(getattr(tree, name), getattr(clone, name))
+        assert_same_arrays(tree, clone)
         assert np.array_equal(tree.predict_value(X),
                               clone.apply(X, lambda values: values[0]))
 
