@@ -156,6 +156,8 @@ def _training_errors():
 
 
 def _pipeline_config(args) -> PipelineConfig:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     profile = "paper" if getattr(args, "paper_params", False) else args.profile
     return PipelineConfig(
         mode=getattr(args, "mode", "wo_dr"),
@@ -264,7 +266,8 @@ def cmd_cv(args) -> int:
     runs = []
     for mode in modes:
         _, design, _ = fit_design(records, config, mode)
-        runs.append((mode, cross_validate(spec, design.data, design.labels, plan)))
+        runs.append((mode, cross_validate(spec, design.data, design.labels, plan,
+                                          threads=args.threads)))
     if args.format == "csv":
         _emit(reporting.cv_csv(runs), args.out)
     else:
@@ -302,6 +305,7 @@ def cmd_tune(args) -> int:
         seed=config.seed,
         base_params=base_params,
         metric=args.metric.replace("-", "_"),
+        threads=args.threads,
     )
     if args.format == "csv":
         _emit(reporting.tune_csv(result), args.out)
@@ -352,7 +356,7 @@ def cmd_ablate(args) -> int:
     _, design, _ = fit_design(records, config)
     report = ablation_study(
         config.model_spec(), design.data, design.labels, plan,
-        feature_names=design.columns,
+        feature_names=design.columns, threads=args.threads,
     )
     if args.format == "csv":
         _emit(reporting.ablation_csv(report), args.out)
@@ -394,8 +398,10 @@ def _add_model_options(sub, with_mode=True):
     sub.add_argument("--components", type=int, default=None,
                      help="PCA component count (default: 95%% variance rule)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; everything runs on "
-                          "one thread")
+                     help="worker processes that fit the cv/tune/ablate cells "
+                          "(forked; serial where fork is unavailable); no "
+                          "effect on train and evaluate; outputs are "
+                          "identical at any value")
 
 
 def _add_output_options(sub):

@@ -199,28 +199,80 @@ class CvResult:
     metric: str = "accuracy"
 
 
-def cross_validate(
-    spec: ModelSpec,
-    matrix,
-    labels,
-    plan: FoldPlan,
-    n_classes: int = 4,
-    metric: str = "accuracy",
-) -> CvResult:
-    """Train on k-1 folds and score the held-out fold, for every
-    (repeat, fold).  Each evaluation derives its own seed from
-    (spec seed, repeat, fold).  Accuracy is the default score; macro_f1
-    is available for imbalance-sensitive selection."""
+def _fork_pool(size: int, score):
+    """An executor over `size` worker processes forked from this one, each
+    holding `score`, or None where the platform cannot fork."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    # fork hands `score` and what it closes over to each worker unpickled
+    return ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_hold_score, initargs=(score,))
+
+
+_worker_score = None  # set in each forked worker, never in the parent
+
+
+def _hold_score(score) -> None:
+    global _worker_score
+    _worker_score = score
+
+
+def _score_in_worker(index: int):
+    try:
+        return None, _worker_score(index)
+    except EvaluationError as exc:
+        return str(exc), None
+
+
+def run_cells(score, count: int, threads: int = 1) -> list:
+    """`[score(0), ..., score(count - 1)]`, in that order.
+
+    With `threads` > 1 the cells run in min(threads, count) worker
+    processes forked from this one.  The workers inherit `score` and what
+    it closes over (design matrix, labels, fold plan) copy-on-write; only
+    cell indices go out, and only a score or an EvaluationError's message
+    comes back.  The lowest failing cell is raised, as the serial loop
+    raises it, and every worker has exited before this returns.  Where the
+    platform cannot fork, the cells run serially.
+    """
+    size = min(threads, count)
+    pool = _fork_pool(size, score) if size > 1 else None
+    if pool is None:
+        return [score(index) for index in range(count)]
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        scores = []
+        for error, value in pool.map(_score_in_worker, range(count)):
+            if error is not None:
+                raise EvaluationError(error)
+            scores.append(value)
+        return scores
+    except BrokenProcessPool as exc:
+        raise EvaluationError(f"a cross-validation worker process died ({exc})") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _cross_validate_runs(runs, labels, plan: FoldPlan, n_classes: int,
+                         metric: str, threads: int) -> list[CvResult]:
+    """Cross-validate each (spec, matrix) run, with the cells of every run
+    in one `run_cells` call, ordered (run, repeat, fold)."""
     if metric not in CV_METRICS:
         raise ConfigError(f"metric must be one of {'/'.join(CV_METRICS)}")
-    X = np.asarray(matrix, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if len(plan.assignments[0]) != X.shape[0]:
+    runs = [(spec, np.asarray(matrix, dtype=float)) for spec, matrix in runs]
+    if any(len(plan.assignments[0]) != X.shape[0] for _, X in runs):
         raise DomainError("fold plan does not match the matrix rows")
-
     cells = [(r, f) for r in range(plan.repeats) for f in range(plan.k)]
-    scores = []
-    for repeat, fold in cells:
+
+    def score(index: int) -> float:
+        run, cell = divmod(index, len(cells))
+        spec, X = runs[run]
+        repeat, fold = cells[cell]
         train = plan.train_indices(repeat, fold)
         test = plan.test_indices(repeat, fold)
         eval_spec = ModelSpec(
@@ -234,17 +286,39 @@ def cross_validate(
             ) from exc
         predicted = model.predict(X[test])
         if metric == "macro_f1":
-            scores.append(compute_metrics(y[test], predicted, n_classes).macro_f1)
-        else:
-            scores.append(float((predicted == y[test]).mean()))
-    scores = np.array(scores)
-    return CvResult(
-        accuracies=scores,
-        mean=float(scores.mean()),
-        std=float(scores.std()),
-        fold_labels=tuple(f"R{r + 1}-F{f + 1}" for r, f in cells),
-        metric=metric,
-    )
+            return compute_metrics(y[test], predicted, n_classes).macro_f1
+        return float((predicted == y[test]).mean())
+
+    scores = run_cells(score, len(runs) * len(cells), threads)
+    results = []
+    for start in range(0, len(scores), len(cells)):
+        run_scores = np.array(scores[start:start + len(cells)])
+        results.append(CvResult(
+            accuracies=run_scores,
+            mean=float(run_scores.mean()),
+            std=float(run_scores.std()),
+            fold_labels=tuple(f"R{r + 1}-F{f + 1}" for r, f in cells),
+            metric=metric,
+        ))
+    return results
+
+
+def cross_validate(
+    spec: ModelSpec,
+    matrix,
+    labels,
+    plan: FoldPlan,
+    n_classes: int = 4,
+    metric: str = "accuracy",
+    threads: int = 1,
+) -> CvResult:
+    """Train on k-1 folds and score the held-out fold, for every
+    (repeat, fold), across `threads` worker processes.  Each evaluation
+    derives its own seed from (spec seed, repeat, fold).  Accuracy is the
+    default score; macro_f1 is available for imbalance-sensitive
+    selection."""
+    return _cross_validate_runs([(spec, matrix)], labels, plan, n_classes,
+                                metric, threads)[0]
 
 
 @dataclass
@@ -289,20 +363,21 @@ def grid_search(
     base_params: dict | None = None,
     n_classes: int = 4,
     metric: str = "accuracy",
+    threads: int = 1,
 ) -> TuneResult:
-    """Exhaustively cross-validate every configuration of the grid.
+    """Exhaustively cross-validate every configuration of the grid, all
+    (configuration, repeat, fold) cells across one set of `threads`
+    worker processes.
 
     Configurations enumerate as `grid_configs` gives them; the winner
     maximizes the mean selection metric (accuracy by default,
     macro_f1 behind the flag), ties resolved to the earliest configuration.
     """
     configs = grid_configs(family, grid, base_params)
-    results = []
-    for index, config in enumerate(configs):
-        spec = ModelSpec(family, {**(base_params or {}), **config},
-                         derived_seed(seed, index))
-        results.append(cross_validate(spec, matrix, labels, plan,
-                                      n_classes=n_classes, metric=metric))
+    runs = [(ModelSpec(family, {**(base_params or {}), **config},
+                       derived_seed(seed, index)), matrix)
+            for index, config in enumerate(configs)]
+    results = _cross_validate_runs(runs, labels, plan, n_classes, metric, threads)
     means = np.array([r.mean for r in results])
     stds = np.array([r.std for r in results])
     winner = int(means.argmax())  # first maximum: earliest config
@@ -335,8 +410,11 @@ def ablation_study(
     plan: FoldPlan,
     feature_names=None,
     n_classes: int = 4,
+    threads: int = 1,
 ) -> AblationReport:
-    """Re-run cross-validation with each feature column removed.
+    """Re-run cross-validation with each feature column removed, all
+    (dropped column, repeat, fold) cells across one set of `threads`
+    worker processes.
 
     Entries report the mean-accuracy delta against the full-matrix
     baseline, sorted ascending (most damaging drop first).
@@ -347,11 +425,11 @@ def ablation_study(
     names = list(feature_names) if feature_names else [
         f"col{j}" for j in range(X.shape[1])
     ]
-    baseline = cross_validate(spec, X, labels, plan, n_classes=n_classes)
+    runs = [(spec, X)] + [(spec, np.delete(X, j, axis=1)) for j in range(X.shape[1])]
+    baseline, *reduced = _cross_validate_runs(runs, labels, plan, n_classes,
+                                              "accuracy", threads)
     entries = []
-    for j in range(X.shape[1]):
-        reduced = np.delete(X, j, axis=1)
-        result = cross_validate(spec, reduced, labels, plan, n_classes=n_classes)
+    for j, result in enumerate(reduced):
         entries.append(
             AblationEntry(
                 feature=names[j],

@@ -2,8 +2,12 @@ import base64
 import contextlib
 import gzip
 import json
+import multiprocessing
+import os
 import signal
-import threading
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from iotrisk import cli, evaluation, pipeline
 from iotrisk.cli import build_parser, main
 from iotrisk.dataset import CSV_HEADER
 from iotrisk.ensemble import fit_model
+from iotrisk.util import derived_seed
 
 from conftest import feed_document, feed_item, tree_lists, tree_payload
 
@@ -596,23 +601,6 @@ class TestEvaluateCv:
         assert lines[0] == "rank,n_stages,mean,std"
         assert len(lines) == 3
 
-    def test_threads_flag_fits_on_calling_thread(self, corpus, tmp_path,
-                                                 monkeypatch):
-        threads = []
-
-        def recording_fit_model(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return fit_model(*args, **kwargs)
-
-        monkeypatch.setattr(evaluation, "fit_model", recording_fit_model)
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"n_stages": [2, 3]}))
-        common = ["--corpus", str(corpus), "--seed", "4", "--k", "2",
-                  "--repeats", "1", "--threads", "2"]
-        assert main(["cv", *common, "--param", "n_stages=3"]) == 0
-        assert main(["tune", *common, "--grid", str(grid)]) == 0
-        assert threads == [threading.get_ident()] * (2 + 2 * 2)
-
     def test_tune_rejects_voting(self, corpus, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"n_stages": [5]}))
@@ -676,6 +664,139 @@ class TestEvaluateCv:
         assert rc == 0
         assert corr.read_text().splitlines()[0].endswith("risk_score")
         assert "total" in capsys.readouterr().out
+
+
+class TestWorkerProcesses:
+    """`--threads N` fits the cv/tune/ablate cells in N forked workers."""
+
+    @pytest.fixture
+    def grid(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"n_stages": [3, 5], "max_depth": [2, 3]}))
+        return path
+
+    COMMANDS = {
+        "cv_gbdt": ["cv", "--modes", "wo_dr,pca", "--k", "3", "--repeats", "2",
+                    *QUICK],
+        "cv_rfc": ["cv", "--model", "rfc", "--k", "3", "--repeats", "1",
+                   "--param", "n_trees=6"],
+        "tune": ["tune", "--k", "2", "--repeats", "1",
+                 "--param", "learning_rate=0.2"],
+        "ablate": ["ablate", "--k", "2", "--repeats", "1",
+                   "--param", "n_stages=4", "--param", "max_depth=3"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_reports_byte_identical_at_any_worker_count(self, corpus, grid, tmp_path,
+                                                        command):
+        argv = [*self.COMMANDS[command], "--corpus", str(corpus), "--seed", "7",
+                "--format", "csv"]
+        if command == "tune":
+            argv += ["--grid", str(grid)]
+        reports = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"{command}.{threads}.csv"
+            assert main([*argv, "--threads", threads, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        assert multiprocessing.active_children() == []
+
+    def test_failing_cells_report_the_lowest_at_any_worker_count(
+            self, corpus, capsys, monkeypatch):
+        failing = {derived_seed(7, 1, 0), derived_seed(7, 0, 2)}
+
+        def planted_fit_model(spec, *args, **kwargs):
+            if spec.seed in failing:
+                raise RuntimeError("planted failure")
+            return fit_model(spec, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_model", planted_fit_model)
+        for threads in ("1", "2"):
+            rc = main(["cv", "--corpus", str(corpus), "--seed", "7", "--k", "3",
+                       "--repeats", "2", "--threads", threads, *QUICK])
+            err = capsys.readouterr().err
+            assert rc == 5, threads
+            assert err.splitlines() == [
+                "error: training failed on repeat 1 fold 3: planted failure"], threads
+            assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_fails_the_command_without_a_traceback(
+            self, corpus, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def dying_fit_model(spec, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            raise AssertionError("a cell was fitted in the parent process")
+
+        monkeypatch.setattr(evaluation, "fit_model", dying_fit_model)
+        rc = main(["cv", "--corpus", str(corpus), "--seed", "7", "--k", "2",
+                   "--repeats", "1", "--threads", "2", *QUICK])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("error: a cross-validation worker process died")
+        assert len(err.splitlines()) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_fails_before_encoding(self, corpus, grid, capsys,
+                                                     monkeypatch, threads):
+        def no_design(*args, **kwargs):
+            raise AssertionError("the design matrix was built")
+
+        monkeypatch.setattr(cli, "fit_design", no_design)
+        monkeypatch.setattr(cli, "fit_pipeline", no_design)
+        common = ["--corpus", str(corpus), "--seed", "7", "--threads", threads]
+        for argv in (["cv"], ["tune", "--grid", str(grid)], ["ablate"],
+                     ["evaluate"], ["train", "--out", "unused.json"]):
+            assert main([*argv, *common]) == 2, argv
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: --threads must be >= 1, got {threads}"], argv
+
+    def test_pool_size_is_capped_at_the_cell_count(self, corpus, grid, tmp_path,
+                                                   monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, score):
+                self.score = score
+
+            def map(self, fn, indices):
+                return ((None, self.score(i)) for i in indices)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        def recording_pool(size, score):
+            sizes.append(size)
+            return SerialPool(score)
+
+        monkeypatch.setattr(evaluation, "_fork_pool", recording_pool)
+        common = ["--corpus", str(corpus), "--seed", "7", "--k", "2",
+                  "--repeats", "1", "--param", "n_stages=3"]
+        for argv in (["cv"], ["tune", "--grid", str(grid)], ["ablate"]):
+            reports = []
+            for threads in ("1", "100000"):
+                out = tmp_path / f"{argv[0]}.{threads}.csv"
+                assert main([*argv, *common, "--threads", threads,
+                             "--format", "csv", "--out", str(out)]) == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1], argv
+        # cv: 2 folds; tune: 4 configurations x 2 folds; ablate: 11 runs x 2 folds
+        assert sizes == [2, 8, 22]
+
+    def test_importing_the_cli_does_not_import_multiprocessing(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                               "import iotrisk.cli"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
+        assert "iotrisk.cli" in imported
+        assert not {m for m in imported
+                    if m.startswith(("multiprocessing", "concurrent"))}
 
 
 class TestDeterminism:

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -5,13 +8,16 @@ from iotrisk.dataset import REFERENCE_CLASS_COUNTS, SynthesisSpec, synthesize_co
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.ensemble import ModelSpec
 from iotrisk.errors import ConfigError, DomainError, EvaluationError
+from iotrisk import evaluation
 from iotrisk.evaluation import (
+    CV_METRICS,
     ablation_study,
     compute_metrics,
     cross_validate,
     grid_search,
     macro_average,
     make_fold_plan,
+    run_cells,
     stratified_split,
 )
 from iotrisk.nvd import RISK_CLASSES
@@ -210,6 +216,44 @@ class TestCrossValidate:
         plan = make_fold_plan(y, 4, 1, seed=1)
         with pytest.raises(EvaluationError, match="repeat 1 fold 1"):
             cross_validate(ModelSpec("gbdt", {"bogus": 1}), X, y, plan)
+
+
+class TestRunCells:
+    def test_cells_run_in_forked_workers_and_return_in_order(self):
+        assert run_cells(lambda i: i * i, 7, threads=3) == [i * i for i in range(7)]
+        pids = run_cells(lambda i: os.getpid(), 6, threads=2)
+        assert os.getpid() not in pids and len(set(pids)) <= 2
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_or_one_cell_runs_without_a_pool(self, monkeypatch):
+        def no_pool(size, score):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(evaluation, "_fork_pool", no_pool)
+        assert run_cells(lambda i: i + 1, 3, threads=1) == [1, 2, 3]
+        assert run_cells(lambda i: os.getpid(), 1, threads=4) == [os.getpid()]
+
+    def test_the_lowest_failing_cell_is_raised(self):
+        def score(index):
+            if index in (2, 5):
+                raise EvaluationError(f"cell {index} failed")
+            return float(index)
+
+        for threads in (1, 2, 3):
+            with pytest.raises(EvaluationError, match="^cell 2 failed$"):
+                run_cells(score, 6, threads=threads)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("metric", CV_METRICS)
+    def test_cv_identical_at_any_worker_count(self, metric):
+        X, y, _ = encoded_corpus(150, 0.7, seed=2)
+        plan = make_fold_plan(y, 3, 2, seed=3)
+        spec = ModelSpec("gbdt", QUICK_GBDT, seed=11)
+        results = [cross_validate(spec, X, y, plan, metric=metric, threads=threads)
+                   for threads in (1, 2, 4)]
+        for other in results[1:]:
+            assert other.accuracies.tobytes() == results[0].accuracies.tobytes()
+            assert (other.mean, other.std) == (results[0].mean, results[0].std)
 
 
 class TestGridSearch:
