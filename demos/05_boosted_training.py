@@ -10,7 +10,7 @@ import warnings
 from iotrisk.dataset import SynthesisSpec, synthesize_corpus
 from iotrisk.evaluation import compute_metrics, stratified_split
 from iotrisk.pipeline import PipelineConfig, fit_pipeline, predict_devices
-from iotrisk.reporting import format_metrics
+from iotrisk.reporting import metrics_report
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
     predicted = pipeline.model.predict(encoded_test.data)
     report = compute_metrics(encoded_test.labels, predicted)
     print()
-    print(format_metrics(report, "held-out metrics (%)"))
+    print(metrics_report("text", report, "held-out metrics (%)"))
 
     fresh = [
         dataclasses.replace(test[0], brand="brand_new_entrant"),

@@ -11,7 +11,7 @@ from iotrisk.encoding import CorpusEncoder
 from iotrisk.ensemble import ModelSpec
 from iotrisk.evaluation import cross_validate, make_fold_plan
 from iotrisk.pipeline import build_design
-from iotrisk.reporting import format_cv
+from iotrisk.reporting import cv_report
 
 
 def main():
@@ -33,7 +33,7 @@ def main():
         runs.append((mode, result))
 
     print()
-    print(format_cv(runs, k=5, repeats=2, seed=8, family="gbdt"))
+    print(cv_report("text", runs, k=5, repeats=2, seed=8, family="gbdt"))
     print("The reduced modes are reported for comparison; whether they help "
           "is an empirical question the table answers per corpus.")
 

@@ -10,7 +10,7 @@ from iotrisk.dataset import SynthesisSpec, synthesize_corpus
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.ensemble import ModelSpec
 from iotrisk.evaluation import ablation_study, grid_search, make_fold_plan
-from iotrisk.reporting import format_ablation, format_tune
+from iotrisk.reporting import ablation_report, tune_report
 
 
 def main():
@@ -22,13 +22,13 @@ def main():
     grid = {"n_stages": [20, 60], "max_depth": [2, 4]}
     result = grid_search("gbdt", grid, encoded.data, labels, plan, seed=5,
                          base_params={"learning_rate": 0.15})
-    print(format_tune(result))
+    print(tune_report("text", result))
 
     spec = ModelSpec("gbdt", {"n_stages": 30, "learning_rate": 0.15,
                               "max_depth": 3}, seed=5)
     report = ablation_study(spec, encoded.data, labels, plan,
                             feature_names=encoded.columns)
-    print(format_ablation(report))
+    print(ablation_report("text", report))
     print("At signal_strength=1 the generator routes the label through the "
           "category column, so dropping it collapses accuracy toward the "
           "majority share while the other columns barely matter.")

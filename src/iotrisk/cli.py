@@ -158,11 +158,10 @@ def _training_errors():
 def _pipeline_config(args) -> PipelineConfig:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    profile = "paper" if getattr(args, "paper_params", False) else args.profile
     return PipelineConfig(
         mode=getattr(args, "mode", "wo_dr"),
         family=args.model,
-        profile=profile,
+        profile=args.profile,
         overrides=_parse_overrides(getattr(args, "param", None)),
         seed=args.seed,
         clusters=args.clusters,
@@ -228,7 +227,7 @@ def cmd_build(args) -> int:
         raise ConfigError("build needs either --input or --synthesize")
     save_corpus(records, args.out)
     summary = class_distribution(records)
-    _emit(reporting.format_summary(summary), None)
+    _emit(reporting.summary_report(summary), None)
     print(f"wrote {summary.total} rows to {args.out}")
     return 0
 
@@ -268,14 +267,8 @@ def cmd_cv(args) -> int:
         _, design, _ = fit_design(records, config, mode)
         runs.append((mode, cross_validate(spec, design.data, design.labels, plan,
                                           threads=args.threads)))
-    if args.format == "csv":
-        _emit(reporting.cv_csv(runs), args.out)
-    else:
-        _emit(
-            reporting.format_cv(runs, config.k, config.repeats, config.seed,
-                                config.family),
-            args.out,
-        )
+    _emit(reporting.cv_report(args.format, runs, config.k, config.repeats,
+                              config.seed, config.family), args.out)
     return 0
 
 
@@ -307,10 +300,7 @@ def cmd_tune(args) -> int:
         metric=args.metric.replace("-", "_"),
         threads=args.threads,
     )
-    if args.format == "csv":
-        _emit(reporting.tune_csv(result), args.out)
-    else:
-        _emit(reporting.format_tune(result), args.out)
+    _emit(reporting.tune_report(args.format, result), args.out)
     return 0
 
 
@@ -330,10 +320,7 @@ def cmd_evaluate(args) -> int:
         f"test metrics (%), model={config.family}, mode={config.mode}, "
         f"test fraction={config.test_fraction}, seed={config.seed}"
     )
-    if args.format == "csv":
-        _emit(reporting.metrics_csv(report), args.out)
-    else:
-        _emit(reporting.format_metrics(report, title), args.out)
+    _emit(reporting.metrics_report(args.format, report, title), args.out)
     return 0
 
 
@@ -342,10 +329,7 @@ def cmd_predict(args) -> int:
     pipeline = load_model(args.model, expected_fingerprint=encoder.fingerprint())
     devices = load_devices(args.input)
     report = predict_devices(encoder, pipeline, devices)
-    if args.format == "csv":
-        _emit(reporting.predictions_csv(report), args.out)
-    else:
-        _emit(reporting.format_predictions(report), args.out)
+    _emit(reporting.predictions_report(args.format, report), args.out)
     return 0
 
 
@@ -358,16 +342,13 @@ def cmd_ablate(args) -> int:
         config.model_spec(), design.data, design.labels, plan,
         feature_names=design.columns, threads=args.threads,
     )
-    if args.format == "csv":
-        _emit(reporting.ablation_csv(report), args.out)
-    else:
-        _emit(reporting.format_ablation(report), args.out)
+    _emit(reporting.ablation_report(args.format, report), args.out)
     return 0
 
 
 def cmd_report(args) -> int:
     records, summary = load_corpus(args.corpus)
-    _emit(reporting.format_summary(summary), args.out)
+    _emit(reporting.summary_report(summary), args.out)
     if args.correlation:
         encoder = CorpusEncoder.fit(records)
         encoded = encoder.transform(records)
@@ -382,6 +363,9 @@ def cmd_report(args) -> int:
 
 
 def _add_model_options(sub, with_mode=True):
+    """The corpus, seed, model and worker options of every fitting command."""
+    sub.add_argument("--corpus", required=True)
+    sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--model", default="gbdt", choices=FAMILIES,
                      help="model family")
     if with_mode:
@@ -389,8 +373,6 @@ def _add_model_options(sub, with_mode=True):
                          help="pipeline mode")
     sub.add_argument("--profile", default="desk", choices=("desk", "paper"),
                      help="parameter profile")
-    sub.add_argument("--paper-params", action="store_true",
-                     help="shorthand for --profile paper")
     sub.add_argument("--param", action="append", metavar="KEY=VALUE",
                      help="explicit model parameter override (repeatable)")
     sub.add_argument("--clusters", type=int, default=4,
@@ -440,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_build)
 
     sub = commands.add_parser("train", help="fit a model and its encoder sidecar")
-    sub.add_argument("--corpus", required=True)
-    sub.add_argument("--seed", type=int, required=True)
     _add_model_options(sub)
     sub.add_argument("--out", required=True, help="model file path")
     sub.add_argument("--encoders", default=None,
@@ -449,19 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_train)
 
     sub = commands.add_parser("cv", help="repeated stratified cross-validation")
-    sub.add_argument("--corpus", required=True)
-    sub.add_argument("--seed", type=int, required=True)
+    _add_model_options(sub, with_mode=False)
     sub.add_argument("--k", type=int, default=5)
     sub.add_argument("--repeats", type=int, default=2)
     sub.add_argument("--modes", default="wo_dr",
                      help="comma-separated pipeline modes to compare")
-    _add_model_options(sub, with_mode=False)
     _add_output_options(sub)
     sub.set_defaults(handler=cmd_cv, mode="wo_dr")
 
     sub = commands.add_parser("tune", help="exhaustive grid search")
-    sub.add_argument("--corpus", required=True)
-    sub.add_argument("--seed", type=int, required=True)
+    _add_model_options(sub)
     sub.add_argument("--grid", required=True,
                      help="JSON file: {parameter: [values, ...]}")
     sub.add_argument("--k", type=int, default=5)
@@ -469,15 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--metric", default="accuracy",
                      choices=("accuracy", "macro-f1"),
                      help="selection metric (macro-f1 weighs classes equally)")
-    _add_model_options(sub)
     _add_output_options(sub)
     sub.set_defaults(handler=cmd_tune)
 
     sub = commands.add_parser("evaluate", help="train/test split metrics")
-    sub.add_argument("--corpus", required=True)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--test-fraction", type=float, default=0.2)
     _add_model_options(sub)
+    sub.add_argument("--test-fraction", type=float, default=0.2)
     _add_output_options(sub)
     sub.set_defaults(handler=cmd_evaluate)
 
@@ -490,11 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_predict)
 
     sub = commands.add_parser("ablate", help="drop-one-feature deltas")
-    sub.add_argument("--corpus", required=True)
-    sub.add_argument("--seed", type=int, required=True)
+    _add_model_options(sub)
     sub.add_argument("--k", type=int, default=5)
     sub.add_argument("--repeats", type=int, default=2)
-    _add_model_options(sub)
     _add_output_options(sub)
     sub.set_defaults(handler=cmd_ablate)
 

@@ -7,7 +7,7 @@ complete: any invalid row aborts a load, listing every violation found.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -20,27 +20,6 @@ from .util import largest_remainder
 ENCRYPTION_MODES = ("Symmetric", "Asymmetric", "None", "Both")
 DATA_STORAGE = ("Local", "Remote")
 YES_NO = ("Yes", "No")
-
-CSV_HEADER = (
-    "brand",
-    "product_type",
-    "category",
-    "price_usd",
-    "protocols",
-    "data_storage",
-    "personal_information",
-    "location_track",
-    "communication_capability",
-    "authorisation_encryption",
-    "risk_score",
-    "synthetic",
-)
-
-#: Model-facing feature columns, in corpus order (label excluded).
-FEATURE_COLUMNS = CSV_HEADER[:10]
-
-#: Categorical/binary features; everything here is frequency-encoded.
-CATEGORICAL_FEATURES = tuple(f for f in FEATURE_COLUMNS if f != "price_usd")
 
 #: Reference class counts for a 1153-row corpus.
 REFERENCE_CLASS_COUNTS = {
@@ -108,6 +87,16 @@ class DeviceRecord:
     synthetic: bool = False
 
 
+#: Corpus CSV columns: the record's fields, in declaration order.
+CSV_HEADER = tuple(f.name for f in fields(DeviceRecord))
+
+#: Model-facing feature columns, in corpus order (label excluded).
+FEATURE_COLUMNS = CSV_HEADER[:10]
+
+#: Categorical/binary features; everything here is frequency-encoded.
+CATEGORICAL_FEATURES = tuple(f for f in FEATURE_COLUMNS if f != "price_usd")
+
+
 def validate(record: DeviceRecord, require_label: bool = True) -> list[str]:
     """Field-level violations for a record; an empty list means ok."""
     violations = []
@@ -163,52 +152,38 @@ def class_distribution(records) -> CorpusSummary:
     )
 
 
-def _record_to_row(record: DeviceRecord) -> list[str]:
-    return [
-        record.brand,
-        record.product_type,
-        record.category,
-        repr(float(record.price_usd)),
-        record.protocols,
-        record.data_storage,
-        record.personal_information,
-        record.location_track,
-        record.communication_capability,
-        record.authorisation_encryption,
-        record.risk_score.name if record.risk_score is not None else "",
-        "true" if record.synthetic else "false",
-    ]
+def _cell(value) -> str:
+    """One corpus CSV cell: class names, true/false flags, "" for no label,
+    and prices as repr(float(price)), since numpy 2 reprs an np.float64
+    with its type."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, RiskClass):
+        return value.name
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else repr(float(value))
 
 
-def _row_to_record(row: dict, require_label: bool) -> DeviceRecord:
-    label_text = row.get("risk_score", "")
-    if label_text:
-        try:
-            label = RiskClass[label_text]
-        except KeyError:
-            raise DataFormatError(f"unknown risk_score {label_text!r}") from None
-    elif require_label:
+def _row_to_record(cells: list[str], header, require_label: bool) -> DeviceRecord:
+    if len(cells) != len(header):
+        raise DataFormatError(f"{len(cells)} cells, expected {len(header)}")
+    row = dict(zip(header, cells))
+    label = row.get("risk_score", "")
+    if label and label not in RiskClass.__members__:
+        raise DataFormatError(f"unknown risk_score {label!r}")
+    if not label and require_label:
         raise DataFormatError("risk_score: empty")
-    else:
-        label = None
     try:
         price = float(row["price_usd"])
     except ValueError:
         raise DataFormatError(f"price_usd: {row['price_usd']!r} is not a number") from None
-    return DeviceRecord(
-        brand=row["brand"],
-        product_type=row["product_type"],
-        category=row["category"],
-        price_usd=price,
-        protocols=row["protocols"],
-        data_storage=row["data_storage"],
-        personal_information=row["personal_information"],
-        location_track=row["location_track"],
-        communication_capability=row["communication_capability"],
-        authorisation_encryption=row["authorisation_encryption"],
-        risk_score=label,
-        synthetic=row.get("synthetic", "false").lower() == "true",
-    )
+    return DeviceRecord(**{
+        **row,
+        "price_usd": price,
+        "risk_score": RiskClass[label] if label else None,
+        "synthetic": row.get("synthetic", "false").lower() == "true",
+    })
 
 
 def save_corpus(records, path: str | Path) -> None:
@@ -216,8 +191,7 @@ def save_corpus(records, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        for record in records:
-            writer.writerow(_record_to_row(record))
+        writer.writerows([_cell(getattr(r, name)) for name in CSV_HEADER] for r in records)
 
 
 def _read_rows(path, expected_header):
@@ -234,14 +208,6 @@ def _read_rows(path, expected_header):
         return list(reader)
 
 
-def _row_dict(cells, expected_header):
-    if len(cells) != len(expected_header):
-        raise DataFormatError(
-            f"{len(cells)} cells, expected {len(expected_header)}"
-        )
-    return dict(zip(expected_header, cells))
-
-
 def _load_records(path, header, require_label: bool, what: str) -> list[DeviceRecord]:
     """Read, convert and validate every row of a CSV with `header`; any
     invalid row aborts with a DataFormatError "<path>: <what>" listing
@@ -249,7 +215,7 @@ def _load_records(path, header, require_label: bool, what: str) -> list[DeviceRe
     records, problems = [], []
     for number, cells in enumerate(_read_rows(path, header), start=2):
         try:
-            record = _row_to_record(_row_dict(cells, header), require_label=require_label)
+            record = _row_to_record(cells, header, require_label)
         except DataFormatError as exc:
             problems.append(f"line {number}: {exc}")
             continue

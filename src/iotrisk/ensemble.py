@@ -197,6 +197,8 @@ class GbdtModel(_TreeEnsemble):
     @classmethod
     def from_payload(cls, payload: dict) -> "GbdtModel":
         K, n_features = int(payload["n_classes"]), int(payload["n_features"])
+        if K < 1:
+            raise DataFormatError(f"gbdt model scores {K} classes")
         init_scores = np.asarray(payload["init_scores"], dtype=float)
         learning_rate = float(payload["learning_rate"])
         if init_scores.shape != (K,) or not np.isfinite([*init_scores, learning_rate]).all():

@@ -12,13 +12,12 @@ parsed concurrently.
 import gzip
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
 from .errors import ConfigError, DataFormatError, DomainError
-
-CVE_ID_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,}$")
 
 #: The five device categories a rule file may assign.
 IOT_CATEGORIES = ("SmartHome", "Medical", "Wearable", "Telecomm", "Other")
@@ -79,9 +78,12 @@ def parse_cpe_uri(uri: str) -> CpeIdentity:
     """Bind the positional fields of a ``cpe:2.3:`` URI.
 
     Escaped colons (``\\:``) inside a component do not split it.  Raises
-    DataFormatError naming the offending component when the prefix is wrong
-    or the URI has fewer than 13 components.
+    DataFormatError when `uri` is not a string, and naming the offending
+    component when the prefix is wrong or the URI has fewer than 13
+    components.
     """
+    if not isinstance(uri, str):
+        raise DataFormatError(f"cpe23Uri {uri!r} is not a string")
     components = re.split(r"(?<!\\):", uri)
     if len(components) < 2 or components[0] != "cpe":
         raise DataFormatError(f"component 0 of {uri!r}: expected 'cpe'")
@@ -139,16 +141,78 @@ class ParsedFeed:
     uri_errors: list[str] = field(default_factory=list)  # bad CPE URIs, item kept
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", float: "a number"}
+
+
+def _get(obj: dict, key: str, kind, default=None):
+    """obj[key], or `default` when it is absent or null.  A value of another
+    JSON type than `kind` (for float, a finite number) raises DataFormatError."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max if kind is float
+            else isinstance(value, kind)):
+        raise DataFormatError(f"{key} is not {_JSON_TYPES[kind]}")
+    return value
+
+
+def _entries(obj: dict, key: str) -> list[dict]:
+    """The array obj[key] (empty when absent), whose entries are objects."""
+    values = _get(obj, key, list, [])
+    if not all(isinstance(v, dict) for v in values):
+        raise DataFormatError(f"an entry of {key} is not an object")
+    return values
+
+
 def _iter_cpe_uris(configurations: dict):
-    """Yield cpe23Uri strings from a configurations block in document order."""
-    stack = list(reversed(configurations.get("nodes", []) or []))
+    """Yield cpe23Uri values from a configurations block in document order."""
+    stack = list(reversed(_entries(configurations, "nodes")))
     while stack:
         node = stack.pop()
-        for match in node.get("cpe_match", []) or []:
+        for match in _entries(node, "cpe_match"):
             uri = match.get("cpe23Uri")
             if uri is not None:
                 yield uri
-        stack.extend(reversed(node.get("children", []) or []))
+        stack.extend(reversed(_entries(node, "children")))
+
+
+def _parse_item(index: int, item, result: ParsedFeed) -> None:
+    """Add one feed item to `result`: an entry and its CPE URI errors, or a
+    skip when it has no CVSS v3 score.  An item without an id, or with a
+    field of the wrong JSON type, raises DataFormatError and adds nothing."""
+    if not isinstance(item, dict):
+        raise DataFormatError("not an object")
+    cve = _get(item, "cve", dict, {})
+    cve_id = _get(_get(cve, "CVE_data_meta", dict, {}), "ID", str)
+    if not cve_id:
+        raise DataFormatError("missing CVE id")
+    v3 = _get(_get(item, "impact", dict, {}), "baseMetricV3", dict, {})
+    base = _get(_get(v3, "cvssV3", dict, {}), "baseScore", float)
+    if base is None:
+        result.skipped += 1
+        return
+    descriptions = _entries(_get(cve, "description", dict, {}), "description_data")
+    description = " ".join(
+        _get(d, "value", str, "") for d in descriptions if d.get("lang", "en") == "en"
+    ).strip()
+    published = _get(item, "publishedDate", str, "")
+    cpes = []
+    # a malformed node raises before any URI error of the item is recorded
+    for uri in list(_iter_cpe_uris(_get(item, "configurations", dict, {}))):
+        try:
+            cpes.append(parse_cpe_uri(uri))
+        except DataFormatError as exc:
+            result.uri_errors.append(f"item {index} ({cve_id}): {exc}")
+    result.entries.append(
+        CveEntry(
+            cve_id=cve_id,
+            description=description,
+            published=published,
+            cvss_v3_base=float(base),
+            cpe_uris=tuple(cpes),
+        )
+    )
 
 
 def parse_feed(document: bytes | str) -> ParsedFeed:
@@ -156,9 +220,10 @@ def parse_feed(document: bytes | str) -> ParsedFeed:
 
     Every item carrying a CVSS v3 base score yields one CveEntry, in
     document order.  Items without a v3 score are counted and skipped;
-    items missing the mandatory CVE id are collected as item-level errors
-    and parsing continues.  A structurally malformed document raises
-    DataFormatError with the byte offset of the failure.
+    items missing the mandatory CVE id, or holding a field of the wrong
+    JSON type, are collected as item-level errors and parsing continues.
+    A structurally malformed document raises DataFormatError with the byte
+    offset of the failure.
     """
     if isinstance(document, bytes):
         if document[:2] == b"\x1f\x8b":
@@ -178,43 +243,10 @@ def parse_feed(document: bytes | str) -> ParsedFeed:
 
     result = ParsedFeed()
     for index, item in enumerate(items):
-        if not isinstance(item, dict):
-            result.item_errors.append(f"item {index}: not an object")
-            continue
-        cve_id = (
-            item.get("cve", {}).get("CVE_data_meta", {}).get("ID")
-            if isinstance(item.get("cve"), dict)
-            else None
-        )
-        if not cve_id:
-            result.item_errors.append(f"item {index}: missing CVE id")
-            continue
-        impact = item.get("impact") or {}
-        base = (impact.get("baseMetricV3") or {}).get("cvssV3", {}).get("baseScore")
-        if base is None:
-            result.skipped += 1
-            continue
-        descriptions = (
-            item["cve"].get("description", {}).get("description_data", []) or []
-        )
-        description = " ".join(
-            d.get("value", "") for d in descriptions if d.get("lang", "en") == "en"
-        ).strip()
-        cpes = []
-        for uri in _iter_cpe_uris(item.get("configurations") or {}):
-            try:
-                cpes.append(parse_cpe_uri(uri))
-            except DataFormatError as exc:
-                result.uri_errors.append(f"item {index} ({cve_id}): {exc}")
-        result.entries.append(
-            CveEntry(
-                cve_id=cve_id,
-                description=description,
-                published=item.get("publishedDate", ""),
-                cvss_v3_base=float(base),
-                cpe_uris=tuple(cpes),
-            )
-        )
+        try:
+            _parse_item(index, item, result)
+        except DataFormatError as exc:
+            result.item_errors.append(f"item {index}: {exc}")
     return result
 
 

@@ -1,10 +1,11 @@
 """Plain-text and CSV renderings of summaries, cross-validation runs,
 test metrics, tuning rankings, ablations and predictions.
 
-The cross-validation layout is one row per run with R{repeat}-F{fold}
-columns plus mean and std; the metrics layout is one row per metric with
-per-class, Macro and Micro/ACC columns.  Values are percentages with one
-decimal.
+Each report builds its rows once and `render` prints them in either
+format.  The cross-validation layout is one row per run with
+R{repeat}-F{fold} columns plus mean and std; the metrics layout is one
+row per metric with per-class, Macro and Micro/ACC columns.  Text values
+are percentages with one decimal; CSV values are fractions with six.
 """
 
 from .dataset import CorpusSummary
@@ -29,147 +30,94 @@ def _pct(value: float) -> str:
     return f"{100.0 * value:.1f}"
 
 
-def format_summary(summary: CorpusSummary) -> str:
+def render(fmt: str, rows: list[list], title: str = "", notes: str = "",
+           number=_pct) -> str:
+    """Rows of string or number cells as CSV (numbers as .6f, no title or
+    notes) or as an aligned text table (numbers through `number`) between
+    the title line and the notes."""
+    if fmt == "csv":
+        return "".join(
+            ",".join(c if isinstance(c, str) else f"{c:.6f}" for c in row) + "\n"
+            for row in rows
+        )
+    cells = [[c if isinstance(c, str) else number(c) for c in row] for row in rows]
+    return (title + "\n" if title else "") + _table(cells) + notes
+
+
+def summary_report(summary: CorpusSummary) -> str:
     rows = [["class", "count", "share"]]
     for cls in RISK_CLASSES:
         count, fraction = summary.per_class[cls]
         rows.append([cls.name, str(count), f"{100.0 * fraction:.0f}%"])
-    rows.append(["total", str(summary.total), ""])
-    return _table(rows)
+    return _table(rows + [["total", str(summary.total), ""]])
 
 
-def format_cv(
-    runs: list[tuple[str, CvResult]], k: int, repeats: int, seed: int, family: str
-) -> str:
-    header = ["mode"] + list(runs[0][1].fold_labels) + ["mean", "std"]
-    rows = [header]
-    for label, result in runs:
-        rows.append(
-            [label]
-            + [_pct(a) for a in result.accuracies]
-            + [_pct(result.mean), _pct(result.std)]
-        )
-    title = (
-        f"stratified cross-validation accuracy (%), model={family}, "
-        f"k={k}, repeats={repeats}, seed={seed}\n"
-    )
-    return title + _table(rows)
+def cv_report(fmt: str, runs: list[tuple[str, CvResult]], k: int, repeats: int,
+              seed: int, family: str) -> str:
+    rows = [["mode", *runs[0][1].fold_labels, "mean", "std"]]
+    rows += [[label, *result.accuracies, result.mean, result.std]
+             for label, result in runs]
+    title = (f"stratified cross-validation accuracy (%), model={family}, "
+             f"k={k}, repeats={repeats}, seed={seed}")
+    return render(fmt, rows, title)
 
 
-def cv_csv(runs: list[tuple[str, CvResult]]) -> str:
-    header = ["mode"] + list(runs[0][1].fold_labels) + ["mean", "std"]
-    lines = [",".join(header)]
-    for label, result in runs:
-        cells = [label] + [f"{a:.6f}" for a in result.accuracies]
-        cells += [f"{result.mean:.6f}", f"{result.std:.6f}"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def format_metrics(report: MetricsReport, title: str = "") -> str:
+def metrics_report(fmt: str, report: MetricsReport, title: str = "") -> str:
     rows = [["metric", *CLASS_NAMES, "Macro", "Micro/ACC"]]
     for name, per_class, macro, micro in (
         ("Precision", report.precision, report.macro_precision, report.micro_precision),
         ("Recall", report.recall, report.macro_recall, report.micro_recall),
         ("F-1", report.f1, report.macro_f1, report.micro_f1),
     ):
-        rows.append([name] + [_pct(v) for v in per_class] + [_pct(macro), _pct(micro)])
-    out = (title + "\n" if title else "") + _table(rows)
-    out += f"accuracy: {_pct(report.accuracy)}%\n"
-    out += "confusion matrix (rows true, columns predicted):\n"
-    matrix_rows = [["", *CLASS_NAMES]]
-    for cls, row in zip(CLASS_NAMES, report.confusion):
-        matrix_rows.append([cls] + [str(int(v)) for v in row])
-    out += _table(matrix_rows)
+        rows.append([name, *per_class, macro, micro])
+    if fmt == "csv":
+        return render(fmt, rows + [["Accuracy", report.accuracy]])
+    notes = f"accuracy: {_pct(report.accuracy)}%\n"
+    notes += "confusion matrix (rows true, columns predicted):\n"
+    notes += _table([["", *CLASS_NAMES]] + [
+        [cls, *(str(int(v)) for v in row)]
+        for cls, row in zip(CLASS_NAMES, report.confusion)
+    ])
     if report.zero_division:
-        noted = ", ".join(
-            f"{CLASS_NAMES[c]}/{metric}" for c, metric in report.zero_division
-        )
-        out += f"zero-denominator metrics reported as 0: {noted}\n"
-    return out
+        noted = ", ".join(f"{CLASS_NAMES[c]}/{m}" for c, m in report.zero_division)
+        notes += f"zero-denominator metrics reported as 0: {noted}\n"
+    return render(fmt, rows, title, notes)
 
 
-def metrics_csv(report: MetricsReport) -> str:
-    lines = ["metric," + ",".join(CLASS_NAMES) + ",Macro,Micro/ACC"]
-    for name, per_class, macro, micro in (
-        ("Precision", report.precision, report.macro_precision, report.micro_precision),
-        ("Recall", report.recall, report.macro_recall, report.micro_recall),
-        ("F-1", report.f1, report.macro_f1, report.micro_f1),
-    ):
-        cells = [name] + [f"{v:.6f}" for v in per_class]
-        cells += [f"{macro:.6f}", f"{micro:.6f}"]
-        lines.append(",".join(cells))
-    lines.append(f"Accuracy,{report.accuracy:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def format_tune(result: TuneResult) -> str:
+def tune_report(fmt: str, result: TuneResult) -> str:
     names = sorted({k for config in result.configs for k in config})
     rows = [["rank", *names, "mean", "std"]]
     for rank, index in enumerate(result.ranking, start=1):
         config = result.configs[index]
-        rows.append(
-            [str(rank)]
-            + [str(config.get(n, "")) for n in names]
-            + [_pct(result.means[index]), _pct(result.stds[index])]
-        )
-    out = _table(rows)
+        rows.append([str(rank), *(str(config.get(n, "")) for n in names),
+                     result.means[index], result.stds[index]])
     metric = result.metric.replace("_", " ")
-    out += (
-        f"winner: {result.winner} "
-        f"(mean {metric} {_pct(result.means[result.winner_index])}%)\n"
-    )
-    return out
+    notes = (f"winner: {result.winner} "
+             f"(mean {metric} {_pct(result.means[result.winner_index])}%)\n")
+    return render(fmt, rows, notes=notes)
 
 
-def tune_csv(result: TuneResult) -> str:
-    names = sorted({k for config in result.configs for k in config})
-    lines = [",".join(["rank", *names, "mean", "std"])]
-    for rank, index in enumerate(result.ranking, start=1):
-        config = result.configs[index]
-        cells = [str(rank)] + [str(config.get(n, "")) for n in names]
-        cells += [f"{result.means[index]:.6f}", f"{result.stds[index]:.6f}"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def format_ablation(report: AblationReport) -> str:
+def ablation_report(fmt: str, report: AblationReport) -> str:
     rows = [["feature", "mean", "delta"]]
-    for entry in report.entries:
-        rows.append([entry.feature, _pct(entry.mean), _pct(entry.delta)])
-    title = (
-        f"baseline mean accuracy {_pct(report.baseline_mean)}% "
-        f"(std {_pct(report.baseline_std)}); delta = mean after dropping the feature\n"
+    rows += [[entry.feature, entry.mean, entry.delta] for entry in report.entries]
+    title = (f"baseline mean accuracy {_pct(report.baseline_mean)}% "
+             f"(std {_pct(report.baseline_std)}); delta = mean after dropping the feature")
+    return render(fmt, rows, title)
+
+
+def predictions_report(fmt: str, report: PredictionReport) -> str:
+    """Text shows p(class) to three decimals with the warnings below the
+    table; CSV names the columns p_class and ends each row with its
+    warnings, commas turned into semicolons."""
+    csv = fmt == "csv"
+    rows = [["row", "predicted", *(f"p_{c}" if csv else f"p({c})" for c in CLASS_NAMES)]
+            + (["warnings"] if csv else [])]
+    for i, prediction in enumerate(report.predictions):
+        rows.append([str(i), prediction.risk.name, *prediction.probabilities]
+                    + (["; ".join(prediction.warnings).replace(",", ";")] if csv else []))
+    notes = "".join(
+        f"warning: row {i}: {note}\n"
+        for i, prediction in enumerate(report.predictions)
+        for note in prediction.warnings
     )
-    return title + _table(rows)
-
-
-def ablation_csv(report: AblationReport) -> str:
-    lines = ["feature,mean,delta"]
-    for entry in report.entries:
-        lines.append(f"{entry.feature},{entry.mean:.6f},{entry.delta:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def format_predictions(report: PredictionReport) -> str:
-    rows = [["row", "predicted", *[f"p({c})" for c in CLASS_NAMES]]]
-    for i, prediction in enumerate(report.predictions):
-        rows.append(
-            [str(i), prediction.risk.name]
-            + [f"{p:.3f}" for p in prediction.probabilities]
-        )
-    out = _table(rows)
-    for i, prediction in enumerate(report.predictions):
-        for note in prediction.warnings:
-            out += f"warning: row {i}: {note}\n"
-    return out
-
-
-def predictions_csv(report: PredictionReport) -> str:
-    lines = ["row,predicted," + ",".join(f"p_{c}" for c in CLASS_NAMES) + ",warnings"]
-    for i, prediction in enumerate(report.predictions):
-        cells = [str(i), prediction.risk.name]
-        cells += [f"{p:.6f}" for p in prediction.probabilities]
-        cells.append("; ".join(prediction.warnings).replace(",", ";"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return render(fmt, rows, notes=notes, number=lambda p: f"{p:.3f}")

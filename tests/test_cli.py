@@ -445,7 +445,7 @@ class TestDoctoredModel:
     @pytest.mark.parametrize("defect", [
         "no_n_features", "text_threshold", "no_dimred_mode", "model_not_an_object",
         "file_not_an_object", "old_format", "format_2", "format_3", "short_init_scores",
-        "sidecar_without_scaler",
+        "no_classes", "sidecar_without_scaler", "sidecar_unknown_unseen_policy",
         "sidecar_without_feature", "sidecar_not_an_object",
         "unknown_family", "six_classes", "two_classes", "majority_six_classes",
         "majority_null", "majority_negative", "majority_nested", "voting_no_members",
@@ -470,6 +470,8 @@ class TestDoctoredModel:
             "six_classes": ({**gbdt, "n_classes": 6, "init_scores": [-1.0] * 6},
                             "gbdt model scores 6 classes, not the file's 4"),
             "two_classes": (narrow, "gbdt model scores 2 classes"),
+            "no_classes": ({**gbdt, "n_classes": 0, "init_scores": []},
+                           "gbdt model scores 0 classes"),
             "majority_six_classes": (six, "majority model scores 6 classes"),
             "majority_null": ({"family": "majority", "distribution": [0.5, None, 0.25, 0.25]},
                               "majority distribution"),
@@ -511,6 +513,8 @@ class TestDoctoredModel:
                 del encoders["scaler"]
             elif defect == "sidecar_without_feature":
                 del encoders["features"]["brand"]
+            elif defect == "sidecar_unknown_unseen_policy":
+                encoders["unseen_policy"] = "ignore"
             else:
                 encoders = []
             sidecar.write_text(json.dumps(encoders))
@@ -891,6 +895,19 @@ class TestIngest:
         assert "router_os" in lines[2] and "Medium" in lines[2]
         err = capsys.readouterr().err
         assert "no-cvss3=1" in err
+
+    def test_mistyped_item_is_counted_without_a_traceback(self, tmp_path, capsys):
+        broken = feed_item("CVE-2019-0002", 7.5, [self.CAM])
+        broken["impact"]["baseMetricV3"]["cvssV3"]["baseScore"] = "abc"
+        feed = tmp_path / "feed.json"
+        feed.write_text(feed_document([feed_item("CVE-2019-0001", 9.8, [self.CAM]), broken]))
+        out = tmp_path / "candidates.csv"
+        assert main(["ingest", "--feed", str(feed), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert f"{feed}: item 1: baseScore is not a number" in err
+        assert "items=2 scored=1 no-cvss3=0 item-errors=1" in err
+        assert "Traceback" not in err
+        assert len(out.read_text().splitlines()) == 2
 
     def test_part_restriction(self, tmp_path):
         feed = tmp_path / "feed.json.gz"

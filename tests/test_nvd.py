@@ -154,6 +154,53 @@ class TestParseFeed:
         assert len(result.entries[0].cpe_uris) == 1
         assert len(result.uri_errors) == 1
 
+    @pytest.mark.parametrize("defect, message", [
+        ("description_list", "description is not an object"),
+        ("impact_list", "impact is not an object"),
+        ("cvss_string", "cvssV3 is not an object"),
+        ("score_text", "baseScore is not a number"),
+        ("score_too_large", "baseScore is not a number"),
+        ("node_int", "an entry of nodes is not an object"),
+        ("cpe_match_int", "an entry of cpe_match is not an object"),
+        ("description_data_int", "an entry of description_data is not an object"),
+        ("published_int", "publishedDate is not a string"),
+        ("id_int", "ID is not a string"),
+    ])
+    def test_mistyped_field_is_an_item_error(self, defect, message):
+        broken = feed_item("CVE-2019-0002", cpe_uris=[FW])
+        if defect == "description_list":
+            broken["cve"]["description"] = ["smart_camera"]
+        elif defect == "impact_list":
+            broken["impact"] = [9.8]
+        elif defect == "cvss_string":
+            broken["impact"]["baseMetricV3"]["cvssV3"] = "9.8"
+        elif defect in ("score_text", "score_too_large"):
+            score = "abc" if defect == "score_text" else 10 ** 400
+            broken["impact"]["baseMetricV3"]["cvssV3"]["baseScore"] = score
+        elif defect == "node_int":
+            broken["configurations"]["nodes"].append(5)
+        elif defect == "cpe_match_int":
+            broken["configurations"]["nodes"][0]["cpe_match"].append(5)
+        elif defect == "description_data_int":
+            broken["cve"]["description"]["description_data"].append(5)
+        elif defect == "published_int":
+            broken["publishedDate"] = 2019
+        else:
+            broken["cve"]["CVE_data_meta"]["ID"] = 5
+        items = [feed_item(cpe_uris=[CAM]), broken, feed_item("CVE-2019-0003", base_score=None)]
+        result = parse_feed(feed_document(items))
+        assert [e.cve_id for e in result.entries] == ["CVE-2019-0001"]
+        assert result.skipped == 1 and result.uri_errors == []
+        assert result.item_errors == [f"item 1: {message}"]
+
+    def test_non_string_cpe_uri_is_a_uri_error(self):
+        broken = feed_item(cpe_uris=[CAM])
+        broken["configurations"]["nodes"][0]["cpe_match"].append({"cpe23Uri": 5})
+        result = parse_feed(feed_document([broken]))
+        assert len(result.entries) == 1 and len(result.entries[0].cpe_uris) == 1
+        assert result.item_errors == []
+        assert result.uri_errors == ["item 0 (CVE-2019-0001): cpe23Uri 5 is not a string"]
+
     def test_gzip_read(self, tmp_path):
         doc = feed_document([feed_item(cpe_uris=[CAM])])
         path = tmp_path / "feed.json.gz"
