@@ -8,9 +8,11 @@ The t-SNE here is the exact O(n^2) formulation: per-row Gaussian
 bandwidths found by binary search to the target perplexity, symmetrized
 joint probabilities, Student-t low-dimensional affinities, gradient
 descent with early exaggeration and a momentum switch.  Each descent
-iteration computes only the gradient, in two n x n buffers allocated once
-per embedding; the KL divergence is evaluated only at the start and at
-the end.
+iteration computes only the gradient: one n x n Student-t kernel and one
+n x n work buffer, allocated once per embedding, filled by two
+full-shape BLAS products (the Gram matrix and the gradient) and by
+elementwise passes over blocks of `_BLOCK` rows that stay in L2.  The KL
+divergence is evaluated only at the start and at the end.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 _EPS = np.finfo(float).tiny
+_BLOCK = 64  # rows per t-SNE elementwise pass: 0.3 MB at 576 rows, inside L2
 
 
 @dataclass
@@ -101,17 +104,13 @@ class TsneEmbedding:
     kl_final: float
 
 
-def _squared_distances(X, out=None, work=None):
-    """Pairwise squared distances, clamped at 0, with a zero diagonal.
-
-    The result goes to `out`, and `work` is scratch for the Gram matrix;
-    both are n x n and allocated here when omitted.
-    """
+def _squared_distances(X):
+    """Pairwise squared distances, clamped at 0, with a zero diagonal."""
     norms = (X * X).sum(axis=1)
-    out = np.add(norms[:, None], norms[None, :], out=out)
-    work = np.matmul(X, X.T, out=work)
-    work *= 2.0
-    out -= work
+    out = norms[:, None] + norms[None, :]
+    gram = X @ X.T
+    gram *= 2.0
+    out -= gram
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)
     return out
@@ -164,26 +163,74 @@ def joint_probabilities(matrix, perplexity: float) -> np.ndarray:
     return (conditional + conditional.T) / (2.0 * conditional.shape[0])
 
 
-def _student_kernel(Y, kernel, work):
+def _blocked_kernel(Y, kernel, work):
     """Student-t affinities 1 / (1 + d2) with a zero diagonal, into `kernel`;
-    `work` is scratch of the same n x n shape."""
-    _squared_distances(Y, out=kernel, work=work)
-    kernel += 1.0
-    np.divide(1.0, kernel, out=kernel)
-    np.fill_diagonal(kernel, 0.0)
+    returns their sum.
+
+    `work` (n x n) receives the Gram matrix 2 Y Y^T from one full-shape
+    gemm; the elementwise steps then run block by block.
+    """
+    norms = (Y * Y).sum(axis=1)
+    np.matmul(Y * 2.0, Y.T, out=work)
+    for s in range(0, len(Y), _BLOCK):
+        rows = slice(s, s + _BLOCK)
+        block = kernel[rows]
+        np.add(norms[rows, None], norms, out=block)
+        block -= work[rows]
+        np.maximum(block, 0.0, out=block)
+        block += 1.0
+        np.divide(1.0, block, out=block)
+        np.fill_diagonal(block[:, s:], 0.0)
+    return kernel.sum()
 
 
 def _kl_divergence(P, Y):
     """KL(P || Q) for the low-dimensional affinities Q of layout `Y`."""
     Q, work = np.empty_like(P), np.empty_like(P)
-    _student_kernel(Y, Q, work)
-    Q /= Q.sum()
+    Q /= _blocked_kernel(Y, Q, work)
     np.maximum(Q, _EPS, out=Q)
     np.maximum(P, _EPS, out=work)
     work /= Q
     np.log(work, out=work)
     work *= P
     return float(work.sum())
+
+
+def _descend(P, Y, config: TsneConfig):
+    """Gradient descent from layout `Y`; returns the final layout.
+
+    Per iteration `kernel` holds the Student-t affinities and `work` goes
+    Gram matrix -> M = diag(rowsum(coeff)) - coeff, with
+    coeff = (target - Q) * kernel, so the gradient is 4 M Y.  Each block
+    of M is written as (Q - target) * kernel, the exact negation of coeff,
+    and the exaggerated target is formed one block at a time, so no n x n
+    copy of P is kept.  Both buffers are freed on return.
+    """
+    kernel, work = np.empty_like(P), np.empty_like(P)
+    update = np.zeros_like(Y)
+    gains = np.ones_like(Y)  # per-coordinate adaptive rates keep lr=200 stable
+    for iteration in range(config.n_iter):
+        early = iteration < config.exaggeration_iter
+        momentum = config.momentum_early if early else config.momentum_late
+        total = _blocked_kernel(Y, kernel, work)
+        for s in range(0, len(Y), _BLOCK):
+            rows = slice(s, s + _BLOCK)
+            block, target = work[rows], P[rows]
+            if early:
+                target = target * config.early_exaggeration
+            np.divide(kernel[rows], total, out=block)
+            block -= target
+            block *= kernel[rows]
+            np.fill_diagonal(block[:, s:], -block.sum(axis=1))
+        grad = 4.0 * (work @ Y)
+        agree = update * grad < 0.0
+        gains[agree] += 0.2
+        gains[~agree] *= 0.8
+        np.clip(gains, 0.01, None, out=gains)
+        update = momentum * update - config.learning_rate * gains * grad
+        Y = Y + update
+        Y = Y - Y.mean(axis=0)
+    return Y
 
 
 def tsne_embed(matrix, config: TsneConfig | None = None) -> TsneEmbedding:
@@ -202,36 +249,7 @@ def tsne_embed(matrix, config: TsneConfig | None = None) -> TsneEmbedding:
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(scale=1e-4, size=(X.shape[0], config.n_dims))
     kl_initial = _kl_divergence(P, Y)
-
-    # Per iteration: kernel holds the Student-t affinities, and work goes
-    # Q -> coeff = (P - Q) * kernel -> M = diag(rowsum(coeff)) - coeff,
-    # so the gradient is 4 M Y with no other n x n temporaries.
-    kernel, work = np.empty_like(P), np.empty_like(P)
-    exaggerated = P * config.early_exaggeration
-    update = np.zeros_like(Y)
-    gains = np.ones_like(Y)  # per-coordinate adaptive rates keep lr=200 stable
-    for iteration in range(config.n_iter):
-        early = iteration < config.exaggeration_iter
-        if iteration == config.exaggeration_iter:
-            exaggerated = None
-        momentum = config.momentum_early if early else config.momentum_late
-        _student_kernel(Y, kernel, work)
-        np.divide(kernel, kernel.sum(), out=work)
-        np.subtract(exaggerated if early else P, work, out=work)
-        work *= kernel
-        rowsum = work.sum(axis=1)
-        np.negative(work, out=work)
-        np.fill_diagonal(work, rowsum)  # coeff's own diagonal is 0
-        grad = 4.0 * (work @ Y)
-        agree = update * grad < 0.0
-        gains[agree] += 0.2
-        gains[~agree] *= 0.8
-        np.clip(gains, 0.01, None, out=gains)
-        update = momentum * update - config.learning_rate * gains * grad
-        Y = Y + update
-        Y = Y - Y.mean(axis=0)
-    del kernel, work, exaggerated
-
+    Y = _descend(P, Y, config)
     kl_final = _kl_divergence(P, Y)
     if not kl_final < kl_initial:
         raise DomainError(

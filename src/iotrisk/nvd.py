@@ -179,8 +179,9 @@ def _iter_cpe_uris(configurations: dict):
 
 def _parse_item(index: int, item, result: ParsedFeed) -> None:
     """Add one feed item to `result`: an entry and its CPE URI errors, or a
-    skip when it has no CVSS v3 score.  An item without an id, or with a
-    field of the wrong JSON type, raises DataFormatError and adds nothing."""
+    skip when it has no CVSS v3 score.  An item without an id, with a field
+    of the wrong JSON type, or with a base score that has no severity class
+    raises DataFormatError and adds nothing."""
     if not isinstance(item, dict):
         raise DataFormatError("not an object")
     cve = _get(item, "cve", dict, {})
@@ -192,6 +193,10 @@ def _parse_item(index: int, item, result: ParsedFeed) -> None:
     if base is None:
         result.skipped += 1
         return
+    try:
+        severity_class(base)
+    except DomainError as exc:  # 0.0 ("None") or off the scale
+        raise DataFormatError(str(exc)) from None
     descriptions = _entries(_get(cve, "description", dict, {}), "description_data")
     description = " ".join(
         _get(d, "value", str, "") for d in descriptions if d.get("lang", "en") == "en"
@@ -220,8 +225,9 @@ def parse_feed(document: bytes | str) -> ParsedFeed:
 
     Every item carrying a CVSS v3 base score yields one CveEntry, in
     document order.  Items without a v3 score are counted and skipped;
-    items missing the mandatory CVE id, or holding a field of the wrong
-    JSON type, are collected as item-level errors and parsing continues.
+    items missing the mandatory CVE id, holding a field of the wrong JSON
+    type, or scored outside the severity classes' [0.1, 10.0] are
+    collected as item-level errors and parsing continues.
     A structurally malformed document raises DataFormatError with the byte
     offset of the failure.
     """

@@ -909,6 +909,22 @@ class TestIngest:
         assert "Traceback" not in err
         assert len(out.read_text().splitlines()) == 2
 
+    def test_unclassed_score_is_an_item_error(self, tmp_path, capsys):
+        # 0.0 is NVD's "None" severity, which has no risk class
+        feed = tmp_path / "feed.json"
+        feed.write_text(feed_document([
+            feed_item("CVE-2019-0001", 9.8, [self.CAM]),
+            feed_item("CVE-2019-0002", 0.0, [self.ROUTER]),
+        ]))
+        out = tmp_path / "candidates.csv"
+        assert main(["ingest", "--feed", str(feed), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert f"{feed}: item 1: base score 0.0 outside" in err
+        assert "items=2 scored=1 no-cvss3=0 item-errors=1" in err
+        assert "candidates=1" in err
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and "Critical" in lines[1]
+
     def test_part_restriction(self, tmp_path):
         feed = tmp_path / "feed.json.gz"
         self._write_feed(feed, gz=True)

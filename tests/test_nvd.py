@@ -147,6 +147,14 @@ class TestParseFeed:
         result = parse_feed(feed_document(items))
         assert len(result.entries) + result.skipped + len(result.item_errors) == len(items)
 
+    @pytest.mark.parametrize("score", [0.0, 0.05, -1.0, 10.5])
+    def test_score_without_severity_class_is_an_item_error(self, score):
+        items = [feed_item(cpe_uris=[CAM]), feed_item("CVE-2019-0002", score, [FW])]
+        result = parse_feed(feed_document(items))
+        assert [e.cve_id for e in result.entries] == ["CVE-2019-0001"]
+        assert result.item_errors == [
+            f"item 1: base score {score} outside the scored range [0.1, 10.0]"]
+
     def test_bad_cpe_uri_keeps_item(self):
         doc = feed_document([feed_item(cpe_uris=["cpe:2.2:h:x:y", CAM])])
         result = parse_feed(doc)
