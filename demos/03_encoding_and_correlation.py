@@ -1,8 +1,10 @@
 """From device records to a numeric matrix: frequency encoding, standard
-scaling, the unseen-value policy, and the feature correlation matrix.
+scaling, unseen-value smoothing, and the feature correlation matrix.
 
 Run: python demos/03_encoding_and_correlation.py
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -25,14 +27,12 @@ def main():
     print(f"per-column means ~0: {np.abs(encoded.data.mean(axis=0)).max():.2e}")
     print(f"per-column stds  ~1: {np.abs(encoded.data.std(axis=0) - 1).max():.2e}")
 
-    # unseen categories at scoring time smooth to 1/(n_fit+1) with a warning
-    import dataclasses
-    import warnings
+    # unseen categories at scoring time smooth to 1/(n_fit+1) and are
+    # listed in the result's `unseen`
     probe = [dataclasses.replace(records[0], brand="never_seen")]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        scored = encoder.transform(probe)
-    print(f"\nunseen brand handled: {scored.unseen}, warning: {bool(caught)}")
+    row, feature, value = encoder.transform(probe).unseen[0]
+    smoothed = 1.0 / (encoder.tables[feature].n_fit + 1)
+    print(f"\nunseen {feature}={value!r} in row {row} encodes as frequency {smoothed:.6g}")
 
     report = correlation_matrix(encoded, include_label=True)
     print("\ncorrelation with the label (encoded columns):")

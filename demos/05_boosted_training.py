@@ -5,7 +5,6 @@ Run: python demos/05_boosted_training.py
 """
 
 import dataclasses
-import warnings
 
 from iotrisk.dataset import SynthesisSpec, synthesize_corpus
 from iotrisk.evaluation import compute_metrics, stratified_split
@@ -37,9 +36,7 @@ def main():
         dataclasses.replace(test[0], brand="brand_new_entrant"),
         test[1],
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the report carries the notes
-        predictions = predict_devices(encoder, pipeline, fresh)
+    predictions = predict_devices(encoder, pipeline, fresh)
     for i, p in enumerate(predictions.predictions):
         rounded = [round(float(v), 3) for v in p.probabilities]
         print(f"device {i}: {p.risk.name} {rounded} warnings={list(p.warnings)}")

@@ -8,6 +8,15 @@ stratified cross-validation with macro/micro metric reporting.  The
 ``iotrisk`` command drives the same stages from the shell.
 """
 
+import os
+
+# One BLAS thread for the process, set before the first numpy import:
+# OpenBLAS rounds full-shape products differently at different thread
+# counts, which exact t-SNE amplifies into another layout.  A caller that
+# imported numpy first keeps its own BLAS threading.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .dataset import (
     CorpusSummary,
     DeviceRecord,

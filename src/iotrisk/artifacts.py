@@ -18,7 +18,7 @@ from .dataset import FEATURE_COLUMNS
 from .dimred import KmeansModel, PcaModel
 from .encoding import CorpusEncoder, StandardScaler
 from .ensemble import VotingModel, model_from_payload
-from .errors import ConfigError, DataFormatError
+from .errors import DataFormatError
 from .nvd import RISK_CLASSES
 from .pipeline import MODES, DimredArtifacts, PipelineModel
 
@@ -50,7 +50,7 @@ def load_encoder(path: str | Path) -> CorpusEncoder:
         raise DataFormatError(f"{path}: expected format {ENCODER_FORMAT}, got {found!r}")
     try:
         return CorpusEncoder.from_payload(payload)
-    except (*_MALFORMED, ConfigError) as exc:  # ConfigError: unknown unseen_policy
+    except _MALFORMED as exc:
         raise DataFormatError(f"{path}: malformed encoder payload ({exc!r})") from exc
 
 

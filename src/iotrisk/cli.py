@@ -36,7 +36,6 @@ from .errors import (
     EvaluationError,
     IotRiskError,
     TrainingError,
-    TransformError,
 )
 from .evaluation import (
     ablation_study,
@@ -483,9 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Exit code per error family.  Bytes that are not UTF-8 and a truncated
 # gzip stream are malformed input like any other.
-EXIT_CODES = {ConfigError: 2, DataFormatError: 3, DomainError: 3, TransformError: 3,
-              OSError: 3, UnicodeDecodeError: 3, EOFError: 3, TrainingError: 4,
-              EvaluationError: 5}
+EXIT_CODES = {ConfigError: 2, DataFormatError: 3, DomainError: 3, OSError: 3,
+              UnicodeDecodeError: 3, EOFError: 3, TrainingError: 4, EvaluationError: 5}
 
 
 def main(argv=None) -> int:

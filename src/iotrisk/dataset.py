@@ -252,8 +252,8 @@ class SynthesisSpec:
     `signal_strength` controls how predictive the planted feature subset
     (category, authorisation_encryption, protocols) is: each row keeps its
     label's planted value triple with this probability and draws uniformly
-    otherwise.  The category component varies fastest across classes, so it
-    is the primary signal carrier.
+    otherwise.  Class c's triple is (category c, the first encryption mode,
+    the first protocol), so the classes differ in category alone.
     """
 
     seed: int
@@ -261,41 +261,15 @@ class SynthesisSpec:
     class_fractions: dict[RiskClass, float] = field(
         default_factory=reference_class_fractions
     )
-    cardinalities: dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_CARDINALITIES)
-    )
     signal_strength: float = 0.0
-
-
-def _pool(base, prefix, size):
-    if size <= len(base):
-        return list(base[:size])
-    return list(base) + [f"{prefix}_{i:03d}" for i in range(len(base), size)]
-
-
-def _planted_triples(n_cat, n_enc, n_proto, n_classes):
-    """Distinct (category, encryption, protocol) index triples per class.
-
-    Mixed-radix assignment with category as the fastest digit; with the
-    default cardinalities the four classes differ in category alone.
-    """
-    if n_cat * n_enc * n_proto < n_classes:
-        raise ConfigError("cardinalities too small to plant a per-class signal")
-    triples = []
-    for ordinal in range(n_classes):
-        cat = ordinal % n_cat
-        enc = (ordinal // n_cat) % n_enc
-        proto = (ordinal // (n_cat * n_enc)) % n_proto
-        triples.append((cat, enc, proto))
-    return triples
 
 
 def synthesize_corpus(spec: SynthesisSpec) -> list[DeviceRecord]:
     """Generate a schema-complete corpus, deterministic for a fixed seed.
 
     Class counts are the largest-remainder rounding of the class fractions
-    against the total; per-feature distinct values never exceed the
-    configured cardinalities.
+    against the total; per-feature distinct values never exceed
+    DEFAULT_CARDINALITIES.
     """
     if not isinstance(spec.total, (int, np.integer)) or spec.total < 1:
         raise ConfigError(f"total must be a positive row count, got {spec.total!r}")
@@ -306,17 +280,6 @@ def synthesize_corpus(spec: SynthesisSpec) -> list[DeviceRecord]:
         raise ConfigError(f"class fractions sum to {sum(fractions)}, expected 1")
     if not 0.0 <= spec.signal_strength <= 1.0:
         raise ConfigError("signal_strength must be within [0, 1]")
-    cards = dict(DEFAULT_CARDINALITIES)
-    cards.update(spec.cardinalities)
-    for feature, card in cards.items():
-        if card < 1:
-            raise ConfigError(f"cardinality of {feature} must be >= 1")
-    if cards["category"] > len(IOT_CATEGORIES):
-        raise ConfigError(f"category cardinality capped at {len(IOT_CATEGORIES)}")
-    if cards["authorisation_encryption"] > len(ENCRYPTION_MODES):
-        raise ConfigError(
-            f"authorisation_encryption cardinality capped at {len(ENCRYPTION_MODES)}"
-        )
 
     counts = largest_remainder([f * spec.total for f in fractions], spec.total)
     labels = np.repeat(np.arange(len(RISK_CLASSES)), counts)
@@ -324,17 +287,14 @@ def synthesize_corpus(spec: SynthesisSpec) -> list[DeviceRecord]:
     rng.shuffle(labels)
     n = spec.total
 
+    cards = DEFAULT_CARDINALITIES
     brands = [f"brand_{i:03d}" for i in range(cards["brand"])]
     types = [f"type_{i:03d}" for i in range(cards["product_type"])]
-    categories = list(IOT_CATEGORIES[: cards["category"]])
-    protocols = _pool(_PROTOCOL_POOL, "protocol", cards["protocols"])
-    comms = _pool(_COMM_POOL, "comm", cards["communication_capability"])
-    encryptions = list(ENCRYPTION_MODES[: cards["authorisation_encryption"]])
-
-    triples = _planted_triples(
-        len(categories), len(encryptions), len(protocols), len(RISK_CLASSES)
-    )
-    planted = np.array([triples[lab] for lab in labels])
+    categories = IOT_CATEGORIES[: cards["category"]]
+    protocols = _PROTOCOL_POOL[: cards["protocols"]]
+    comms = _COMM_POOL + tuple(
+        f"comm_{i:03d}" for i in range(len(_COMM_POOL), cards["communication_capability"]))
+    encryptions = ENCRYPTION_MODES[: cards["authorisation_encryption"]]
 
     # One vectorized draw per field, in a fixed order, keeps generation
     # byte-reproducible for a given seed.
@@ -350,9 +310,9 @@ def synthesize_corpus(spec: SynthesisSpec) -> list[DeviceRecord]:
     uniform_proto = rng.integers(0, len(protocols), n)
     keep_signal = rng.random(n) < spec.signal_strength
 
-    cat_idx = np.where(keep_signal, planted[:, 0], uniform_cat)
-    enc_idx = np.where(keep_signal, planted[:, 1], uniform_enc)
-    proto_idx = np.where(keep_signal, planted[:, 2], uniform_proto)
+    cat_idx = np.where(keep_signal, labels, uniform_cat)
+    enc_idx = np.where(keep_signal, 0, uniform_enc)
+    proto_idx = np.where(keep_signal, 0, uniform_proto)
 
     records = []
     for i in range(n):

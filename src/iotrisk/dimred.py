@@ -23,6 +23,9 @@ from .errors import ConfigError, DomainError
 
 _EPS = np.finfo(float).tiny
 _BLOCK = 64  # rows per t-SNE elementwise pass: 0.3 MB at 576 rows, inside L2
+_PERPLEXITY_TOL = 1e-3  # a row's bandwidth search stops this close to the target
+_PERPLEXITY_STEPS = 100  # or after this many search steps
+_KMEANS_MAX_ITER = 300  # Lloyd passes at most
 
 
 @dataclass
@@ -116,15 +119,13 @@ def _squared_distances(X):
     return out
 
 
-def conditional_probabilities(
-    matrix, perplexity: float, tol: float = 1e-3, max_steps: int = 100
-) -> np.ndarray:
+def conditional_probabilities(matrix, perplexity: float) -> np.ndarray:
     """Row-conditional Gaussian affinities calibrated to a perplexity.
 
     Per row, the bandwidth is found by binary search until the conditional
-    distribution's perplexity 2^H is within `tol` of the target (or the
-    step budget runs out, as happens on degenerate geometry where the
-    perplexity is constant in the bandwidth).
+    distribution's perplexity 2^H is within `_PERPLEXITY_TOL` of the target
+    (or the step budget runs out, as happens on degenerate geometry where
+    the perplexity is constant in the bandwidth).
     """
     X = np.asarray(matrix, dtype=float)
     n = X.shape[0]
@@ -135,8 +136,7 @@ def conditional_probabilities(
     for i in range(n):
         others = np.delete(d2[i], i)
         beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
-        row = None
-        for _ in range(max_steps):
+        for _ in range(_PERPLEXITY_STEPS):
             kernel = np.exp(-others * beta)
             total = kernel.sum()
             if total <= 0:
@@ -145,7 +145,7 @@ def conditional_probabilities(
                 row = kernel / total
             entropy = -(row * np.log2(np.maximum(row, _EPS))).sum()
             current = 2.0**entropy
-            if abs(current - perplexity) <= tol:
+            if abs(current - perplexity) <= _PERPLEXITY_TOL:
                 break
             if current > perplexity:  # too flat: sharpen
                 beta_lo = beta
@@ -282,12 +282,13 @@ def _exact_inertia(X, centroids, assignments):
     return float((diff * diff).sum())
 
 
-def kmeans_fit(matrix, k: int, seed: int = 0, max_iter: int = 300) -> KmeansModel:
+def kmeans_fit(matrix, k: int, seed: int = 0) -> KmeansModel:
     """Lloyd iterations from a k-means++ seeding.
 
-    Runs until the assignments reach a fixpoint or `max_iter` passes; the
-    recorded inertia never increases between iterations.  A cluster that
-    empties is reseeded to the point farthest from its current centroid.
+    Runs until the assignments reach a fixpoint or `_KMEANS_MAX_ITER`
+    passes; the recorded inertia never increases between iterations.  A
+    cluster that empties is reseeded to the point farthest from its
+    current centroid.
     """
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -312,8 +313,7 @@ def kmeans_fit(matrix, k: int, seed: int = 0, max_iter: int = 300) -> KmeansMode
 
     assignments, _ = _assign(X, centroids)
     history = [_exact_inertia(X, centroids, assignments)]
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _KMEANS_MAX_ITER + 1):
         for j in range(k):
             members = assignments == j
             if members.any():

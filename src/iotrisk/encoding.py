@@ -8,17 +8,15 @@ zero and are flagged.
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import CATEGORICAL_FEATURES, FEATURE_COLUMNS
-from .errors import ConfigError, DomainError, TransformError
+from .errors import ConfigError, DomainError
 
-
-class UnseenValueWarning(UserWarning):
-    """A category absent from the fitting corpus was smoothed at transform."""
+#: The only policy a sidecar may name: unseen values smooth to 1/(n_fit+1).
+UNSEEN_POLICY = "smooth"
 
 
 @dataclass
@@ -100,29 +98,26 @@ def apply_scaler(matrix: np.ndarray, scaler: StandardScaler) -> np.ndarray:
 class CorpusEncoder:
     """Fitted frequency tables + scaler for the ten feature columns.
 
-    `unseen_policy` governs values that were absent from the fitting
-    corpus at transform time: "smooth" substitutes 1/(n_fit+1) and warns,
-    "reject" raises.
+    A value absent from the fitting corpus encodes as 1/(n_fit+1) at
+    transform time and is listed in the result's `unseen`.
     """
 
-    def __init__(self, tables, scaler, unseen_policy="smooth"):
-        if unseen_policy not in ("smooth", "reject"):
-            raise ConfigError(f"unknown unseen policy {unseen_policy!r}")
+    def __init__(self, tables, scaler):
         self.tables = tables
         self.scaler = scaler
-        self.unseen_policy = unseen_policy
 
     @classmethod
-    def fit(cls, records, unseen_policy: str = "smooth") -> "CorpusEncoder":
+    def fit(cls, records) -> "CorpusEncoder":
         if not records:
             raise DomainError("cannot fit an encoder on an empty corpus")
         tables = {f: fit_frequency(records, f) for f in CATEGORICAL_FEATURES}
-        encoder = cls(tables, None, unseen_policy)
-        encoder.scaler = fit_scaler(encoder.frequency_matrix(records))
+        encoder = cls(tables, None)
+        encoder.scaler = fit_scaler(encoder.frequency_matrix(records, []))
         return encoder
 
-    def frequency_matrix(self, records, collect_unseen=None) -> np.ndarray:
-        """The pre-scaling matrix: frequency values plus raw price."""
+    def frequency_matrix(self, records, unseen: list) -> np.ndarray:
+        """The pre-scaling matrix: frequency values plus raw price.  Each
+        smoothed (row, feature, value) is appended to `unseen`."""
         n = len(records)
         out = np.empty((n, len(FEATURE_COLUMNS)), dtype=float)
         for j, feature in enumerate(FEATURE_COLUMNS):
@@ -134,18 +129,7 @@ class CorpusEncoder:
             for i, value in enumerate(_column_values(records, feature)):
                 freq = table.frequencies.get(value)
                 if freq is None:
-                    if self.unseen_policy == "reject":
-                        raise TransformError(
-                            f"unseen value {value!r} for feature {feature!r}"
-                        )
-                    warnings.warn(
-                        f"{feature}={value!r} not in the fitting corpus; "
-                        f"using frequency {fallback:.6g}",
-                        UnseenValueWarning,
-                        stacklevel=2,
-                    )
-                    if collect_unseen is not None:
-                        collect_unseen.append((i, feature, value))
+                    unseen.append((i, feature, value))
                     freq = fallback
                 out[i, j] = freq
         return out
@@ -169,7 +153,7 @@ class CorpusEncoder:
 
     def to_payload(self) -> dict:
         return {
-            "unseen_policy": self.unseen_policy,
+            "unseen_policy": UNSEEN_POLICY,
             "features": {
                 f: {
                     "frequencies": self.tables[f].frequencies,
@@ -186,6 +170,9 @@ class CorpusEncoder:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CorpusEncoder":
+        if payload["unseen_policy"] != UNSEEN_POLICY:
+            raise ValueError(f"unseen_policy {payload['unseen_policy']!r}, "
+                             f"expected {UNSEEN_POLICY!r}")
         features = payload["features"]
         tables = {
             f: FrequencyTable(
@@ -200,7 +187,7 @@ class CorpusEncoder:
             stds=stds,
             constant=stds == 0.0,
         )
-        return cls(tables, scaler, payload["unseen_policy"])
+        return cls(tables, scaler)
 
     def fingerprint(self) -> str:
         """Stable digest of the fitted state; model files pin this."""

@@ -221,10 +221,11 @@ def gbdt_fit(
     """Fit multiclass softmax boosting.
 
     Per-class scores start at the log prior.  Each stage fits one
-    regression tree per class to the pseudo-residuals onehot(y) - p and
-    applies the one-step Newton leaf update for multinomial deviance,
-    shrunk by the learning rate, so rows the current model gets wrong
-    dominate the next stage's trees.  Every row weighs 1/n.
+    regression tree per class to the pseudo-residuals onehot(y) - p (the
+    negated `deviance_gradient`) and applies the one-step Newton leaf
+    update for multinomial deviance, shrunk by the learning rate, so rows
+    the current model gets wrong dominate the next stage's trees.  Every
+    row weighs 1/n.
 
     A class whose last searched tree was a single leaf skips the search
     while a bound proves the next tree is one too (`_certified_leaf`); the
@@ -246,8 +247,6 @@ def gbdt_fit(
     init_scores = np.log(priors)
 
     codes = column_codes(X)
-    onehot = np.zeros((n, K))
-    onehot[np.arange(n), y] = 1.0
     scores = np.tile(init_scores, (n, 1))
     tree_params = params.tree_params()
     newton_scale = (K - 1) / K
@@ -259,9 +258,9 @@ def gbdt_fit(
     trees = []  # stage-major
     loss_history = [multinomial_deviance(scores, y) / n]
     for _ in range(params.n_stages):
-        probabilities = softmax(scores)
+        gradient = deviance_gradient(scores, y)
         for c in range(K):
-            residual = onehot[:, c] - probabilities[:, c]
+            residual = -gradient[:, c]
             step = np.empty(n)  # each training row's leaf value, set as leaves close
 
             def newton_leaf(idx, residual=residual, step=step):

@@ -22,10 +22,6 @@ class DomainError(IotRiskError):
     """Input outside an operation's stated domain."""
 
 
-class TransformError(IotRiskError):
-    """Encoding failure, e.g. an unseen category under the reject policy."""
-
-
 class TrainingError(IotRiskError):
     """Model fitting failed."""
 

@@ -1,5 +1,7 @@
 import base64
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,14 @@ import pytest
 from iotrisk.dataset import DeviceRecord
 from iotrisk.nvd import RiskClass
 from iotrisk.tree import PAYLOAD_DTYPES
+
+
+def src_env(**overrides):
+    """os.environ with this checkout's sources first on PYTHONPATH, plus
+    `overrides`, for a test that runs the package in a subprocess."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def make_record(

@@ -7,7 +7,6 @@ import os
 import signal
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -17,7 +16,7 @@ from iotrisk.dataset import CSV_HEADER
 from iotrisk.ensemble import fit_model
 from iotrisk.util import derived_seed
 
-from conftest import feed_document, feed_item, tree_lists, tree_payload
+from conftest import feed_document, feed_item, src_env, tree_lists, tree_payload
 
 DEVICE_HEADER = ",".join(c for c in CSV_HEADER if c != "risk_score")
 QUICK = ["--param", "n_stages=15", "--param", "learning_rate=0.2",
@@ -163,6 +162,39 @@ class TestTrainPredict:
         probabilities = [float(v) for v in cells[2:6]]
         assert abs(sum(probabilities) - 1.0) < 1e-9
         assert "unseen_brand" in lines[1]
+
+    def test_unseen_value_leaves_stderr_empty(self, corpus, tmp_path):
+        # in a subprocess: pytest would capture a Python warning in process
+        model = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus), "--seed", "7",
+                     "--out", str(model), *QUICK]) == 0
+        devices = tmp_path / "devices.csv"
+        devices.write_text(DEVICE_HEADER + "\nunseen_brand,type_000,SmartHome,49.99,"
+                           "wifi,Remote,Yes,No,wifi_2_4ghz,None,false\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "iotrisk", "predict", "--model", str(model),
+             "--encoders", f"{model}.encoders.json", "--input", str(devices)],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert "brand='unseen_brand' was not in the training corpus" in done.stdout
+        assert done.stderr == ""
+
+    def test_sidecar_with_reject_policy_exits_3(self, corpus, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus), "--seed", "7",
+                     "--out", str(model), *QUICK]) == 0
+        sidecar = tmp_path / "model.json.encoders.json"
+        encoders = json.loads(sidecar.read_text())
+        encoders["unseen_policy"] = "reject"
+        sidecar.write_text(json.dumps(encoders))
+        cells = corpus.read_text().splitlines()[1].split(",")
+        devices = tmp_path / "devices.csv"  # a training row: every value was seen
+        devices.write_text(DEVICE_HEADER + "\n" + ",".join(cells[:10] + cells[11:]) + "\n")
+        rc = main(["predict", "--model", str(model), "--encoders", str(sidecar),
+                   "--input", str(devices)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sidecar}: ") and "'reject'" in err
 
     def test_fingerprint_mismatch_rejected(self, corpus, tmp_path, capsys):
         model_a = tmp_path / "a.json"
@@ -790,12 +822,9 @@ class TestWorkerProcesses:
         assert sizes == [2, 8, 22]
 
     def test_importing_the_cli_does_not_import_multiprocessing(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-X", "importtime", "-c",
                                "import iotrisk.cli"],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=src_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr[-2000:]
         imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
         assert "iotrisk.cli" in imported

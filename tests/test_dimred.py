@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,8 @@ from iotrisk.dataset import SynthesisSpec, synthesize_corpus
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DomainError
 from iotrisk.pipeline import build_design
+
+from conftest import src_env
 
 
 def brute_force_pca(X):
@@ -221,6 +225,29 @@ class TestTsneDescent:
             assert np.array_equal(embedding.coordinates, Y), n
             assert embedding.kl_initial == kl_initial, n
             assert embedding.kl_final == kl_final, n
+
+    def test_same_bits_at_any_blas_thread_count(self):
+        # iotrisk is imported before numpy, as `python -m iotrisk` does, so
+        # its one-thread BLAS pin holds; at 1,153 rows OpenBLAS's threaded
+        # products (calibration Gram matrix, gradient) round differently
+        script = "\n".join([
+            "import iotrisk",
+            "import hashlib",
+            "import numpy as np",
+            "from iotrisk.dimred import TsneConfig, _descend, joint_probabilities",
+            "rng = np.random.default_rng(0)",
+            "P = joint_probabilities(rng.normal(size=(1153, 10)), 30.0)",
+            "Y = _descend(P, rng.normal(scale=1e-4, size=(1153, 2)), TsneConfig(n_iter=5))",
+            "print(hashlib.sha256(P.tobytes() + Y.tobytes()).hexdigest())",
+        ])
+        digests = set()
+        for threads in ("1", "2", "3"):
+            done = subprocess.run([sys.executable, "-c", script],
+                                  env=src_env(OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr[-2000:]
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
     def test_peak_memory_has_no_per_iteration_temporaries(self):
         # P plus the kernel and work buffers in the descent, or P, Q and

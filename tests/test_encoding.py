@@ -5,14 +5,13 @@ import pytest
 
 from iotrisk.encoding import (
     CorpusEncoder,
-    UnseenValueWarning,
     apply_scaler,
     correlation_matrix,
     correlation_to_csv,
     fit_frequency,
     fit_scaler,
 )
-from iotrisk.errors import ConfigError, DomainError, TransformError
+from iotrisk.errors import ConfigError, DomainError
 
 from conftest import make_record
 
@@ -89,7 +88,7 @@ class TestTransform:
     def test_frequency_column_pre_scaling(self):
         corpus = brand_corpus(["a", "a", "b", "c"])
         encoder = CorpusEncoder.fit(corpus)
-        pre = encoder.frequency_matrix(corpus)
+        pre = encoder.frequency_matrix(corpus, [])
         assert pre[:, 0].tolist() == [0.5, 0.5, 0.25, 0.25]
 
     def test_constant_column_scales_to_zero(self):
@@ -121,23 +120,16 @@ class TestTransform:
         assert np.isfinite(first.data).all()
         assert first.data.tobytes() == second.data.tobytes()
 
-    def test_unseen_smoothed_with_warning(self):
+    def test_unseen_smoothed_without_warning(self):
         corpus = brand_corpus(["a", "a", "b", "c"])
         encoder = CorpusEncoder.fit(corpus)
-        with pytest.warns(UnseenValueWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the result's `unseen` is the one channel
             encoded = encoder.transform(brand_corpus(["zz"]))
         pre = 1.0 / (4 + 1)
         expected = (pre - encoder.scaler.means[0]) / encoder.scaler.stds[0]
         assert encoded.data[0, 0] == pytest.approx(expected)
         assert encoded.unseen == ((0, "brand", "zz"),)
-
-    def test_unseen_rejected_by_policy(self):
-        corpus = brand_corpus(["a", "a", "b", "c"])
-        encoder = CorpusEncoder.fit(corpus, unseen_policy="reject")
-        with pytest.raises(TransformError, match="unseen value 'zz' for feature 'brand'"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                encoder.transform(brand_corpus(["zz"]))
 
     def test_sidecar_round_trip_preserves_fingerprint(self):
         corpus = brand_corpus(["a", "b", "b", "c", "c", "c"])

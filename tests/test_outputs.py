@@ -7,6 +7,7 @@ renderer's columns, number formats, titles or notes changes a digest.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,14 @@ PINNED = {
     "synth_corpus": "9d3db8eab154b6697649056c158821cd6d253c9aa31f54ba6548d6fbf09d4d0d",
 }
 
+# mode: (model file sha256, encoder sidecar sha256) that `train` writes
+TRAINED = {
+    "wo_dr": ("3c43802bef248daea961291ad7307bdde5fa6934a85dbca2476f3a6cc033585b",
+              "8d66bedc8bf87d4ac08750ff6deaf1f6866d1a4ad7dfa31343b98bdc72886cee"),
+    "pca": ("c5bcd39dae4fe97145ca9be738043f99f649bd3ef250d12362b80d12973d02cb",
+            "8d66bedc8bf87d4ac08750ff6deaf1f6866d1a4ad7dfa31343b98bdc72886cee"),
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -94,6 +103,16 @@ def test_report_bytes_are_pinned(case, fmt, files, capsys):
     if case == "predict":
         assert "unseen" in out
     assert _sha(out) == (text_sha if fmt == "text" else csv_sha)
+
+
+@pytest.mark.parametrize("mode", sorted(TRAINED))
+def test_train_artifact_bytes_are_pinned(mode, files, tmp_path):
+    model = files["model"] if mode == "wo_dr" else str(tmp_path / "model.json")
+    if mode != "wo_dr":
+        assert main(["train", *SMALL, "--mode", mode, "--out", model]) == 0
+    digests = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                    for path in (model, model + ".encoders.json"))
+    assert digests == TRAINED[mode]
 
 
 def test_build_and_report_bytes_are_pinned(tmp_path, capsys):
