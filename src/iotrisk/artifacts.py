@@ -74,11 +74,9 @@ def _array(value, what: str, shape: tuple) -> np.ndarray:
 
 
 def _cluster_scaler_from(payload) -> StandardScaler:
-    stds = _array(payload["stds"], "cluster_scaler stds", (1,))
     return StandardScaler(
         means=_array(payload["means"], "cluster_scaler means", (1,)),
-        stds=stds,
-        constant=stds == 0.0,
+        stds=_array(payload["stds"], "cluster_scaler stds", (1,)),
     )
 
 

@@ -27,7 +27,7 @@ from .dataset import (
     save_corpus,
     synthesize_corpus,
 )
-from .encoding import CorpusEncoder, correlation_matrix, correlation_to_csv
+from .encoding import CorpusEncoder, correlation_matrix
 from .ensemble import fit_model
 from .errors import (
     ConfigError,
@@ -352,9 +352,8 @@ def cmd_report(args) -> int:
         encoder = CorpusEncoder.fit(records)
         encoded = encoder.transform(records)
         corr = correlation_matrix(encoded, include_label=args.include_label)
-        Path(args.correlation).write_text(
-            correlation_to_csv(corr), encoding="utf-8"
-        )
+        Path(args.correlation).write_text(reporting.correlation_report(corr),
+                                          encoding="utf-8")
         print(f"correlation matrix: {args.correlation}")
         if corr.constant:
             print(f"constant columns (correlation fixed at 0): {', '.join(corr.constant)}")

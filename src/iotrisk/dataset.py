@@ -30,13 +30,11 @@ REFERENCE_CLASS_COUNTS = {
 }
 REFERENCE_TOTAL = sum(REFERENCE_CLASS_COUNTS.values())
 
+#: Distinct synthesized values of the features not drawn from a fixed pool.
 DEFAULT_CARDINALITIES = {
     "brand": 129,
     "product_type": 71,
-    "category": 5,
-    "protocols": 8,
     "communication_capability": 31,
-    "authorisation_encryption": 4,
 }
 
 _PROTOCOL_POOL = (
@@ -268,8 +266,9 @@ def synthesize_corpus(spec: SynthesisSpec) -> list[DeviceRecord]:
     """Generate a schema-complete corpus, deterministic for a fixed seed.
 
     Class counts are the largest-remainder rounding of the class fractions
-    against the total; per-feature distinct values never exceed
-    DEFAULT_CARDINALITIES.
+    against the total; brands, product types and communication
+    capabilities number at most DEFAULT_CARDINALITIES, the other features
+    take the values of their fixed pools.
     """
     if not isinstance(spec.total, (int, np.integer)) or spec.total < 1:
         raise ConfigError(f"total must be a positive row count, got {spec.total!r}")
@@ -290,11 +289,8 @@ def synthesize_corpus(spec: SynthesisSpec) -> list[DeviceRecord]:
     cards = DEFAULT_CARDINALITIES
     brands = [f"brand_{i:03d}" for i in range(cards["brand"])]
     types = [f"type_{i:03d}" for i in range(cards["product_type"])]
-    categories = IOT_CATEGORIES[: cards["category"]]
-    protocols = _PROTOCOL_POOL[: cards["protocols"]]
     comms = _COMM_POOL + tuple(
         f"comm_{i:03d}" for i in range(len(_COMM_POOL), cards["communication_capability"]))
-    encryptions = ENCRYPTION_MODES[: cards["authorisation_encryption"]]
 
     # One vectorized draw per field, in a fixed order, keeps generation
     # byte-reproducible for a given seed.
@@ -305,9 +301,9 @@ def synthesize_corpus(spec: SynthesisSpec) -> list[DeviceRecord]:
     personal_idx = rng.integers(0, 2, n)
     location_idx = rng.integers(0, 2, n)
     comm_idx = rng.integers(0, len(comms), n)
-    uniform_cat = rng.integers(0, len(categories), n)
-    uniform_enc = rng.integers(0, len(encryptions), n)
-    uniform_proto = rng.integers(0, len(protocols), n)
+    uniform_cat = rng.integers(0, len(IOT_CATEGORIES), n)
+    uniform_enc = rng.integers(0, len(ENCRYPTION_MODES), n)
+    uniform_proto = rng.integers(0, len(_PROTOCOL_POOL), n)
     keep_signal = rng.random(n) < spec.signal_strength
 
     cat_idx = np.where(keep_signal, labels, uniform_cat)
@@ -320,14 +316,14 @@ def synthesize_corpus(spec: SynthesisSpec) -> list[DeviceRecord]:
             DeviceRecord(
                 brand=brands[brand_idx[i]],
                 product_type=types[type_idx[i]],
-                category=categories[cat_idx[i]],
+                category=IOT_CATEGORIES[cat_idx[i]],
                 price_usd=float(price[i]),
-                protocols=protocols[proto_idx[i]],
+                protocols=_PROTOCOL_POOL[proto_idx[i]],
                 data_storage=DATA_STORAGE[storage_idx[i]],
                 personal_information=YES_NO[personal_idx[i]],
                 location_track=YES_NO[location_idx[i]],
                 communication_capability=comms[comm_idx[i]],
-                authorisation_encryption=encryptions[enc_idx[i]],
+                authorisation_encryption=ENCRYPTION_MODES[enc_idx[i]],
                 risk_score=RiskClass(int(labels[i])),
                 synthetic=True,
             )

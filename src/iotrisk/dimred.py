@@ -26,6 +26,11 @@ _BLOCK = 64  # rows per t-SNE elementwise pass: 0.3 MB at 576 rows, inside L2
 _PERPLEXITY_TOL = 1e-3  # a row's bandwidth search stops this close to the target
 _PERPLEXITY_STEPS = 100  # or after this many search steps
 _KMEANS_MAX_ITER = 300  # Lloyd passes at most
+_TSNE_DIMS = 2  # embedding dimensions
+_TSNE_LEARNING_RATE = 200.0
+_EARLY_EXAGGERATION = 12.0  # P is scaled by this for the first exaggeration_iter steps
+_MOMENTUM_EARLY = 0.5  # momentum during exaggeration,
+_MOMENTUM_LATE = 0.8  # and after it
 
 
 @dataclass
@@ -90,13 +95,8 @@ def pca_inverse_transform(scores, model: PcaModel) -> np.ndarray:
 @dataclass
 class TsneConfig:
     perplexity: float = 30.0
-    n_dims: int = 2
     n_iter: int = 1000
-    learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
-    exaggeration_iter: int = 250  # momentum switches 0.5 -> 0.8 here too
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
+    exaggeration_iter: int = 250  # momentum switches here too
     seed: int = 0
 
 
@@ -211,13 +211,13 @@ def _descend(P, Y, config: TsneConfig):
     gains = np.ones_like(Y)  # per-coordinate adaptive rates keep lr=200 stable
     for iteration in range(config.n_iter):
         early = iteration < config.exaggeration_iter
-        momentum = config.momentum_early if early else config.momentum_late
+        momentum = _MOMENTUM_EARLY if early else _MOMENTUM_LATE
         total = _blocked_kernel(Y, kernel, work)
         for s in range(0, len(Y), _BLOCK):
             rows = slice(s, s + _BLOCK)
             block, target = work[rows], P[rows]
             if early:
-                target = target * config.early_exaggeration
+                target = target * _EARLY_EXAGGERATION
             np.divide(kernel[rows], total, out=block)
             block -= target
             block *= kernel[rows]
@@ -227,7 +227,7 @@ def _descend(P, Y, config: TsneConfig):
         gains[agree] += 0.2
         gains[~agree] *= 0.8
         np.clip(gains, 0.01, None, out=gains)
-        update = momentum * update - config.learning_rate * gains * grad
+        update = momentum * update - _TSNE_LEARNING_RATE * gains * grad
         Y = Y + update
         Y = Y - Y.mean(axis=0)
     return Y
@@ -247,7 +247,7 @@ def tsne_embed(matrix, config: TsneConfig | None = None) -> TsneEmbedding:
         raise DomainError("t-SNE needs at least 4 rows")
     P = joint_probabilities(X, config.perplexity)
     rng = np.random.default_rng(config.seed)
-    Y = rng.normal(scale=1e-4, size=(X.shape[0], config.n_dims))
+    Y = rng.normal(scale=1e-4, size=(X.shape[0], _TSNE_DIMS))
     kl_initial = _kl_divergence(P, Y)
     Y = _descend(P, Y, config)
     kl_final = _kl_divergence(P, Y)

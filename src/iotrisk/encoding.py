@@ -32,8 +32,9 @@ class StandardScaler:
     """Per-column mean and population standard deviation (divisor n)."""
 
     means: np.ndarray
-    stds: np.ndarray
-    constant: np.ndarray  # flags for columns with zero spread
+    stds: np.ndarray  # exactly 0 where a column is constant
+
+    constant = property(lambda self: self.stds == 0.0)  # zero-spread column flags
 
 
 @dataclass
@@ -80,9 +81,8 @@ def fit_scaler(matrix: np.ndarray) -> StandardScaler:
         raise DomainError("cannot fit a scaler on an empty matrix")
     means = matrix.mean(axis=0)
     stds = matrix.std(axis=0)
-    constant = (matrix == matrix[0]).all(axis=0) | (stds == 0.0)
-    stds = np.where(constant, 0.0, stds)
-    return StandardScaler(means=means, stds=stds, constant=constant)
+    constant = (matrix == matrix[0]).all(axis=0)
+    return StandardScaler(means=means, stds=np.where(constant, 0.0, stds))
 
 
 def apply_scaler(matrix: np.ndarray, scaler: StandardScaler) -> np.ndarray:
@@ -181,11 +181,9 @@ class CorpusEncoder:
             )
             for f in CATEGORICAL_FEATURES
         }
-        stds = np.array(payload["scaler"]["stds"], dtype=float)
         scaler = StandardScaler(
             means=np.array(payload["scaler"]["means"], dtype=float),
-            stds=stds,
-            constant=stds == 0.0,
+            stds=np.array(payload["scaler"]["stds"], dtype=float),
         )
         return cls(tables, scaler)
 
@@ -236,11 +234,3 @@ def correlation_matrix(
         matrix=corr,
         constant=tuple(n for n, flag in zip(names, constant) if flag),
     )
-
-
-def correlation_to_csv(report: CorrelationReport) -> str:
-    """CSV rendering of a correlation matrix, for external plotting."""
-    lines = ["," + ",".join(report.names)]
-    for name, row in zip(report.names, report.matrix):
-        lines.append(name + "," + ",".join(f"{v:.6f}" for v in row))
-    return "\n".join(lines) + "\n"

@@ -72,11 +72,11 @@ class _TreeEnsemble(_Classifier):
                 "n_features": self.n_features, "trees": self.trees.to_payload()}
 
 
-def _check_columns(matrix, n_features: int | None) -> np.ndarray:
+def _check_columns(matrix, n_features: int) -> np.ndarray:
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2:
         raise DomainError(f"matrix must be 2-D, got {X.ndim} dimension(s)")
-    if n_features is not None and X.shape[1] != n_features:
+    if X.shape[1] != n_features:
         raise DomainError(
             f"matrix has {X.shape[1]} columns, model was trained on {n_features}"
         )
@@ -357,7 +357,7 @@ def _class_weights_ok(value) -> bool:
 class ForestModel(_TreeEnsemble):
     """Classification trees with soft voting across trees."""
 
-    def __init__(self, trees, n_classes, variant, n_features=None):
+    def __init__(self, trees, n_classes, variant, n_features):
         self.trees = trees
         self.n_classes = n_classes
         self.variant = variant
@@ -374,7 +374,7 @@ class ForestModel(_TreeEnsemble):
     def from_payload(cls, payload: dict) -> "ForestModel":
         n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
         trees = TreeSet.from_payload(payload["trees"], "classification", n_classes, n_features)
-        return cls(trees, n_classes, payload["family"], n_features=n_features)
+        return cls(trees, n_classes, payload["family"], n_features)
 
 
 def _resolve_max_features(spec, d):
@@ -433,7 +433,7 @@ def forest_fit(
         )
 
     trees = TreeSet.concat(fit_one(child) for child in children)
-    return ForestModel(trees, K, params.variant, n_features=d)
+    return ForestModel(trees, K, params.variant, d)
 
 
 @dataclass
@@ -456,7 +456,7 @@ class AdaboostModel(_TreeEnsemble):
     family = "abc"
     PERFECT_ALPHA = 1e10  # finite surrogate for a zero-error learner
 
-    def __init__(self, trees, alphas, errors, n_classes, n_features=None):
+    def __init__(self, trees, alphas, errors, n_classes, n_features):
         self.trees = trees
         self.alphas = alphas
         self.errors = errors
@@ -492,7 +492,7 @@ class AdaboostModel(_TreeEnsemble):
         if len(alphas) != trees.nodes.size or not all(map(math.isfinite, alphas)):
             raise DataFormatError(f"AdaBoost holds {len(alphas)} alphas for "
                                   f"{trees.nodes.size} trees, or one is not finite")
-        return cls(trees, alphas, [], n_classes, n_features=n_features)
+        return cls(trees, alphas, [], n_classes, n_features)
 
 
 def adaboost_fit(
@@ -538,22 +538,7 @@ def adaboost_fit(
         w = w / np.sort(w).sum()
     if not learners:
         raise TrainingError("no weak learner beat random guessing")
-    return AdaboostModel(TreeSet.concat(learners), alphas, errors, K, n_features=X.shape[1])
-
-
-def voting_predict(models, matrix):
-    """Unweighted mean of member probabilities (soft voting); argmax labels.
-
-    All members must share one class ordering.
-    """
-    if not models:
-        raise ConfigError("voting needs at least one member model")
-    orderings = {tuple(m.classes) for m in models}
-    if len(orderings) != 1:
-        raise ConfigError(f"members disagree on class ordering: {sorted(orderings)}")
-    stacked = np.stack([m.predict_proba(matrix) for m in models])
-    averaged = stacked.mean(axis=0)
-    return _argmax_labels(averaged), averaged
+    return AdaboostModel(TreeSet.concat(learners), alphas, errors, K, X.shape[1])
 
 
 class VotingModel(_Classifier):
@@ -571,8 +556,8 @@ class VotingModel(_Classifier):
         return tuple(self.members[0].classes)
 
     def predict_proba(self, matrix) -> np.ndarray:
-        _, averaged = voting_predict(self.members, matrix)
-        return averaged
+        """Unweighted mean of the member probabilities (soft voting)."""
+        return np.stack([m.predict_proba(matrix) for m in self.members]).mean(axis=0)
 
     def to_payload(self) -> dict:
         return {

@@ -9,7 +9,7 @@ import numpy as np
 
 from .ensemble import ModelSpec, check_spec, fit_model
 from .errors import ConfigError, DomainError, EvaluationError
-from .nvd import RiskClass
+from .nvd import RISK_CLASSES, RiskClass
 from .util import derived_seed, largest_remainder
 
 
@@ -27,7 +27,6 @@ class FoldPlan:
 
     k: int
     repeats: int
-    seed: int
     assignments: list[np.ndarray]
 
     def test_indices(self, repeat: int, fold: int) -> np.ndarray:
@@ -68,7 +67,7 @@ def make_fold_plan(labels, k: int, repeats: int, seed: int) -> FoldPlan:
             fold_of[idx] = (pointer + np.arange(idx.size)) % k
             pointer = (pointer + idx.size) % k
         assignments.append(fold_of)
-    return FoldPlan(k=k, repeats=repeats, seed=seed, assignments=assignments)
+    return FoldPlan(k=k, repeats=repeats, assignments=assignments)
 
 
 def stratified_split(labels, test_fraction: float, seed: int):
@@ -128,9 +127,9 @@ class MetricsReport:
     zero_division: tuple[tuple[int, str], ...] = ()
 
 
-def compute_metrics(true_labels, predicted_labels, n_classes: int = 4) -> MetricsReport:
-    """Per-class precision/recall/F1 with macro (unweighted class mean) and
-    micro (pooled counts) aggregation.
+def compute_metrics(true_labels, predicted_labels) -> MetricsReport:
+    """Per-class precision/recall/F1 over the four risk classes, with macro
+    (unweighted class mean) and micro (pooled counts) aggregation.
 
     A zero denominator yields 0 for the affected metric and is flagged as
     (class ordinal, metric name).
@@ -139,6 +138,7 @@ def compute_metrics(true_labels, predicted_labels, n_classes: int = 4) -> Metric
     y_pred = np.asarray(predicted_labels, dtype=int)
     if y_true.shape != y_pred.shape or y_true.size == 0:
         raise DomainError("label vectors must be non-empty and equally long")
+    n_classes = len(RISK_CLASSES)
     confusion = np.bincount(
         y_true * n_classes + y_pred, minlength=n_classes * n_classes
     ).reshape(n_classes, n_classes)
@@ -257,8 +257,8 @@ def run_cells(score, count: int, threads: int = 1) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _cross_validate_runs(runs, labels, plan: FoldPlan, n_classes: int,
-                         metric: str, threads: int) -> list[CvResult]:
+def _cross_validate_runs(runs, labels, plan: FoldPlan, metric: str,
+                         threads: int) -> list[CvResult]:
     """Cross-validate each (spec, matrix) run, with the cells of every run
     in one `run_cells` call, ordered (run, repeat, fold)."""
     if metric not in CV_METRICS:
@@ -279,14 +279,14 @@ def _cross_validate_runs(runs, labels, plan: FoldPlan, n_classes: int,
             spec.family, dict(spec.params), derived_seed(spec.seed, repeat, fold)
         )
         try:
-            model = fit_model(eval_spec, X[train], y[train], n_classes=n_classes)
+            model = fit_model(eval_spec, X[train], y[train])
         except Exception as exc:
             raise EvaluationError(
                 f"training failed on repeat {repeat + 1} fold {fold + 1}: {exc}"
             ) from exc
         predicted = model.predict(X[test])
         if metric == "macro_f1":
-            return compute_metrics(y[test], predicted, n_classes).macro_f1
+            return compute_metrics(y[test], predicted).macro_f1
         return float((predicted == y[test]).mean())
 
     scores = run_cells(score, len(runs) * len(cells), threads)
@@ -308,7 +308,6 @@ def cross_validate(
     matrix,
     labels,
     plan: FoldPlan,
-    n_classes: int = 4,
     metric: str = "accuracy",
     threads: int = 1,
 ) -> CvResult:
@@ -317,8 +316,7 @@ def cross_validate(
     derives its own seed from (spec seed, repeat, fold).  Accuracy is the
     default score; macro_f1 is available for imbalance-sensitive
     selection."""
-    return _cross_validate_runs([(spec, matrix)], labels, plan, n_classes,
-                                metric, threads)[0]
+    return _cross_validate_runs([(spec, matrix)], labels, plan, metric, threads)[0]
 
 
 @dataclass
@@ -361,7 +359,6 @@ def grid_search(
     plan: FoldPlan,
     seed: int = 0,
     base_params: dict | None = None,
-    n_classes: int = 4,
     metric: str = "accuracy",
     threads: int = 1,
 ) -> TuneResult:
@@ -377,7 +374,7 @@ def grid_search(
     runs = [(ModelSpec(family, {**(base_params or {}), **config},
                        derived_seed(seed, index)), matrix)
             for index, config in enumerate(configs)]
-    results = _cross_validate_runs(runs, labels, plan, n_classes, metric, threads)
+    results = _cross_validate_runs(runs, labels, plan, metric, threads)
     means = np.array([r.mean for r in results])
     stds = np.array([r.std for r in results])
     winner = int(means.argmax())  # first maximum: earliest config
@@ -409,7 +406,6 @@ def ablation_study(
     labels,
     plan: FoldPlan,
     feature_names=None,
-    n_classes: int = 4,
     threads: int = 1,
 ) -> AblationReport:
     """Re-run cross-validation with each feature column removed, all
@@ -426,8 +422,7 @@ def ablation_study(
         f"col{j}" for j in range(X.shape[1])
     ]
     runs = [(spec, X)] + [(spec, np.delete(X, j, axis=1)) for j in range(X.shape[1])]
-    baseline, *reduced = _cross_validate_runs(runs, labels, plan, n_classes,
-                                              "accuracy", threads)
+    baseline, *reduced = _cross_validate_runs(runs, labels, plan, "accuracy", threads)
     entries = []
     for j, result in enumerate(reduced):
         entries.append(

@@ -101,6 +101,14 @@ class PipelineConfig:
             raise ConfigError(f"profile must be desk or paper, got {self.profile!r}")
         if self.seed is None:
             raise ConfigError("a seed is mandatory; there is no wall-clock seeding")
+        # settings no data can satisfy; data-dependent bounds fail where used
+        for name, low in (("clusters", 1), ("k", 2), ("repeats", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.components is not None and self.components < 1:
+            raise ConfigError(f"components must be >= 1 or unset, got {self.components}")
+        if not 0.0 < self.test_fraction < 1.0:  # also refuses NaN
+            raise ConfigError(f"test fraction must be inside (0, 1), got {self.test_fraction}")
         check_spec(self.model_spec())
         return self
 

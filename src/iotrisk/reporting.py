@@ -1,5 +1,6 @@
-"""Plain-text and CSV renderings of summaries, cross-validation runs,
-test metrics, tuning rankings, ablations and predictions.
+"""Plain-text and CSV renderings of summaries, correlations,
+cross-validation runs, test metrics, tuning rankings, ablations and
+predictions.
 
 Each report builds its rows once and `render` prints them in either
 format.  The cross-validation layout is one row per run with
@@ -9,6 +10,7 @@ are percentages with one decimal; CSV values are fractions with six.
 """
 
 from .dataset import CorpusSummary
+from .encoding import CorrelationReport
 from .evaluation import AblationReport, CvResult, MetricsReport, TuneResult
 from .nvd import RISK_CLASSES
 from .pipeline import PredictionReport
@@ -50,6 +52,12 @@ def summary_report(summary: CorpusSummary) -> str:
         count, fraction = summary.per_class[cls]
         rows.append([cls.name, str(count), f"{100.0 * fraction:.0f}%"])
     return _table(rows + [["total", str(summary.total), ""]])
+
+
+def correlation_report(report: CorrelationReport) -> str:
+    """The correlation matrix as CSV, for external plotting."""
+    return render("csv", [["", *report.names]] + [
+        [name, *row] for name, row in zip(report.names, report.matrix)])
 
 
 def cv_report(fmt: str, runs: list[tuple[str, CvResult]], k: int, repeats: int,

@@ -678,20 +678,35 @@ class TestEvaluateCv:
         assert rc == 2
         assert "class weight for class 7, outside [0, 4)" in capsys.readouterr().err
 
-    def test_oversized_k_fails_before_any_reduction(self, corpus, tmp_path, capsys,
-                                                     monkeypatch):
+    def test_bad_setting_fails_before_any_reduction(self, corpus, tmp_path, capsys,
+                                                    monkeypatch):
         def no_tsne(*args, **kwargs):
-            raise AssertionError("t-SNE ran before the fold plan was checked")
+            raise AssertionError("t-SNE ran before the settings were checked")
 
         monkeypatch.setattr(pipeline, "tsne_embed", no_tsne)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"n_stages": [2]}))
-        common = ["--corpus", str(corpus), "--seed", "4", "--k", "500"]
+        common = ["--corpus", str(corpus), "--seed", "4"]
+        # a k larger than some class depends on the data: exit 3
         for argv in (["cv", "--modes", "wo_dr,tsne"],
                      ["tune", "--grid", str(grid), "--mode", "tsne"],
                      ["ablate", "--mode", "tsne"]):
-            assert main([*argv, *common]) == 3, argv
+            assert main([*argv, *common, "--k", "500"]) == 3, argv
             assert "fewer than k=500" in capsys.readouterr().err
+        # a setting no data can satisfy: exit 2, with one error line
+        train = ["train", "--mode", "tsne", "--out", str(tmp_path / "model.json")]
+        for argv, message in (
+            ([*train, "--clusters", "0"], "clusters must be >= 1, got 0"),
+            ([*train, "--components", "0"], "components must be >= 1 or unset, got 0"),
+            (["cv", "--modes", "tsne", "--k", "1"], "k must be >= 2, got 1"),
+            (["ablate", "--mode", "tsne", "--repeats", "0"], "repeats must be >= 1, got 0"),
+            (["evaluate", "--mode", "tsne", "--test-fraction", "1.5"],
+             "test fraction must be inside (0, 1), got 1.5"),
+            (["evaluate", "--mode", "tsne", "--test-fraction", "nan"],
+             "test fraction must be inside (0, 1), got nan"),
+        ):
+            assert main([*argv, *common]) == 2, argv
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_report_with_correlation(self, corpus, tmp_path, capsys):
         corr = tmp_path / "corr.csv"
@@ -830,6 +845,19 @@ class TestWorkerProcesses:
         assert "iotrisk.cli" in imported
         assert not {m for m in imported
                     if m.startswith(("multiprocessing", "concurrent"))}
+
+
+class TestPackageImport:
+    def test_import_pins_blas_without_importing_numpy(self):
+        script = ("import os, sys, iotrisk; print([os.environ[v] for v in "
+                  "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')], "
+                  "'numpy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=src_env(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="3",
+                                          MKL_NUM_THREADS="3"),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == "['1', '1', '1'] False\n"
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from iotrisk import dimred
 from iotrisk.dimred import (
     TsneConfig,
     cluster_frequencies,
@@ -185,20 +186,20 @@ def seed_tsne(X, config):
 
     P = joint_probabilities(X, config.perplexity)
     Y = np.random.default_rng(config.seed).normal(
-        scale=1e-4, size=(X.shape[0], config.n_dims))
+        scale=1e-4, size=(X.shape[0], dimred._TSNE_DIMS))
     kl_initial, _ = kl_and_gradient(P, Y)
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)
     for iteration in range(config.n_iter):
         early = iteration < config.exaggeration_iter
-        momentum = config.momentum_early if early else config.momentum_late
-        target = P * config.early_exaggeration if early else P
+        momentum = dimred._MOMENTUM_EARLY if early else dimred._MOMENTUM_LATE
+        target = P * dimred._EARLY_EXAGGERATION if early else P
         _, grad = kl_and_gradient(target, Y)
         agree = update * grad < 0.0
         gains[agree] += 0.2
         gains[~agree] *= 0.8
         np.clip(gains, 0.01, None, out=gains)
-        update = momentum * update - config.learning_rate * gains * grad
+        update = momentum * update - dimred._TSNE_LEARNING_RATE * gains * grad
         Y = Y + update
         Y = Y - Y.mean(axis=0)
     kl_final, _ = kl_and_gradient(P, Y)

@@ -7,11 +7,11 @@ from iotrisk.encoding import (
     CorpusEncoder,
     apply_scaler,
     correlation_matrix,
-    correlation_to_csv,
     fit_frequency,
     fit_scaler,
 )
 from iotrisk.errors import ConfigError, DomainError
+from iotrisk.reporting import correlation_report
 
 from conftest import make_record
 
@@ -186,7 +186,7 @@ class TestCorrelation:
             include_label=True,
         )
         assert report.names[-1] == "risk_score"
-        text = correlation_to_csv(report)
+        text = correlation_report(report)
         assert text.splitlines()[0] == ",a,b,risk_score"
         assert len(text.splitlines()) == 4
 

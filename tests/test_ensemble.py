@@ -16,6 +16,7 @@ from iotrisk.ensemble import (
     ForestParams,
     GbdtParams,
     ModelSpec,
+    VotingModel,
     adaboost_fit,
     balanced_class_weights,
     check_spec,
@@ -29,7 +30,6 @@ from iotrisk.ensemble import (
     multinomial_deviance,
     samme_alpha,
     softmax,
-    voting_predict,
 )
 from iotrisk.errors import ConfigError, DataFormatError, DomainError, TrainingError
 from iotrisk.pipeline import (
@@ -593,9 +593,8 @@ class TestModelParams:
 
 
 class _StubModel:
-    def __init__(self, proba, classes=(0, 1)):
+    def __init__(self, proba):
         self._proba = np.asarray(proba, dtype=float)
-        self.classes = tuple(classes)
 
     def predict_proba(self, matrix):
         return np.tile(self._proba, (np.asarray(matrix).shape[0], 1))
@@ -603,30 +602,24 @@ class _StubModel:
 
 class TestVoting:
     def test_arithmetic_mean(self):
-        members = [_StubModel([0.6, 0.4]), _StubModel([0.2, 0.8])]
-        labels, averaged = voting_predict(members, np.zeros((1, 2)))
+        model = VotingModel([_StubModel([0.6, 0.4]), _StubModel([0.2, 0.8])])
+        averaged = model.predict_proba(np.zeros((1, 2)))
         assert averaged[0].tolist() == pytest.approx([0.4, 0.6])
-        assert labels[0] == 1
+        assert model.predict(np.zeros((1, 2)))[0] == 1
 
     def test_idempotent_on_identical_members(self):
         member = _StubModel([0.7, 0.3])
-        labels, averaged = voting_predict([member, member, member], np.zeros((2, 2)))
-        assert np.allclose(averaged, [0.7, 0.3])
-        assert labels.tolist() == [0, 0]
+        model = VotingModel([member, member, member])
+        assert np.allclose(model.predict_proba(np.zeros((2, 2))), [0.7, 0.3])
+        assert model.predict(np.zeros((2, 2))).tolist() == [0, 0]
 
     def test_exact_tie_takes_lowest_ordinal(self):
-        members = [_StubModel([0.5, 0.5])]
-        labels, _ = voting_predict(members, np.zeros((1, 2)))
-        assert labels[0] == 0
-
-    def test_class_ordering_mismatch(self):
-        members = [_StubModel([0.5, 0.5]), _StubModel([0.5, 0.5], classes=(1, 0))]
-        with pytest.raises(ConfigError):
-            voting_predict(members, np.zeros((1, 2)))
+        model = VotingModel([_StubModel([0.5, 0.5])])
+        assert model.predict(np.zeros((1, 2)))[0] == 0
 
     def test_empty_members(self):
         with pytest.raises(ConfigError):
-            voting_predict([], np.zeros((1, 2)))
+            VotingModel([])
 
 
 class TestGoldenDigests:

@@ -60,12 +60,21 @@ PINNED = {
     "synth_corpus": "9d3db8eab154b6697649056c158821cd6d253c9aa31f54ba6548d6fbf09d4d0d",
 }
 
-# mode: (model file sha256, encoder sidecar sha256) that `train` writes
+# the file `report --correlation` writes, without and with --include-label
+CORRELATION = {
+    False: "13278928d7a1c70a51ef09d3924788757b198c157db67cdf9d6b4bbe02625c46",
+    True: "4187868692180003f0896c98f627999cbc81dcff6199e3f91e1b123e0ecbcc56",
+}
+
+# mode: (model file sha256, encoder sidecar sha256) that `train` writes, on
+# the bundled corpus, or for tsne on a 160-row synthesized one
 TRAINED = {
     "wo_dr": ("3c43802bef248daea961291ad7307bdde5fa6934a85dbca2476f3a6cc033585b",
               "8d66bedc8bf87d4ac08750ff6deaf1f6866d1a4ad7dfa31343b98bdc72886cee"),
     "pca": ("c5bcd39dae4fe97145ca9be738043f99f649bd3ef250d12362b80d12973d02cb",
             "8d66bedc8bf87d4ac08750ff6deaf1f6866d1a4ad7dfa31343b98bdc72886cee"),
+    "tsne": ("4c00d8e9c145f6b5ae1dc6c6db63103068ed390c26742bdc42df7a4417d738bb",
+             "360f03318ed6962036b17f897638dc7b00ed133e45fffc6373a4ad0bf9fccd0a"),
 }
 
 
@@ -108,8 +117,14 @@ def test_report_bytes_are_pinned(case, fmt, files, capsys):
 @pytest.mark.parametrize("mode", sorted(TRAINED))
 def test_train_artifact_bytes_are_pinned(mode, files, tmp_path):
     model = files["model"] if mode == "wo_dr" else str(tmp_path / "model.json")
+    argv = SMALL
+    if mode == "tsne":
+        corpus = str(tmp_path / "corpus.csv")
+        assert main(["build", "--synthesize", "--total", "160", "--seed", "7",
+                     "--signal", "0.8", "--out", corpus]) == 0
+        argv = ["--corpus", corpus, *SMALL[2:]]
     if mode != "wo_dr":
-        assert main(["train", *SMALL, "--mode", mode, "--out", model]) == 0
+        assert main(["train", *argv, "--mode", mode, "--out", model]) == 0
     digests = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest()
                     for path in (model, model + ".encoders.json"))
     assert digests == TRAINED[mode]
@@ -122,6 +137,14 @@ def test_build_and_report_bytes_are_pinned(tmp_path, capsys):
     assert _sha(summary.replace(str(out), "OUT")) == PINNED["build"]
     assert out.read_bytes() == bundled_corpus_path().read_bytes()
     assert _sha(_run(["report", "--corpus", BUNDLED], capsys)) == PINNED["report"]
+
+
+@pytest.mark.parametrize("include_label", [False, True], ids=["features", "with_label"])
+def test_correlation_file_bytes_are_pinned(include_label, tmp_path, capsys):
+    out = tmp_path / "corr.csv"
+    _run(["report", "--corpus", BUNDLED, "--correlation", str(out)]
+         + (["--include-label"] if include_label else []), capsys)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CORRELATION[include_label]
 
 
 def test_synthesized_corpus_bytes_are_pinned(tmp_path, capsys):
