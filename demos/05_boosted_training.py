@@ -37,7 +37,7 @@ def main():
         test[1],
     ]
     predictions = predict_devices(encoder, pipeline, fresh)
-    for i, p in enumerate(predictions.predictions):
+    for i, p in enumerate(predictions):
         rounded = [round(float(v), 3) for v in p.probabilities]
         print(f"device {i}: {p.risk.name} {rounded} warnings={list(p.warnings)}")
 

@@ -10,7 +10,7 @@ from iotrisk.dataset import SynthesisSpec, synthesize_corpus
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.ensemble import ModelSpec
 from iotrisk.evaluation import cross_validate, make_fold_plan
-from iotrisk.pipeline import build_design
+from iotrisk.pipeline import PipelineConfig, build_design
 from iotrisk.reporting import cv_report
 
 
@@ -27,7 +27,7 @@ def main():
     params = {"n_stages": 40, "learning_rate": 0.1, "max_depth": 3}
     runs = []
     for mode in ("wo_dr", "tsne", "pca"):
-        design, _ = build_design(encoded, mode, seed=8)
+        design, _ = build_design(encoded, PipelineConfig(mode=mode, seed=8))
         result = cross_validate(ModelSpec("gbdt", params, seed=8),
                                 design.data, labels, plan)
         runs.append((mode, result))

@@ -19,7 +19,7 @@ from .dimred import KmeansModel, PcaModel
 from .encoding import CorpusEncoder, StandardScaler
 from .ensemble import VotingModel, model_from_payload
 from .errors import DataFormatError
-from .nvd import RISK_CLASSES
+from .nvd import CLASS_NAMES
 from .pipeline import MODES, DimredArtifacts, PipelineModel
 
 ENCODER_FORMAT = "iotrisk-encoders/2"
@@ -27,8 +27,6 @@ MODEL_FORMAT = "iotrisk-model/4"
 
 # what a payload with a missing key or a mistyped value raises while parsed
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
-
-CLASS_ORDERING = [c.name for c in RISK_CLASSES]
 
 
 def save_encoder(path: str | Path, encoder: CorpusEncoder) -> None:
@@ -49,7 +47,18 @@ def load_encoder(path: str | Path) -> CorpusEncoder:
     if found != ENCODER_FORMAT:
         raise DataFormatError(f"{path}: expected format {ENCODER_FORMAT}, got {found!r}")
     try:
-        return CorpusEncoder.from_payload(payload)
+        encoder = CorpusEncoder.from_payload(payload)
+        # the values a transform divides by or looks up must be usable
+        encoder.scaler = _scaler_from(payload["scaler"], "scaler", len(FEATURE_COLUMNS))
+        for feature, table in encoder.tables.items():
+            if type(table.n_fit) is not int or table.n_fit < 1:
+                raise DataFormatError(f"{feature} n_fit is {table.n_fit!r}, not an integer >= 1")
+            frequencies = _array([*table.frequencies.values()], f"{feature} frequencies", (None,))
+            if not ((frequencies > 0) & (frequencies <= 1)).all():
+                raise DataFormatError(f"{feature} frequencies hold a value outside (0, 1]")
+        return encoder
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     except _MALFORMED as exc:
         raise DataFormatError(f"{path}: malformed encoder payload ({exc!r})") from exc
 
@@ -73,11 +82,13 @@ def _array(value, what: str, shape: tuple) -> np.ndarray:
     return array
 
 
-def _cluster_scaler_from(payload) -> StandardScaler:
-    return StandardScaler(
-        means=_array(payload["means"], "cluster_scaler means", (1,)),
-        stds=_array(payload["stds"], "cluster_scaler stds", (1,)),
-    )
+def _scaler_from(payload, what: str, width: int) -> StandardScaler:
+    """A scaler of `width` finite means and finite, non-negative stds."""
+    scaler = StandardScaler(means=_array(payload["means"], f"{what} means", (width,)),
+                            stds=_array(payload["stds"], f"{what} stds", (width,)))
+    if (scaler.stds < 0).any():
+        raise DataFormatError(f"{what} stds holds a negative value")
+    return scaler
 
 
 def _dimred_payload(artifacts: DimredArtifacts) -> dict:
@@ -137,7 +148,7 @@ def _dimred_from(payload: dict, mode) -> DimredArtifacts:
     artifacts.cluster_freqs = _array(
         payload["cluster_freqs"], "cluster_freqs", (len(centroids),)
     )
-    artifacts.cluster_scaler = _cluster_scaler_from(payload["cluster_scaler"])
+    artifacts.cluster_scaler = _scaler_from(payload["cluster_scaler"], "cluster_scaler", 1)
     if "tsne_kl" in payload:
         artifacts.tsne_kl = tuple(payload["tsne_kl"])
     return artifacts
@@ -149,9 +160,9 @@ def _check_classes(model) -> None:
     if isinstance(model, VotingModel):
         for member in model.members:
             _check_classes(member)
-    elif len(model.classes) != len(CLASS_ORDERING):
-        raise DataFormatError(f"{model.family} model scores {len(model.classes)} "
-                              f"classes, not the file's {len(CLASS_ORDERING)}")
+    elif model.n_classes != len(CLASS_NAMES):
+        raise DataFormatError(f"{model.family} model scores {model.n_classes} "
+                              f"classes, not the file's {len(CLASS_NAMES)}")
 
 
 def save_model(
@@ -159,7 +170,7 @@ def save_model(
 ) -> None:
     payload = {
         "format": MODEL_FORMAT,
-        "classes": CLASS_ORDERING,
+        "classes": CLASS_NAMES,
         "encoder_fingerprint": encoder_fingerprint,
         "mode": pipeline.mode,
         "family": pipeline.family,
@@ -185,7 +196,7 @@ def load_model(
     if found != MODEL_FORMAT:
         raise DataFormatError(f"{path}: expected format {MODEL_FORMAT}, got {found!r}; "
                               "retrain the model")
-    if payload.get("classes") != CLASS_ORDERING:
+    if payload.get("classes") != list(CLASS_NAMES):
         raise DataFormatError(f"{path}: unexpected class ordering {payload.get('classes')}")
     if (
         expected_fingerprint is not None

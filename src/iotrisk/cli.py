@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import dataset, reporting
@@ -56,6 +57,7 @@ from .nvd import (
 from .pipeline import (
     FAMILIES,
     MODES,
+    PROFILES,
     PipelineConfig,
     build_design,  # unused here, but perfbench/tracing.py wraps it by this name
     fit_design,
@@ -155,20 +157,13 @@ def _training_errors():
 
 
 def _pipeline_config(args) -> PipelineConfig:
+    """The config of the options given; one left out takes its default."""
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    return PipelineConfig(
-        mode=getattr(args, "mode", "wo_dr"),
-        family=args.model,
-        profile=args.profile,
-        overrides=_parse_overrides(getattr(args, "param", None)),
-        seed=args.seed,
-        clusters=args.clusters,
-        components=args.components,
-        k=getattr(args, "k", 5),
-        repeats=getattr(args, "repeats", 2),
-        test_fraction=getattr(args, "test_fraction", 0.2),
-    ).validate()
+    given = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+             if hasattr(args, f.name)}
+    given["overrides"] = _parse_overrides(given.get("overrides"))
+    return PipelineConfig(**given).validate()
 
 
 def cmd_ingest(args) -> int:
@@ -216,7 +211,7 @@ def cmd_build(args) -> int:
                 values = [float(v) for v in args.fractions.split(",")]
             except ValueError:
                 raise ConfigError(f"--fractions needs numbers, got {args.fractions!r}") from None
-            if len(values) != 4:
+            if len(values) != len(dataset.RISK_CLASSES):
                 raise ConfigError("--fractions needs four comma-separated values")
             spec.class_fractions = dict(zip(dataset.RISK_CLASSES, values))
         records = synthesize_corpus(spec)
@@ -263,7 +258,7 @@ def cmd_cv(args) -> int:
     plan = _fold_plan(records, config)
     runs = []
     for mode in modes:
-        _, design, _ = fit_design(records, config, mode)
+        _, design, _ = fit_design(records, replace(config, mode=mode))
         runs.append((mode, cross_validate(spec, design.data, design.labels, plan,
                                           threads=args.threads)))
     _emit(reporting.cv_report(args.format, runs, config.k, config.repeats,
@@ -327,8 +322,8 @@ def cmd_predict(args) -> int:
     encoder = load_encoder(args.encoders)
     pipeline = load_model(args.model, expected_fingerprint=encoder.fingerprint())
     devices = load_devices(args.input)
-    report = predict_devices(encoder, pipeline, devices)
-    _emit(reporting.predictions_report(args.format, report), args.out)
+    predictions = predict_devices(encoder, pipeline, devices)
+    _emit(reporting.predictions_report(args.format, predictions), args.out)
     return 0
 
 
@@ -364,24 +359,29 @@ def _add_model_options(sub, with_mode=True):
     """The corpus, seed, model and worker options of every fitting command."""
     sub.add_argument("--corpus", required=True)
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--model", default="gbdt", choices=FAMILIES,
+    unset = argparse.SUPPRESS  # left out: PipelineConfig's default applies
+    sub.add_argument("--model", dest="family", default=unset, choices=FAMILIES,
                      help="model family")
     if with_mode:
-        sub.add_argument("--mode", default="wo_dr", choices=MODES,
-                         help="pipeline mode")
-    sub.add_argument("--profile", default="desk", choices=("desk", "paper"),
-                     help="parameter profile")
-    sub.add_argument("--param", action="append", metavar="KEY=VALUE",
+        sub.add_argument("--mode", default=unset, choices=MODES, help="pipeline mode")
+    sub.add_argument("--profile", default=unset, choices=PROFILES, help="parameter profile")
+    sub.add_argument("--param", dest="overrides", default=unset, action="append",
+                     metavar="KEY=VALUE",
                      help="explicit model parameter override (repeatable)")
-    sub.add_argument("--clusters", type=int, default=4,
+    sub.add_argument("--clusters", type=int, default=unset,
                      help="k for the cluster stage of reduced modes")
-    sub.add_argument("--components", type=int, default=None,
+    sub.add_argument("--components", type=int, default=unset,
                      help="PCA component count (default: 95%% variance rule)")
     sub.add_argument("--threads", type=int, default=1,
                      help="worker processes that fit the cv/tune/ablate cells "
                           "(forked; serial where fork is unavailable); no "
                           "effect on train and evaluate; outputs are "
                           "identical at any value")
+
+
+def _add_fold_options(sub):
+    sub.add_argument("--k", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--repeats", type=int, default=argparse.SUPPRESS)
 
 
 def _add_output_options(sub):
@@ -428,19 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("cv", help="repeated stratified cross-validation")
     _add_model_options(sub, with_mode=False)
-    sub.add_argument("--k", type=int, default=5)
-    sub.add_argument("--repeats", type=int, default=2)
+    _add_fold_options(sub)
     sub.add_argument("--modes", default="wo_dr",
                      help="comma-separated pipeline modes to compare")
     _add_output_options(sub)
-    sub.set_defaults(handler=cmd_cv, mode="wo_dr")
+    sub.set_defaults(handler=cmd_cv)
 
     sub = commands.add_parser("tune", help="exhaustive grid search")
     _add_model_options(sub)
     sub.add_argument("--grid", required=True,
                      help="JSON file: {parameter: [values, ...]}")
-    sub.add_argument("--k", type=int, default=5)
-    sub.add_argument("--repeats", type=int, default=2)
+    _add_fold_options(sub)
     sub.add_argument("--metric", default="accuracy",
                      choices=("accuracy", "macro-f1"),
                      help="selection metric (macro-f1 weighs classes equally)")
@@ -449,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("evaluate", help="train/test split metrics")
     _add_model_options(sub)
-    sub.add_argument("--test-fraction", type=float, default=0.2)
+    sub.add_argument("--test-fraction", type=float, default=argparse.SUPPRESS)
     _add_output_options(sub)
     sub.set_defaults(handler=cmd_evaluate)
 
@@ -463,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("ablate", help="drop-one-feature deltas")
     _add_model_options(sub)
-    sub.add_argument("--k", type=int, default=5)
-    sub.add_argument("--repeats", type=int, default=2)
+    _add_fold_options(sub)
     _add_output_options(sub)
     sub.set_defaults(handler=cmd_ablate)
 

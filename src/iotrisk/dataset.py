@@ -349,13 +349,10 @@ def build_bundled_corpus() -> list[DeviceRecord]:
     reference class counts exactly.
     """
     fixtures = load_fixture_devices()
-    fixture_counts = {c: 0 for c in RISK_CLASSES}
-    for record in fixtures:
-        fixture_counts[record.risk_score] += 1
     remaining = REFERENCE_TOTAL - len(fixtures)
     fractions = {
-        c: (REFERENCE_CLASS_COUNTS[c] - fixture_counts[c]) / remaining
-        for c in RISK_CLASSES
+        c: (REFERENCE_CLASS_COUNTS[c] - count) / remaining
+        for c, (count, _) in class_distribution(fixtures).per_class.items()
     }
     generated = synthesize_corpus(
         SynthesisSpec(

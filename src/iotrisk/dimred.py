@@ -282,6 +282,12 @@ def _exact_inertia(X, centroids, assignments):
     return float((diff * diff).sum())
 
 
+def check_cluster_count(k: int, n: int) -> None:
+    """Refuse a k-means k outside [1, n] for n rows."""
+    if not 1 <= k <= n:
+        raise DomainError(f"k {k} outside [1, {n}]")
+
+
 def kmeans_fit(matrix, k: int, seed: int = 0) -> KmeansModel:
     """Lloyd iterations from a k-means++ seeding.
 
@@ -294,8 +300,7 @@ def kmeans_fit(matrix, k: int, seed: int = 0) -> KmeansModel:
     if X.ndim != 2 or X.shape[0] == 0:
         raise DomainError("kmeans_fit needs a non-empty 2-D matrix")
     n = X.shape[0]
-    if not 1 <= k <= n:
-        raise DomainError(f"k {k} outside [1, {n}]")
+    check_cluster_count(k, n)
     rng = np.random.default_rng(seed)
 
     # k-means++: subsequent seeds drawn with probability proportional to

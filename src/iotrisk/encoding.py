@@ -177,7 +177,7 @@ class CorpusEncoder:
         tables = {
             f: FrequencyTable(
                 frequencies={k: float(v) for k, v in features[f]["frequencies"].items()},
-                n_fit=int(features[f]["n_fit"]),
+                n_fit=features[f]["n_fit"],
             )
             for f in CATEGORICAL_FEATURES
         }
@@ -219,11 +219,9 @@ def correlation_matrix(
         names.append("risk_score")
     if data.shape[0] < 2:
         raise DomainError("correlation needs at least two rows")
-    stds = data.std(axis=0)
-    constant = stds == 0.0
-    centered = data - data.mean(axis=0)
-    safe = np.where(constant, 1.0, stds)
-    normed = centered / safe
+    scaler = fit_scaler(data)
+    constant = scaler.constant  # zero-spread columns correlate 0 by convention
+    normed = apply_scaler(data, scaler)
     corr = (normed.T @ normed) / data.shape[0]
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0

@@ -7,8 +7,8 @@
 * an unweighted soft-voting combiner;
 * a majority-class baseline for sanity checks.
 
-Every model exposes ``classes``, ``predict_proba`` (rows sum to 1) and
-``predict`` (argmax, lowest ordinal wins ties), and serializes through
+Every model exposes ``predict_proba`` (rows sum to 1) and ``predict``
+(argmax, lowest ordinal wins ties), and serializes through
 ``to_payload``/``from_payload``.  A tree ensemble holds one `TreeSet` and
 sums its per-tree terms in tree order, by `np.add.reduce` over the tree axis.
 """
@@ -22,6 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DomainError, TrainingError
+from .nvd import RISK_CLASSES
 from .tree import DecisionTree, TreeParams, TreeSet, column_codes, fit_tree
 
 
@@ -52,13 +53,7 @@ def _argmax_labels(probabilities: np.ndarray) -> np.ndarray:
 
 
 class _Classifier:
-    """Classes 0..n_classes-1 and the argmax of predict_proba."""
-
-    n_classes: int
-
-    @property
-    def classes(self) -> tuple[int, ...]:
-        return tuple(range(self.n_classes))
+    """The argmax of predict_proba over classes 0..n_classes-1."""
 
     def predict(self, matrix) -> np.ndarray:
         return _argmax_labels(self.predict_proba(matrix))
@@ -127,7 +122,7 @@ def _check(params, **rules) -> None:
             raise ConfigError(f"{name} must be {want}, got {value!r}")
 
 
-def balanced_class_weights(labels, n_classes: int = 4) -> np.ndarray:
+def balanced_class_weights(labels, n_classes: int = len(RISK_CLASSES)) -> np.ndarray:
     """Per-class weight n_total / (K * n_c); every class must be present."""
     labels = np.asarray(labels, dtype=int)
     counts = np.bincount(labels, minlength=n_classes)
@@ -551,10 +546,6 @@ class VotingModel(_Classifier):
             raise ConfigError("voting needs at least one member model")
         self.members = members
 
-    @property
-    def classes(self) -> tuple[int, ...]:
-        return tuple(self.members[0].classes)
-
     def predict_proba(self, matrix) -> np.ndarray:
         """Unweighted mean of the member probabilities (soft voting)."""
         return np.stack([m.predict_proba(matrix) for m in self.members]).mean(axis=0)
@@ -599,7 +590,7 @@ class MajorityModel(_Classifier):
         return cls(distribution)
 
 
-def majority_fit(matrix, labels, n_classes: int = 4) -> MajorityModel:
+def majority_fit(matrix, labels, n_classes: int = len(RISK_CLASSES)) -> MajorityModel:
     counts = np.bincount(np.asarray(labels, int), minlength=n_classes)
     return MajorityModel(counts / counts.sum())
 
@@ -646,18 +637,19 @@ def _voting_members(spec: ModelSpec) -> list[ModelSpec]:
 def check_spec(spec: ModelSpec) -> None:
     """Build the params of every model a spec fits, so that a bad one fails
     before any data is encoded or reduced.  A class weight must name one of
-    the four risk classes every command fits."""
+    the risk classes every command fits."""
     if spec.family == "voting":
         for member in _voting_members(spec):
             check_spec(member)
     elif spec.family != "majority":
         weights = getattr(model_params(spec.family, spec.params), "class_weights", None)
-        bad = [o for o in weights if int(o) >= 4] if isinstance(weights, Mapping) else []
+        K = len(RISK_CLASSES)
+        bad = [o for o in weights if int(o) >= K] if isinstance(weights, Mapping) else []
         if bad:
-            raise ConfigError(f"class weight for class {bad[0]}, outside [0, 4)")
+            raise ConfigError(f"class weight for class {bad[0]}, outside [0, {K})")
 
 
-def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = 4):
+def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = len(RISK_CLASSES)):
     """Fit the model a spec describes.  Unknown families are ConfigErrors."""
     family = spec.family
     if family == "voting":

@@ -39,6 +39,8 @@ class RiskClass(IntEnum):
 
 
 RISK_CLASSES = tuple(RiskClass)
+#: Class names in ordinal order: report columns and a model file's classes.
+CLASS_NAMES = tuple(c.name for c in RISK_CLASSES)
 
 
 def severity_class(base_score: float) -> RiskClass:
@@ -341,8 +343,9 @@ def candidate_devices(
 
     The dataset row unit is a device, so an entry with several CPE URIs
     yields one candidate per distinct (vendor, product) pair, in document
-    order.  Enrichment fields (price, protocols, ...) are left empty for
-    manual completion; the severity label is derived from the base score.
+    order.  A row holds only the corpus columns a feed gives, the severity
+    label derived from the base score; the enrichment columns (price,
+    protocols, ...) are left out, for manual completion.
     """
     rows = []
     for entry, category in matched:
@@ -359,13 +362,6 @@ def candidate_devices(
                     "brand": cpe.vendor,
                     "product_type": cpe.product,
                     "category": category,
-                    "price_usd": "",
-                    "protocols": "",
-                    "data_storage": "",
-                    "personal_information": "",
-                    "location_track": "",
-                    "communication_capability": "",
-                    "authorisation_encryption": "",
                     "risk_score": severity_class(entry.cvss_v3_base).name,
                     "synthetic": "false",
                 }

@@ -17,6 +17,7 @@ from .dimred import (
     KmeansModel,
     PcaModel,
     TsneConfig,
+    check_cluster_count,
     cluster_frequencies,
     kmeans_assign,
     kmeans_fit,
@@ -27,33 +28,24 @@ from .dimred import (
 from .encoding import CorpusEncoder, EncodedMatrix, StandardScaler, apply_scaler, fit_scaler
 from .ensemble import ModelSpec, check_spec, fit_model
 from .errors import ConfigError
-from .nvd import RISK_CLASSES, RiskClass
+from .nvd import RiskClass
 from .util import derived_seed
 
 MODES = ("wo_dr", "tsne", "pca")
 FAMILIES = ("gbdt", "rfc", "voting")
 PROFILES = ("desk", "paper")
 
-_PROFILE_PARAMS = {
-    "gbdt": {
-        "desk": {"n_stages": 300, "learning_rate": 0.05, "max_depth": 6,
-                 "min_impurity_decrease": 1e-3},
-        "paper": {"n_stages": 10000, "learning_rate": 0.01, "max_depth": 500,
-                  "min_impurity_decrease": 1e-2},
-    },
-    "rfc": {
-        "desk": {"n_trees": 100, "class_weights": "balanced"},
-        "paper": {"n_trees": 100, "class_weights": "balanced"},
-    },
-    "etc": {
-        "desk": {"n_trees": 100},
-        "paper": {"n_trees": 100},
-    },
-    "abc": {
-        "desk": {"n_rounds": 50, "base_depth": 1},
-        "paper": {"n_rounds": 50, "base_depth": 1},
-    },
+# the desk row of every family; the paper profile differs only in GBDT's
+_DESK_PARAMS = {
+    "gbdt": {"n_stages": 300, "learning_rate": 0.05, "max_depth": 6,
+             "min_impurity_decrease": 1e-3},
+    "rfc": {"n_trees": 100, "class_weights": "balanced"},
+    "etc": {"n_trees": 100},
+    "abc": {"n_rounds": 50, "base_depth": 1},
 }
+_PAPER_GBDT = {"n_stages": 10000, "learning_rate": 0.01, "max_depth": 500,
+               "min_impurity_decrease": 1e-2}
+VOTING_MEMBERS = ("abc", "gbdt", "etc", "rfc")
 
 
 def profile_params(family: str, profile: str, overrides: dict | None = None) -> dict:
@@ -63,14 +55,12 @@ def profile_params(family: str, profile: str, overrides: dict | None = None) -> 
     if family == "voting":
         if overrides:
             raise ConfigError("parameter overrides apply to a single model family")
-        members = [
-            {"family": f, "params": profile_params(f, profile)}
-            for f in ("abc", "gbdt", "etc", "rfc")
-        ]
-        return {"members": members}
-    if family not in _PROFILE_PARAMS:
+        return {"members": [{"family": f, "params": profile_params(f, profile)}
+                            for f in VOTING_MEMBERS]}
+    if family not in _DESK_PARAMS:
         raise ConfigError(f"unknown model family {family!r}")
-    params = dict(_PROFILE_PARAMS[family][profile])
+    paper_gbdt = (family, profile) == ("gbdt", "paper")
+    params = dict(_PAPER_GBDT if paper_gbdt else _DESK_PARAMS[family])
     params.update(overrides or {})
     return params
 
@@ -97,8 +87,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"model must be one of {'/'.join(FAMILIES)}, got {self.family!r}"
             )
-        if self.profile not in PROFILES:
-            raise ConfigError(f"profile must be desk or paper, got {self.profile!r}")
         if self.seed is None:
             raise ConfigError("a seed is mandatory; there is no wall-clock seeding")
         # settings no data can satisfy; data-dependent bounds fail where used
@@ -149,44 +137,38 @@ def _with_cluster_column(
 
 
 def build_design(
-    encoded: EncodedMatrix,
-    mode: str,
-    seed: int,
-    clusters: int = 4,
-    components: int | None = None,
+    encoded: EncodedMatrix, config: PipelineConfig
 ) -> tuple[EncodedMatrix, DimredArtifacts]:
-    """Apply the reduction stage of a mode to an encoded matrix."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    artifacts = DimredArtifacts(mode=mode)
-    if mode == "wo_dr":
+    """Apply the reduction stage of the config's mode to an encoded matrix."""
+    if config.mode not in MODES:
+        raise ConfigError(f"unknown mode {config.mode!r}")
+    artifacts = DimredArtifacts(mode=config.mode)
+    if config.mode == "wo_dr":
         return encoded, artifacts
-    if mode == "tsne":
-        embedding = tsne_embed(encoded.data, TsneConfig(seed=derived_seed(seed, 101)))
+    check_cluster_count(config.clusters, len(encoded.data))  # before the reduction runs
+    if config.mode == "tsne":
+        embedding = tsne_embed(encoded.data, TsneConfig(seed=derived_seed(config.seed, 101)))
         points = embedding.coordinates
         artifacts.tsne_kl = (embedding.kl_initial, embedding.kl_final)
     else:
-        artifacts.pca = pca_fit(encoded.data, components)
+        artifacts.pca = pca_fit(encoded.data, config.components)
         points = pca_transform(encoded.data, artifacts.pca)
-    artifacts.kmeans = kmeans_fit(points, clusters, seed=derived_seed(seed, 102))
+    artifacts.kmeans = kmeans_fit(points, config.clusters, seed=derived_seed(config.seed, 102))
     assignments = artifacts.kmeans.assignments
     artifacts.cluster_freqs = cluster_frequencies(
         assignments, len(artifacts.kmeans.centroids)
     )
     artifacts.cluster_scaler = fit_scaler(artifacts.cluster_freqs[assignments][:, None])
-    return _with_cluster_column(encoded, assignments, artifacts, mode), artifacts
+    return _with_cluster_column(encoded, assignments, artifacts, config.mode), artifacts
 
 
 def fit_design(
-    records: list[DeviceRecord], config: PipelineConfig, mode: str | None = None
+    records: list[DeviceRecord], config: PipelineConfig
 ) -> tuple[CorpusEncoder, EncodedMatrix, DimredArtifacts]:
     """Fit the encoder on a labelled corpus and build the design matrix of
-    `mode` (the config's mode by default) over all of its rows."""
+    the config's mode over all of its rows."""
     encoder = CorpusEncoder.fit(records)
-    design, artifacts = build_design(
-        encoder.transform(records), mode or config.mode, config.seed,
-        config.clusters, config.components,
-    )
+    design, artifacts = build_design(encoder.transform(records), config)
     return encoder, design, artifacts
 
 
@@ -209,7 +191,7 @@ def fit_pipeline(
     config.validate()
     encoder, design, artifacts = fit_design(records, config)
     spec = config.model_spec()
-    model = fit_model(spec, design.data, design.labels, n_classes=len(RISK_CLASSES))
+    model = fit_model(spec, design.data, design.labels)
     return encoder, PipelineModel(
         mode=config.mode,
         family=config.family,
@@ -245,14 +227,9 @@ class Prediction:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass
-class PredictionReport:
-    predictions: list[Prediction]
-
-
 def predict_devices(
     encoder: CorpusEncoder, pipeline: PipelineModel, records
-) -> PredictionReport:
+) -> list[Prediction]:
     """Score device rows; unseen-category smoothing is reported per row."""
     design = design_for_rows(encoder, pipeline, records)
     probabilities = pipeline.model.predict_proba(design.data)
@@ -262,13 +239,11 @@ def predict_devices(
         notes.setdefault(row, []).append(
             f"{feature}={value!r} was not in the training corpus"
         )
-    return PredictionReport(
-        predictions=[
-            Prediction(
-                risk=RiskClass(int(labels[i])),
-                probabilities=probabilities[i],
-                warnings=tuple(notes.get(i, ())),
-            )
-            for i in range(len(records))
-        ]
-    )
+    return [
+        Prediction(
+            risk=RiskClass(int(labels[i])),
+            probabilities=probabilities[i],
+            warnings=tuple(notes.get(i, ())),
+        )
+        for i in range(len(records))
+    ]

@@ -12,10 +12,8 @@ are percentages with one decimal; CSV values are fractions with six.
 from .dataset import CorpusSummary
 from .encoding import CorrelationReport
 from .evaluation import AblationReport, CvResult, MetricsReport, TuneResult
-from .nvd import RISK_CLASSES
-from .pipeline import PredictionReport
-
-CLASS_NAMES = tuple(c.name for c in RISK_CLASSES)
+from .nvd import CLASS_NAMES, RISK_CLASSES
+from .pipeline import Prediction
 
 
 def _table(rows: list[list[str]]) -> str:
@@ -113,19 +111,19 @@ def ablation_report(fmt: str, report: AblationReport) -> str:
     return render(fmt, rows, title)
 
 
-def predictions_report(fmt: str, report: PredictionReport) -> str:
+def predictions_report(fmt: str, predictions: list[Prediction]) -> str:
     """Text shows p(class) to three decimals with the warnings below the
     table; CSV names the columns p_class and ends each row with its
     warnings, commas turned into semicolons."""
     csv = fmt == "csv"
     rows = [["row", "predicted", *(f"p_{c}" if csv else f"p({c})" for c in CLASS_NAMES)]
             + (["warnings"] if csv else [])]
-    for i, prediction in enumerate(report.predictions):
+    for i, prediction in enumerate(predictions):
         rows.append([str(i), prediction.risk.name, *prediction.probabilities]
                     + (["; ".join(prediction.warnings).replace(",", ";")] if csv else []))
     notes = "".join(
         f"warning: row {i}: {note}\n"
-        for i, prediction in enumerate(report.predictions)
+        for i, prediction in enumerate(predictions)
         for note in prediction.warnings
     )
     return render(fmt, rows, notes=notes, number=lambda p: f"{p:.3f}")

@@ -1,6 +1,7 @@
 import base64
 import contextlib
 import gzip
+import hashlib
 import json
 import multiprocessing
 import os
@@ -39,13 +40,21 @@ class TestParseArgs:
              "--out", "m.json"]
         )
         assert args.command == "train"
-        assert args.model == "gbdt" and args.seed == 7
+        assert args.family == "gbdt" and args.seed == 7
 
     def test_cv_fold_options(self):
         args = build_parser().parse_args(
             ["cv", "--corpus", "c.csv", "--seed", "1", "--k", "5", "--repeats", "2"]
         )
         assert args.k == 5 and args.repeats == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out", "m.json"], ["cv"], ["tune", "--grid", "g.json"],
+        ["evaluate"], ["ablate"],
+    ], ids=lambda argv: argv[0])
+    def test_left_out_options_take_the_config_defaults(self, argv):
+        args = build_parser().parse_args([*argv, "--corpus", "c.csv", "--seed", "7"])
+        assert cli._pipeline_config(args) == pipeline.PipelineConfig(seed=7)
 
     def test_unknown_model_is_usage_error(self, capsys):
         rc = main(["train", "--corpus", "c.csv", "--seed", "1",
@@ -478,9 +487,10 @@ class TestDoctoredModel:
         "no_n_features", "text_threshold", "no_dimred_mode", "model_not_an_object",
         "file_not_an_object", "old_format", "format_2", "format_3", "short_init_scores",
         "no_classes", "sidecar_without_scaler", "sidecar_unknown_unseen_policy",
-        "sidecar_without_feature", "sidecar_not_an_object",
-        "unknown_family", "six_classes", "two_classes", "majority_six_classes",
-        "majority_null", "majority_negative", "majority_nested", "voting_no_members",
+        "sidecar_without_feature", "sidecar_not_an_object", "sidecar_short_means",
+        "sidecar_negative_n_fit", "sidecar_nan_frequency", "sidecar_nan_std",
+        "sidecar_negative_std", "unknown_family", "six_classes", "two_classes",
+        "majority_six_classes", "majority_null", "majority_negative", "majority_nested", "voting_no_members",
         "voting_two_class_member", "nested_voting_six_classes",
     ])
     def test_malformed_payload_is_data_error(self, trained, capsys, defect):
@@ -547,13 +557,33 @@ class TestDoctoredModel:
                 del encoders["features"]["brand"]
             elif defect == "sidecar_unknown_unseen_policy":
                 encoders["unseen_policy"] = "ignore"
+            elif defect == "sidecar_short_means":
+                encoders["scaler"]["means"] = encoders["scaler"]["means"][:5]
+                expected = "scaler means has shape (5,), expected (10)"
+            elif defect == "sidecar_negative_n_fit":
+                encoders["features"]["brand"]["n_fit"] = -1
+                expected = "brand n_fit is -1, not an integer >= 1"
+            elif defect == "sidecar_nan_frequency":
+                table = encoders["features"]["brand"]["frequencies"]
+                table[next(iter(table))] = float("nan")
+                expected = "brand frequencies holds a non-finite value"
+            elif defect == "sidecar_nan_std":
+                encoders["scaler"]["stds"][0] = float("nan")
+                expected = "scaler stds holds a non-finite value"
+            elif defect == "sidecar_negative_std":
+                encoders["scaler"]["stds"][0] = -1.0
+                expected = "scaler stds holds a negative value"
             else:
                 encoders = []
+            if encoders:  # re-pin the model, so only the edited values are wrong
+                pinned = {k: v for k, v in encoders.items() if k != "format"}
+                canonical = json.dumps(pinned, sort_keys=True, separators=(",", ":"))
+                payload["encoder_fingerprint"] = hashlib.sha256(canonical.encode()).hexdigest()
             sidecar.write_text(json.dumps(encoders))
         assert self._predict(model, devices, payload) == 3
         broken = sidecar if defect.startswith("sidecar") else model
         out, err = capsys.readouterr()
-        assert f"{broken}: " in err and expected in err
+        assert f"{broken}: " in err and expected in err and err.count("error:") == 1
         assert "Traceback" not in err and "nan" not in out
         if "format" in defect:
             assert "retrain the model" in err
@@ -693,8 +723,11 @@ class TestEvaluateCv:
                      ["ablate", "--mode", "tsne"]):
             assert main([*argv, *common, "--k", "500"]) == 3, argv
             assert "fewer than k=500" in capsys.readouterr().err
-        # a setting no data can satisfy: exit 2, with one error line
+        # more clusters than rows, known once the corpus is loaded: exit 3
         train = ["train", "--mode", "tsne", "--out", str(tmp_path / "model.json")]
+        assert main([*train, *common, "--clusters", "2000"]) == 3
+        assert capsys.readouterr().err == "error: k 2000 outside [1, 160]\n"
+        # a setting no data can satisfy: exit 2, with one error line
         for argv, message in (
             ([*train, "--clusters", "0"], "clusters must be >= 1, got 0"),
             ([*train, "--components", "0"], "components must be >= 1 or unset, got 0"),
@@ -945,11 +978,12 @@ class TestIngest:
         out = tmp_path / "candidates.csv"
         rc = main(["ingest", "--feed", str(feed), "--out", str(out)])
         assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
-        assert len(lines) == 3  # camera (Critical) + router (Medium)
-        assert "smart_camera" in lines[1] and "Critical" in lines[1]
-        assert "router_os" in lines[2] and "Medium" in lines[2]
+        # camera (Critical) + router (Medium), the seven enrichment cells empty
+        assert out.read_text().splitlines() == [
+            ",".join(CSV_HEADER),
+            "vendorx,smart_camera,SmartHome,,,,,,,,Critical,false",
+            "netco,router_os,SmartHome,,,,,,,,Medium,false",
+        ]
         err = capsys.readouterr().err
         assert "no-cvss3=1" in err
 

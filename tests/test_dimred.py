@@ -22,7 +22,7 @@ from iotrisk.dimred import (
 from iotrisk.dataset import SynthesisSpec, synthesize_corpus
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DomainError
-from iotrisk.pipeline import build_design
+from iotrisk.pipeline import PipelineConfig, build_design
 
 from conftest import src_env
 
@@ -331,7 +331,7 @@ class TestClusterFeature:
     def test_design_column_is_scaled_cluster_size(self):
         records = synthesize_corpus(SynthesisSpec(seed=4, total=120, signal_strength=0.8))
         encoded = CorpusEncoder.fit(records).transform(records)
-        design, artifacts = build_design(encoded, "pca", seed=3)
+        design, artifacts = build_design(encoded, PipelineConfig(mode="pca", seed=3))
         assert design.columns[-1] == "cluster" and design.stages[-2:] == ("pca", "cluster")
         assert np.array_equal(design.data[:, :-1], encoded.data)
         assignments = artifacts.kmeans.assignments

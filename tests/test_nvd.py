@@ -290,7 +290,7 @@ class TestCandidates:
             ("vendorx", "cam123"), ("vendorx", "fw"),
         ]
         assert all(r["risk_score"] == "Critical" for r in rows)
-        assert all(r["price_usd"] == "" for r in rows)
+        assert all("price_usd" not in r for r in rows)  # no enrichment key
 
     def test_part_restriction(self):
         entry = CveEntry(
