@@ -180,9 +180,36 @@ def save_model(
         "model": pipeline.model.to_payload(),
     }
     with open(path, "w", encoding="utf-8") as out:
-        # written piece by piece, so the whole text is never held at once
-        json.dump(payload, out, sort_keys=True, separators=(",", ":"))
+        _write_json(out, payload)
         out.write("\n")
+
+
+_SLICE = 1 << 16  # characters of a long string written at a time
+
+
+def _write_json(out, value) -> None:
+    """Write what json.dump(value, out, sort_keys=True, separators=(",", ":"))
+    writes, piece by piece, so the whole text is never held at once, and a
+    string in slices, so a base64 tree array is never copied whole."""
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        out.write("{")
+        for i, key in enumerate(sorted(value)):
+            out.write(("," if i else "") + json.dumps(key) + ":")
+            _write_json(out, value[key])
+        out.write("}")
+    elif isinstance(value, (list, tuple)):
+        out.write("[")
+        for i, item in enumerate(value):
+            out.write("," if i else "")
+            _write_json(out, item)
+        out.write("]")
+    elif isinstance(value, str):  # escapes are per character, so slices join
+        out.write('"')
+        for start in range(0, len(value), _SLICE):
+            out.write(json.dumps(value[start:start + _SLICE])[1:-1])
+        out.write('"')
+    else:
+        out.write(json.dumps(value, sort_keys=True, separators=(",", ":")))
 
 
 def load_model(

@@ -230,7 +230,7 @@ def cmd_train(args) -> int:
     records, _ = load_corpus(args.corpus)
     config = _pipeline_config(args)
     with _training_errors():
-        encoder, pipeline = fit_pipeline(records, config)
+        encoder, pipeline = fit_pipeline(records, config, threads=args.threads)
     sidecar = args.encoders or f"{args.out}.encoders.json"
     save_model(args.out, pipeline, encoder.fingerprint())
     save_encoder(sidecar, encoder)
@@ -307,7 +307,8 @@ def cmd_evaluate(args) -> int:
         labels, config.test_fraction, derived_seed(config.seed, _SPLIT_TAG)
     )
     with _training_errors():
-        model = fit_model(config.model_spec(), design.data[train_idx], labels[train_idx])
+        model = fit_model(config.model_spec(), design.data[train_idx], labels[train_idx],
+                          threads=args.threads)
     predicted = model.predict(design.data[test_idx])
     report = compute_metrics(labels[test_idx], predicted)
     title = (
@@ -373,10 +374,11 @@ def _add_model_options(sub, with_mode=True):
     sub.add_argument("--components", type=int, default=unset,
                      help="PCA component count (default: 95%% variance rule)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker processes that fit the cv/tune/ablate cells "
-                          "(forked; serial where fork is unavailable); no "
-                          "effect on train and evaluate; outputs are "
-                          "identical at any value")
+                     help="worker processes that fit the cv/tune/ablate cells, "
+                          "or the forest tree ranges and voting members of "
+                          "train/evaluate (forked, never nested; serial where "
+                          "fork is unavailable); outputs are byte-identical "
+                          "at any value")
 
 
 def _add_fold_options(sub):
@@ -411,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--input", default=None, help="completed candidate CSV")
     sub.add_argument("--synthesize", action="store_true")
     sub.add_argument("--total", type=int, default=dataset.REFERENCE_TOTAL)
-    sub.add_argument("--signal", type=float, default=0.0,
+    sub.add_argument("--signal", type=float, default=SynthesisSpec.signal_strength,
                      help="planted signal strength in [0, 1]")
     sub.add_argument("--fractions", default=None,
                      help="four comma-separated class fractions")

@@ -108,8 +108,6 @@ class CorpusEncoder:
 
     @classmethod
     def fit(cls, records) -> "CorpusEncoder":
-        if not records:
-            raise DomainError("cannot fit an encoder on an empty corpus")
         tables = {f: fit_frequency(records, f) for f in CATEGORICAL_FEATURES}
         encoder = cls(tables, None)
         encoder.scaler = fit_scaler(encoder.frequency_matrix(records, []))

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, DomainError, TrainingError
 from .nvd import RISK_CLASSES
 from .tree import DecisionTree, TreeParams, TreeSet, column_codes, fit_tree
+from .util import run_cells
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -386,10 +387,16 @@ def forest_fit(
     params: ForestParams | None = None,
     seed: int = 0,
     n_classes: int | None = None,
+    trees: range | None = None,
 ) -> ForestModel:
     """Fit the forest kind of `params`: a random forest for ForestParams,
     extra-trees for ExtraTreesParams.  Class weights scale sample weights
     during fitting.
+
+    Tree i grows from the i-th child of SeedSequence(seed), so `trees`, a
+    range of tree indices, fits just those trees of the whole forest: the
+    ranges of a forest, fitted anywhere and joined in index order, are the
+    forest bit for bit.
     """
     X, y, K = _fit_data(matrix, labels, n_classes)
     params = params or ForestParams()
@@ -413,7 +420,8 @@ def forest_fit(
         random_thresholds=not bootstrap,
     )
     codes, rank = column_codes(X)
-    children = np.random.SeedSequence(seed).spawn(params.n_trees)
+    picked = range(params.n_trees) if trees is None else trees
+    children = np.random.SeedSequence(seed).spawn(params.n_trees)[picked.start:picked.stop]
 
     def fit_one(child):
         rng = np.random.default_rng(child)
@@ -427,8 +435,8 @@ def forest_fit(
             codes=(codes[:, rows], rank[rows]),
         )
 
-    trees = TreeSet.concat(fit_one(child) for child in children)
-    return ForestModel(trees, K, params.variant, d)
+    return ForestModel(TreeSet.concat(fit_one(child) for child in children), K,
+                       params.variant, d)
 
 
 @dataclass
@@ -649,17 +657,70 @@ def check_spec(spec: ModelSpec) -> None:
             raise ConfigError(f"class weight for class {bad[0]}, outside [0, {K})")
 
 
-def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = len(RISK_CLASSES)):
-    """Fit the model a spec describes.  Unknown families are ConfigErrors."""
-    family = spec.family
-    if family == "voting":
-        return VotingModel([fit_model(member, matrix, labels, n_classes)
-                            for member in _voting_members(spec)])
-    if family == "majority":
-        return majority_fit(matrix, labels, n_classes)
-    params = model_params(family, spec.params)
-    fit = globals()[_FAMILIES[family][1]]
-    return fit(matrix, labels, params, seed=spec.seed, n_classes=n_classes)
+def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = len(RISK_CLASSES),
+              threads: int = 1):
+    """Fit the model a spec describes.  Unknown families are ConfigErrors.
+
+    The fit runs as cells in `threads` forked workers (`run_cells`), the
+    forests first as the largest.  With `threads` > 1 each forest, alone or
+    a voting member, is `threads` contiguous tree ranges; a worker sends a
+    range back as the arrays a model file stores (`TreeSet.packed`), and
+    the ranges join in index order into the forest one process grows.
+    Every other model is one cell, and a fit of one cell runs in this
+    process.
+    """
+    members = _voting_members(spec) if spec.family == "voting" else [spec]
+    params = [None if m.family in ("voting", "majority") else model_params(m.family, m.params)
+              for m in members]
+    forests = [i for i, p in enumerate(params) if isinstance(p, ForestParams)]
+    cells = [(i, trees) for i in forests for trees in _tree_ranges(params[i].n_trees, threads)]
+    cells += [(i, None) for i in range(len(members)) if i not in forests]
+
+    def fit(cell: int):
+        index, trees = cells[cell]
+        member = members[index]
+        if member.family == "voting":
+            return fit_model(member, matrix, labels, n_classes)
+        if member.family == "majority":
+            return majority_fit(matrix, labels, n_classes)
+        if trees is None:
+            fit_family = globals()[_FAMILIES[member.family][1]]
+            return fit_family(matrix, labels, params[index], seed=member.seed,
+                              n_classes=n_classes)
+        forest = forest_fit(matrix, labels, params[index], seed=member.seed,
+                            n_classes=n_classes, trees=trees)
+        return forest.n_classes, forest.variant, forest.n_features, forest.trees.packed()
+
+    results = run_cells(fit, len(cells), threads, died=TrainingError)
+    parts = [[] for _ in members]
+    for (index, _), result in zip(cells, results):
+        parts[index].append(result)
+    del results
+    models = [_joined(member_parts) for member_parts in parts]
+    return VotingModel(models) if spec.family == "voting" else models[0]
+
+
+def _tree_ranges(n_trees: int, parts: int) -> list:
+    """min(parts, n_trees) contiguous ranges of tree indices covering a
+    forest, or [None], the whole forest, where that is one range."""
+    parts = min(parts, n_trees)
+    if parts == 1:
+        return [None]
+    bounds = [n_trees * i // parts for i in range(parts + 1)]
+    return [range(low, high) for low, high in zip(bounds, bounds[1:])]
+
+
+def _joined(parts: list):
+    """A member's model from the results of its cells: the one model, or a
+    forest from its (classes, variant, columns, packed arrays) tree ranges
+    in index order.  The list is emptied, so each range is dropped once
+    placed."""
+    if len(parts) == 1:
+        return parts.pop()
+    K, variant, n_features, _ = parts[0]
+    packs = [part[3] for part in parts]
+    parts.clear()
+    return ForestModel(TreeSet.unpacked(packs, (K,)), K, variant, n_features)
 
 
 _MODEL_CLASSES = {

@@ -10,7 +10,7 @@ import numpy as np
 from .ensemble import ModelSpec, check_spec, fit_model
 from .errors import ConfigError, DomainError, EvaluationError
 from .nvd import RISK_CLASSES, RiskClass
-from .util import derived_seed, largest_remainder
+from .util import derived_seed, largest_remainder, run_cells
 
 
 def _class_name(ordinal: int) -> str:
@@ -199,64 +199,6 @@ class CvResult:
     metric: str = "accuracy"
 
 
-def _fork_pool(size: int, score):
-    """An executor over `size` worker processes forked from this one, each
-    holding `score`, or None where the platform cannot fork."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    # fork hands `score` and what it closes over to each worker unpickled
-    return ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_hold_score, initargs=(score,))
-
-
-_worker_score = None  # set in each forked worker, never in the parent
-
-
-def _hold_score(score) -> None:
-    global _worker_score
-    _worker_score = score
-
-
-def _score_in_worker(index: int):
-    try:
-        return None, _worker_score(index)
-    except EvaluationError as exc:
-        return str(exc), None
-
-
-def run_cells(score, count: int, threads: int = 1) -> list:
-    """`[score(0), ..., score(count - 1)]`, in that order.
-
-    With `threads` > 1 the cells run in min(threads, count) worker
-    processes forked from this one.  The workers inherit `score` and what
-    it closes over (design matrix, labels, fold plan) copy-on-write; only
-    cell indices go out, and only a score or an EvaluationError's message
-    comes back.  The lowest failing cell is raised, as the serial loop
-    raises it, and every worker has exited before this returns.  Where the
-    platform cannot fork, the cells run serially.
-    """
-    size = min(threads, count)
-    pool = _fork_pool(size, score) if size > 1 else None
-    if pool is None:
-        return [score(index) for index in range(count)]
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        scores = []
-        for error, value in pool.map(_score_in_worker, range(count)):
-            if error is not None:
-                raise EvaluationError(error)
-            scores.append(value)
-        return scores
-    except BrokenProcessPool as exc:
-        raise EvaluationError(f"a cross-validation worker process died ({exc})") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _cross_validate_runs(runs, labels, plan: FoldPlan, metric: str,
                          threads: int) -> list[CvResult]:
     """Cross-validate each (spec, matrix) run, with the cells of every run
@@ -289,7 +231,7 @@ def _cross_validate_runs(runs, labels, plan: FoldPlan, metric: str,
             return compute_metrics(y[test], predicted).macro_f1
         return float((predicted == y[test]).mean())
 
-    scores = run_cells(score, len(runs) * len(cells), threads)
+    scores = run_cells(score, len(runs) * len(cells), threads, died=EvaluationError)
     results = []
     for start in range(0, len(scores), len(cells)):
         run_scores = np.array(scores[start:start + len(cells)])

@@ -269,8 +269,8 @@ def published_year(entry: CveEntry) -> int:
     return int(match.group(1)) if match else 0
 
 
-def filter_by_year(entries, min_year: int = 2013) -> list[CveEntry]:
-    """Drop entries published before `min_year` (ingest default 2013)."""
+def filter_by_year(entries, min_year: int) -> list[CveEntry]:
+    """Drop entries published before `min_year`."""
     return [e for e in entries if published_year(e) >= min_year]
 
 

@@ -185,13 +185,14 @@ class PipelineModel:
 
 
 def fit_pipeline(
-    records: list[DeviceRecord], config: PipelineConfig
+    records: list[DeviceRecord], config: PipelineConfig, threads: int = 1
 ) -> tuple[CorpusEncoder, PipelineModel]:
-    """Fit encoder, reduction stage and classifier on a labelled corpus."""
+    """Fit encoder, reduction stage and classifier on a labelled corpus,
+    the classifier in `threads` worker processes (see `fit_model`)."""
     config.validate()
     encoder, design, artifacts = fit_design(records, config)
     spec = config.model_spec()
-    model = fit_model(spec, design.data, design.labels)
+    model = fit_model(spec, design.data, design.labels, threads=threads)
     return encoder, PipelineModel(
         mode=config.mode,
         family=config.family,

@@ -89,9 +89,10 @@ class TreeSet:
 
     @classmethod
     def concat(cls, trees) -> "TreeSet":
-        """The trees of an iterable, in order, as one set.  Each is appended
-        in place, so a forest grown tree by tree is never held twice; no view
-        of the growing arrays exists, which lets them be resized."""
+        """The trees of an iterable of sets, in order, as one set (a
+        `DecisionTree` is a set of one tree).  Each set is appended in place,
+        so a forest grown tree by tree is never held twice; no view of the
+        growing arrays exists, which lets them be resized."""
         nodes, arrays = [], None
         for tree in trees:
             parts = (tree.feature, tree.threshold, tree.right, tree.value)
@@ -100,8 +101,8 @@ class TreeSet:
             for array, part in zip(arrays, parts):
                 array.resize((start + len(part),) + part.shape[1:], refcheck=False)
                 array[start:] = part
-            nodes.append(len(tree.feature))
-        return cls(np.array(nodes), *arrays)
+            nodes.append(tree.nodes)
+        return cls(np.concatenate(nodes), *arrays)
 
     def apply(self, matrix, combine) -> np.ndarray:
         """``combine(values)`` per block of about BLOCK_PAIRS (tree, row) pairs,
@@ -128,15 +129,38 @@ class TreeSet:
             node[pairs] = np.where(go_left, at + 1, root[pairs] + self.right[at])
         return node.reshape(self.nodes.size, n)
 
-    def to_payload(self) -> dict:
-        """The arrays a model file stores, each as base64 of its `PAYLOAD_DTYPES`
-        bytes: ``threshold`` and ``right`` for splits only, ``value`` for
-        leaves only (row-major, K numbers per classification leaf)."""
+    def packed(self) -> dict:
+        """The arrays a model file stores: ``threshold`` and ``right`` for
+        splits only, ``value`` for leaves only."""
         split = self.feature >= 0
-        arrays = {"nodes": self.nodes, "feature": self.feature,
-                  "threshold": self.threshold[split], "right": self.right[split],
-                  "value": self.value[~split]}
-        return {key: _encode(key, array) for key, array in arrays.items()}
+        return {"nodes": self.nodes, "feature": self.feature,
+                "threshold": self.threshold[split], "right": self.right[split],
+                "value": self.value[~split]}
+
+    @classmethod
+    def unpacked(cls, packs: list, leaf_shape: tuple) -> "TreeSet":
+        """The sets whose `packed` arrays are in `packs`, joined in order;
+        threshold is 0 and right -1 at leaves, value 0 at splits, as a fit
+        leaves them.  `packs` is emptied, so each is dropped once placed."""
+        nodes = np.concatenate([pack["nodes"] for pack in packs]).astype(np.intp)
+        n = int(nodes.sum())
+        feature, right = np.empty(n, np.intp), np.full(n, -1, np.intp)
+        threshold, value = np.zeros(n), np.zeros((n,) + leaf_shape)
+        start = 0
+        while packs:
+            pack = packs.pop(0)
+            rows = slice(start, start + len(pack["feature"]))
+            feature[rows] = pack["feature"]
+            split = feature[rows] >= 0
+            threshold[rows][split], right[rows][split] = pack["threshold"], pack["right"]
+            value[rows][~split] = pack["value"].reshape((-1,) + leaf_shape)
+            start = rows.stop
+        return cls(nodes, feature, threshold, right, value)
+
+    def to_payload(self) -> dict:
+        """The `packed` arrays, each as base64 of its `PAYLOAD_DTYPES` bytes
+        (row-major, K numbers per classification leaf)."""
+        return {key: _encode(key, array) for key, array in self.packed().items()}
 
     @classmethod
     def from_payload(cls, payload: dict, mode: str, n_classes: int | None,
@@ -178,11 +202,8 @@ class TreeSet:
                                   f"numbers, expected shape {expected}")
         if not (np.isfinite(threshold).all() and np.isfinite(leaf_values).all()):
             raise DataFormatError("tree split threshold or leaf value is not finite")
-        node_threshold, node_right = np.zeros(n), np.full(n, -1, dtype=np.intp)
-        node_threshold[at], node_right[at] = threshold, right
-        value = np.zeros((n,) + leaf_shape)
-        value[~split] = leaf_values.reshape(expected)
-        return cls(nodes, feature, node_threshold, node_right, value)
+        return cls.unpacked([{"nodes": nodes, "feature": feature, "threshold": threshold,
+                              "right": right, "value": leaf_values}], leaf_shape)
 
 
 class DecisionTree(TreeSet):
@@ -219,10 +240,12 @@ class DecisionTree(TreeSet):
 
 
 def _encode(key: str, array: np.ndarray) -> str:
-    stored = array.astype(PAYLOAD_DTYPES[key])
-    if not np.array_equal(stored, array, equal_nan=True):
+    """base64 of the array's `PAYLOAD_DTYPES` bytes, encoded from its own
+    buffer when it already has that type."""
+    stored = np.ascontiguousarray(array.astype(PAYLOAD_DTYPES[key], copy=False))
+    if stored is not array and not np.array_equal(stored, array, equal_nan=True):
         raise DomainError(f"tree {key!r} does not fit the stored type {stored.dtype}")
-    return base64.b64encode(stored.tobytes()).decode("ascii")
+    return base64.b64encode(stored).decode("ascii")
 
 
 def _decode(payload: dict, key: str) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Small shared helpers: integer allocation and seed derivation."""
+"""Small shared helpers: integer allocation, seed derivation and the
+forked worker pool."""
 
 import numpy as np
 
@@ -39,3 +40,54 @@ def largest_remainder(targets, total: int) -> np.ndarray:
 def derived_seed(*parts: int) -> int:
     """Deterministic child seed from integer components."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+
+
+def _fork_pool(size: int, cell):
+    """An executor over `size` worker processes forked from this one, each
+    holding `cell`, or None where the platform cannot fork."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    # fork hands `cell` and what it closes over to each worker unpickled
+    return ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_hold_cell, initargs=(cell,))
+
+
+_worker_cell = None  # set in each forked worker, never in the parent
+
+
+def _hold_cell(cell) -> None:
+    global _worker_cell
+    _worker_cell = cell
+
+
+def _run_in_worker(index: int):
+    return _worker_cell(index)
+
+
+def run_cells(cell, count: int, threads: int = 1, died=RuntimeError) -> list:
+    """`[cell(0), ..., cell(count - 1)]`, in that order.
+
+    With `threads` > 1 the cells run in min(threads, count) worker
+    processes forked from this one.  The workers inherit `cell` and what
+    it closes over (design matrix, labels, fold plan) copy-on-write; only
+    cell indices go out, and only a result or an exception comes back.
+    The lowest failing cell's exception is raised, as the serial loop
+    raises it; a worker that dies is a `died` error.  Every worker has
+    exited before this returns.  Where the platform cannot fork, the
+    cells run serially.
+    """
+    size = min(threads, count)
+    pool = _fork_pool(size, cell) if size > 1 else None
+    if pool is None:
+        return [cell(index) for index in range(count)]
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return list(pool.map(_run_in_worker, range(count)))
+    except BrokenProcessPool as exc:
+        raise died(f"a worker process died ({exc})") from None
+    finally:
+        pool.shutdown(cancel_futures=True)

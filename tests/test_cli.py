@@ -11,10 +11,11 @@ import sys
 
 import pytest
 
-from iotrisk import cli, evaluation, pipeline
+from iotrisk import cli, ensemble, evaluation, pipeline, util
 from iotrisk.cli import build_parser, main
 from iotrisk.dataset import CSV_HEADER
 from iotrisk.ensemble import fit_model
+from iotrisk.errors import TrainingError
 from iotrisk.util import derived_seed
 
 from conftest import feed_document, feed_item, src_env, tree_lists, tree_payload
@@ -768,6 +769,7 @@ class TestWorkerProcesses:
                  "--param", "learning_rate=0.2"],
         "ablate": ["ablate", "--k", "2", "--repeats", "1",
                    "--param", "n_stages=4", "--param", "max_depth=3"],
+        "evaluate_rfc": ["evaluate", "--model", "rfc", "--param", "n_trees=6"],
     }
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -818,7 +820,46 @@ class TestWorkerProcesses:
                    "--repeats", "1", "--threads", "2", *QUICK])
         err = capsys.readouterr().err
         assert rc == 5
-        assert err.startswith("error: a cross-validation worker process died")
+        assert err.startswith("error: a worker process died")
+        assert len(err.splitlines()) == 1
+        assert multiprocessing.active_children() == []
+
+    TRAIN_RFC = ["train", "--model", "rfc", "--param", "n_trees=6", "--seed", "7"]
+
+    @pytest.mark.parametrize("planted", [TrainingError, RuntimeError])
+    def test_a_failing_tree_range_fails_train_alike_at_any_worker_count(
+            self, corpus, tmp_path, capsys, monkeypatch, planted):
+        original = ensemble.forest_fit
+
+        def failing_forest_fit(matrix, labels, params, trees=None, **kwargs):
+            if 4 in (trees or range(params.n_trees)):
+                raise planted("planted failure in tree 4")
+            return original(matrix, labels, params, trees=trees, **kwargs)
+
+        monkeypatch.setattr(ensemble, "forest_fit", failing_forest_fit)
+        for threads in ("1", "2"):
+            rc = main([*self.TRAIN_RFC, "--corpus", str(corpus), "--threads", threads,
+                       "--out", str(tmp_path / "model.json")])
+            assert rc == 4, threads
+            assert capsys.readouterr().err.splitlines() == [
+                "error: planted failure in tree 4"], threads
+            assert multiprocessing.active_children() == []
+
+    def test_a_dead_train_worker_exits_4_without_a_traceback(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def dying_forest_fit(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            raise AssertionError("a tree range was fitted in the parent process")
+
+        monkeypatch.setattr(ensemble, "forest_fit", dying_forest_fit)
+        rc = main([*self.TRAIN_RFC, "--corpus", str(corpus), "--threads", "2",
+                   "--out", str(tmp_path / "model.json")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: a worker process died")
         assert len(err.splitlines()) == 1
         assert multiprocessing.active_children() == []
 
@@ -846,7 +887,7 @@ class TestWorkerProcesses:
                 self.score = score
 
             def map(self, fn, indices):
-                return ((None, self.score(i)) for i in indices)
+                return (self.score(i) for i in indices)
 
             def shutdown(self, cancel_futures=False):
                 pass
@@ -855,7 +896,7 @@ class TestWorkerProcesses:
             sizes.append(size)
             return SerialPool(score)
 
-        monkeypatch.setattr(evaluation, "_fork_pool", recording_pool)
+        monkeypatch.setattr(util, "_fork_pool", recording_pool)
         common = ["--corpus", str(corpus), "--seed", "7", "--k", "2",
                   "--repeats", "1", "--param", "n_stages=3"]
         for argv in (["cv"], ["tune", "--grid", str(grid)], ["ablate"]):
@@ -908,14 +949,16 @@ class TestDeterminism:
 
     def test_thread_count_does_not_change_artifacts(self, corpus, tmp_path):
         blobs = []
-        for name, threads in (("t1", "1"), ("t2", "3")):
-            model = tmp_path / f"{name}.json"
+        for threads in ("1", "2", "3"):
+            model = tmp_path / f"t{threads}.json"
             rc = main(["train", "--corpus", str(corpus), "--model", "rfc",
                        "--seed", "11", "--out", str(model),
                        "--param", "n_trees=8", "--threads", threads])
             assert rc == 0
-            blobs.append(model.read_bytes())
-        assert blobs[0] == blobs[1]
+            blobs.append((model.read_bytes(),
+                          (tmp_path / f"t{threads}.json.encoders.json").read_bytes()))
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert multiprocessing.active_children() == []
 
     def test_reports_byte_identical(self, corpus, tmp_path):
         outs = []

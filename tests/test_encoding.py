@@ -61,6 +61,10 @@ class TestFrequency:
         with pytest.raises(DomainError):
             fit_frequency([], "brand")
 
+    def test_empty_corpus_encoder_refused_with_one_message(self):
+        with pytest.raises(DomainError, match="^cannot fit on an empty corpus$"):
+            CorpusEncoder.fit([])
+
 
 class TestScaler:
     def test_two_point_column(self):

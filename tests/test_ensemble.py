@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -39,7 +40,14 @@ from iotrisk.pipeline import (
     fit_design,
     profile_params,
 )
-from iotrisk.tree import BLOCK_PAIRS, TreeParams, _best_split_exact, column_codes, fit_tree
+from iotrisk.tree import (
+    BLOCK_PAIRS,
+    TreeParams,
+    TreeSet,
+    _best_split_exact,
+    column_codes,
+    fit_tree,
+)
 
 from conftest import assert_same_arrays
 
@@ -755,3 +763,39 @@ class TestModelSpec:
         assert (model.predict(X) == y).mean() > 0.9
         clone = model_from_payload(model.to_payload())
         assert np.array_equal(model.predict_proba(X), clone.predict_proba(X))
+
+
+class TestForkedFit:
+    """`fit_model(threads=N)` fits forest tree ranges and voting members in
+    N forked workers and joins them into the model one process fits."""
+
+    def test_voting_payload_identical_at_any_worker_count(self):
+        X, y = separable_toy(n=40)
+        members = [{"family": "abc", "params": {"n_rounds": 4}},
+                   {"family": "gbdt", "params": {"n_stages": 3, "max_depth": 2}},
+                   {"family": "etc", "params": {"n_trees": 5}},
+                   {"family": "rfc", "params": {"n_trees": 7}}]
+        spec = ModelSpec("voting", {"members": members}, seed=3)
+        payloads = [json.dumps(fit_model(spec, X, y, n_classes=2, threads=threads)
+                               .to_payload(), sort_keys=True)
+                    for threads in (1, 2, 3)]
+        assert payloads[0] == payloads[1] == payloads[2]
+        assert multiprocessing.active_children() == []
+
+    def test_tree_ranges_join_into_the_whole_forest(self):
+        X, y = separable_toy(n=30)
+        params = ForestParams(n_trees=5)
+        whole = forest_fit(X, y, params, seed=4)
+        parts = [forest_fit(X, y, params, seed=4, trees=trees).trees
+                 for trees in (range(0, 2), range(2, 5))]
+        assert_same_arrays(TreeSet.concat(parts), whole.trees)
+
+    def test_concat_of_range_sets_equals_concat_of_their_trees(self):
+        X, y = separable_toy(n=30)
+        rng = np.random.default_rng(5)
+        trees = [fit_tree(X, y, params=TreeParams(max_depth=depth, max_features=1),
+                          mode="classification", n_classes=2, rng=rng)
+                 for depth in (0, 1, 2, 3, None)]
+        ranges = [TreeSet.concat(trees[:2]), TreeSet.concat(trees[2:])]
+        assert_same_arrays(TreeSet.concat(ranges), TreeSet.concat(trees))
+        assert TreeSet.concat(ranges).nodes.tolist() == [t.node_count() for t in trees]

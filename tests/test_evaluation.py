@@ -8,7 +8,7 @@ from iotrisk.dataset import REFERENCE_CLASS_COUNTS, SynthesisSpec, synthesize_co
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.ensemble import ModelSpec
 from iotrisk.errors import ConfigError, DomainError, EvaluationError
-from iotrisk import evaluation
+from iotrisk import util
 from iotrisk.evaluation import (
     CV_METRICS,
     ablation_study,
@@ -17,10 +17,10 @@ from iotrisk.evaluation import (
     grid_search,
     macro_average,
     make_fold_plan,
-    run_cells,
     stratified_split,
 )
 from iotrisk.nvd import RISK_CLASSES
+from iotrisk.util import run_cells
 
 
 def reference_labels(seed=0):
@@ -229,7 +229,7 @@ class TestRunCells:
         def no_pool(size, score):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(evaluation, "_fork_pool", no_pool)
+        monkeypatch.setattr(util, "_fork_pool", no_pool)
         assert run_cells(lambda i: i + 1, 3, threads=1) == [1, 2, 3]
         assert run_cells(lambda i: os.getpid(), 1, threads=4) == [os.getpid()]
 

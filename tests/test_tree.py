@@ -1,3 +1,6 @@
+import base64
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from iotrisk.tree import (
     TreeParams,
     TreeSet,
     _best_split_exact,
+    _encode,
     column_codes,
     fit_tree,
 )
@@ -229,6 +233,29 @@ class TestContract:
         assert tree.feature[0] == 150
         with pytest.raises(DomainError, match="'feature' does not fit"):
             tree.to_payload()
+
+    def test_encoding_a_stored_type_array_copies_it_no_more(self):
+        # the base64 text (4/3 of the bytes) and its str (4/3 again) only
+        a = np.random.default_rng(0).normal(size=(58731, 4))
+        tracemalloc.start()
+        try:
+            text = _encode("value", a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * a.nbytes
+        assert base64.b64decode(text) == a.tobytes()
+
+    def test_packed_sets_unpack_into_their_concatenation(self):
+        X = np.random.default_rng(3).normal(size=(40, 3))
+        y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0)
+        trees = [fit_tree(X, y, params=TreeParams(max_depth=depth), mode="classification",
+                          n_classes=3) for depth in (0, 1, 3)]
+        sets = [TreeSet.concat(trees[:1]), TreeSet.concat(trees[1:])]
+        packs = [s.packed() for s in sets]
+        joined = TreeSet.unpacked(packs, (3,))
+        assert packs == []
+        assert_same_arrays(joined, TreeSet.concat(trees))
 
     def test_truncated_payload_rejected(self):
         payload = tree_payload({"nodes": [2], "feature": [0, -1], "threshold": [0.5],
