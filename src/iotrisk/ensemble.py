@@ -491,7 +491,11 @@ class AdaboostModel(_TreeEnsemble):
     def from_payload(cls, payload: dict) -> "AdaboostModel":
         n_classes, n_features = int(payload["n_classes"]), int(payload["n_features"])
         trees = TreeSet.from_payload(payload["trees"], "classification", n_classes, n_features)
-        alphas = [float(a) for a in payload["alphas"]]
+        alphas = payload["alphas"]
+        if not (isinstance(alphas, list) and all(isinstance(a, numbers.Real)
+                                                 and not isinstance(a, bool) for a in alphas)):
+            raise DataFormatError("AdaBoost alphas are not a list of numbers")
+        alphas = [float(a) for a in alphas]
         if len(alphas) != trees.nodes.size or not all(map(math.isfinite, alphas)):
             raise DataFormatError(f"AdaBoost holds {len(alphas)} alphas for "
                                   f"{trees.nodes.size} trees, or one is not finite")
@@ -591,10 +595,10 @@ class MajorityModel(_Classifier):
     @classmethod
     def from_payload(cls, payload: dict) -> "MajorityModel":
         distribution = np.asarray(payload["distribution"], dtype=float)
-        if distribution.ndim != 1 or not (np.isfinite(distribution)
-                                          & (distribution >= 0)).all():
+        if (distribution.ndim != 1 or not (np.isfinite(distribution) & (distribution >= 0)).all()
+                or abs(distribution.sum() - 1) > 1e-9):
             raise DataFormatError("majority distribution is not a list of "
-                                  "finite, non-negative probabilities")
+                                  "finite, non-negative probabilities summing to 1")
         return cls(distribution)
 
 
@@ -663,11 +667,10 @@ def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = len(RISK_CLASSES
 
     The fit runs as cells in `threads` forked workers (`run_cells`), the
     forests first as the largest.  With `threads` > 1 each forest, alone or
-    a voting member, is `threads` contiguous tree ranges; a worker sends a
-    range back as the arrays a model file stores (`TreeSet.packed`), and
-    the ranges join in index order into the forest one process grows.
-    Every other model is one cell, and a fit of one cell runs in this
-    process.
+    a voting member, is `threads` contiguous tree ranges, each a
+    `forest_fit(..., trees=range)`, and the ranges' trees join in index
+    order into the forest one process grows.  Every other model is one
+    cell, and a fit of one cell runs in this process.
     """
     members = _voting_members(spec) if spec.family == "voting" else [spec]
     params = [None if m.family in ("voting", "majority") else model_params(m.family, m.params)
@@ -683,13 +686,10 @@ def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = len(RISK_CLASSES
             return fit_model(member, matrix, labels, n_classes)
         if member.family == "majority":
             return majority_fit(matrix, labels, n_classes)
-        if trees is None:
-            fit_family = globals()[_FAMILIES[member.family][1]]
-            return fit_family(matrix, labels, params[index], seed=member.seed,
-                              n_classes=n_classes)
-        forest = forest_fit(matrix, labels, params[index], seed=member.seed,
-                            n_classes=n_classes, trees=trees)
-        return forest.n_classes, forest.variant, forest.n_features, forest.trees.packed()
+        fit_family = globals()[_FAMILIES[member.family][1]]
+        ranged = {} if trees is None else {"trees": trees}
+        return fit_family(matrix, labels, params[index], seed=member.seed,
+                          n_classes=n_classes, **ranged)
 
     results = run_cells(fit, len(cells), threads, died=TrainingError)
     parts = [[] for _ in members]
@@ -711,16 +711,14 @@ def _tree_ranges(n_trees: int, parts: int) -> list:
 
 
 def _joined(parts: list):
-    """A member's model from the results of its cells: the one model, or a
-    forest from its (classes, variant, columns, packed arrays) tree ranges
-    in index order.  The list is emptied, so each range is dropped once
-    placed."""
+    """A member's model from the models of its cells: the one model, or the
+    forest its tree ranges make in index order.  The list is emptied, so
+    each range is dropped once placed."""
     if len(parts) == 1:
         return parts.pop()
-    K, variant, n_features, _ = parts[0]
-    packs = [part[3] for part in parts]
-    parts.clear()
-    return ForestModel(TreeSet.unpacked(packs, (K,)), K, variant, n_features)
+    K, variant, n_features = parts[0].n_classes, parts[0].variant, parts[0].n_features
+    trees = TreeSet.concat(parts.pop(0).trees for _ in range(len(parts)))
+    return ForestModel(trees, K, variant, n_features)
 
 
 _MODEL_CLASSES = {

@@ -35,10 +35,11 @@ The rows are put into a canonical order first, a three-key sort (rank,
 target, weight), so a fit depends only on the row multiset, never on
 input row order.  Input must be finite.
 
-An ensemble holds its trees as one `TreeSet`, the node arrays its model
-file stores, and scores them in one traversal: all (tree, row) pairs
-descend a level per step, as in Hummingbird (Nakandala et al., 2020).
-`fit_tree` returns a `DecisionTree`, a set of one tree.
+An ensemble holds its trees as one `TreeSet`, exactly the arrays its
+model file stores (a threshold and right child per split, a value per
+leaf), and scores them in one traversal: all (tree, row) pairs descend a
+level per step, as in Hummingbird (Nakandala et al., 2020).  `fit_tree`
+returns a `DecisionTree`, a set of one tree.
 """
 
 import base64
@@ -71,14 +72,17 @@ PAYLOAD_DTYPES = {"nodes": "<i4", "feature": "<i1", "threshold": "<f8",
 
 
 class TreeSet:
-    """Fitted CART trees as one set of concatenated node arrays.
+    """Fitted CART trees as one set of concatenated node arrays, the arrays
+    a model file stores.
 
-    ``nodes`` holds each tree's node count; ``start``, each tree's root, is
-    derived on use, so a fitted tree holds no more arrays than it needs.
-    Nodes are in preorder within a tree, so a split's left child is the
-    next node; ``right`` holds the tree-local index of its right child.
-    ``feature`` and ``right`` are -1 at leaves; ``value`` holds (n_nodes, K)
-    class probabilities or (n_nodes,) scalars, meaningful at leaves only.
+    ``nodes`` holds each tree's node count and ``feature`` one entry per
+    node, -1 at leaves; ``threshold`` and ``right`` hold one entry per
+    split, ``value`` one per leaf: (leaves, K) class probabilities or
+    (leaves,) scalars, each in node order.  Nodes are in preorder within a
+    tree, so a split's left child is the next node; ``right`` holds the
+    tree-local index of its right child.  ``start``, each tree's root, and
+    ``splits_before``, the splits ahead of each node, are derived on use: a
+    split's entry is ``splits_before[i]``, a leaf's ``i - splits_before[i]``.
     """
 
     def __init__(self, nodes, feature, threshold, right, value):
@@ -86,6 +90,7 @@ class TreeSet:
             nodes, feature, threshold, right, value)
 
     start = property(lambda self: np.cumsum(self.nodes) - self.nodes)
+    splits_before = property(lambda self: np.cumsum(self.feature >= 0) - (self.feature >= 0))
 
     @classmethod
     def concat(cls, trees) -> "TreeSet":
@@ -97,8 +102,8 @@ class TreeSet:
         for tree in trees:
             parts = (tree.feature, tree.threshold, tree.right, tree.value)
             arrays = arrays or [np.empty((0,) + p.shape[1:], p.dtype) for p in parts]
-            start = len(arrays[0])
             for array, part in zip(arrays, parts):
+                start = len(array)
                 array.resize((start + len(part),) + part.shape[1:], refcheck=False)
                 array[start:] = part
             nodes.append(tree.nodes)
@@ -109,11 +114,12 @@ class TreeSet:
         stacked in row order; ``values`` holds the block's leaf payloads,
         (trees, rows, K) or (trees, rows), and combine reduces its tree axis."""
         X = np.ascontiguousarray(matrix, dtype=float)
+        before = self.splits_before
         step = max(1, BLOCK_PAIRS // self.nodes.size)
-        return np.concatenate([combine(self.value[self._leaves(X[i:i + step])])
-                               for i in range(0, max(len(X), 1), step)])
+        blocks = (self._leaves(X[i:i + step], before) for i in range(0, max(len(X), 1), step))
+        return np.concatenate([combine(self.value[leaf - before[leaf]]) for leaf in blocks])
 
-    def _leaves(self, X) -> np.ndarray:
+    def _leaves(self, X, before) -> np.ndarray:
         """The leaf every (tree, row) pair reaches, (trees, rows).  All
         pairs descend together, one level per step."""
         n, d = X.shape
@@ -125,50 +131,23 @@ class TreeSet:
             feature = self.feature[at]
             inner = feature >= 0
             pairs, at, feature = pairs[inner], at[inner], feature[inner]
-            go_left = X.take(offset[pairs] + feature) <= self.threshold[at]
-            node[pairs] = np.where(go_left, at + 1, root[pairs] + self.right[at])
+            split = before[at]
+            go_left = X.take(offset[pairs] + feature) <= self.threshold[split]
+            node[pairs] = np.where(go_left, at + 1, root[pairs] + self.right[split])
         return node.reshape(self.nodes.size, n)
 
-    def packed(self) -> dict:
-        """The arrays a model file stores: ``threshold`` and ``right`` for
-        splits only, ``value`` for leaves only."""
-        split = self.feature >= 0
-        return {"nodes": self.nodes, "feature": self.feature,
-                "threshold": self.threshold[split], "right": self.right[split],
-                "value": self.value[~split]}
-
-    @classmethod
-    def unpacked(cls, packs: list, leaf_shape: tuple) -> "TreeSet":
-        """The sets whose `packed` arrays are in `packs`, joined in order;
-        threshold is 0 and right -1 at leaves, value 0 at splits, as a fit
-        leaves them.  `packs` is emptied, so each is dropped once placed."""
-        nodes = np.concatenate([pack["nodes"] for pack in packs]).astype(np.intp)
-        n = int(nodes.sum())
-        feature, right = np.empty(n, np.intp), np.full(n, -1, np.intp)
-        threshold, value = np.zeros(n), np.zeros((n,) + leaf_shape)
-        start = 0
-        while packs:
-            pack = packs.pop(0)
-            rows = slice(start, start + len(pack["feature"]))
-            feature[rows] = pack["feature"]
-            split = feature[rows] >= 0
-            threshold[rows][split], right[rows][split] = pack["threshold"], pack["right"]
-            value[rows][~split] = pack["value"].reshape((-1,) + leaf_shape)
-            start = rows.stop
-        return cls(nodes, feature, threshold, right, value)
-
     def to_payload(self) -> dict:
-        """The `packed` arrays, each as base64 of its `PAYLOAD_DTYPES` bytes
-        (row-major, K numbers per classification leaf)."""
-        return {key: _encode(key, array) for key, array in self.packed().items()}
+        """Each array as base64 of its `PAYLOAD_DTYPES` bytes (row-major, K
+        numbers per classification leaf)."""
+        return {key: _encode(key, getattr(self, key)) for key in PAYLOAD_DTYPES}
 
     @classmethod
     def from_payload(cls, payload: dict, mode: str, n_classes: int | None,
                      n_features: int) -> "TreeSet":
         """The set of `to_payload` output, checked in one pass: any array
         that does not decode, or does not describe non-empty trees over
-        n_features columns with finite K-wide (classification) or scalar
-        (regression) leaves, is a DataFormatError."""
+        n_features columns with finite K-wide probability (classification)
+        or scalar (regression) leaves, is a DataFormatError."""
         nodes, feature, right = (_decode(payload, k).astype(np.intp)
                                  for k in ("nodes", "feature", "right"))
         n = len(feature)
@@ -177,8 +156,7 @@ class TreeSet:
         bad = feature[(feature < -1) | (feature >= n_features)]
         if bad.size:
             raise DataFormatError(f"split on feature {bad[0]}, outside [0, {n_features})")
-        split = feature >= 0
-        at = np.flatnonzero(split)
+        at = np.flatnonzero(feature >= 0)
         threshold = _decode(payload, "threshold")
         if threshold.shape != at.shape or right.shape != at.shape:
             raise DataFormatError(f"tree arrays hold {threshold.size} thresholds and "
@@ -195,15 +173,18 @@ class TreeSet:
         if (parents != 1).any():
             raise DataFormatError("tree node without exactly one parent")
         leaf_shape = () if mode == "regression" else (n_classes,)
-        leaf_values = _decode(payload, "value")
+        value = _decode(payload, "value")
         expected = (n - at.size,) + leaf_shape
-        if leaf_values.size != math.prod(expected):
-            raise DataFormatError(f"tree {mode} leaf values hold {leaf_values.size} "
+        if value.size != math.prod(expected):
+            raise DataFormatError(f"tree {mode} leaf values hold {value.size} "
                                   f"numbers, expected shape {expected}")
-        if not (np.isfinite(threshold).all() and np.isfinite(leaf_values).all()):
+        if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
             raise DataFormatError("tree split threshold or leaf value is not finite")
-        return cls.unpacked([{"nodes": nodes, "feature": feature, "threshold": threshold,
-                              "right": right, "value": leaf_values}], leaf_shape)
+        value = value.reshape(expected)
+        if leaf_shape and ((value < 0).any() or (abs(value.sum(axis=1) - 1) > 1e-9).any()):
+            raise DataFormatError("tree classification leaf is not a probability row: "
+                                  "a value is negative or the row does not sum to 1")
+        return cls(nodes, feature, threshold, right, value)
 
 
 class DecisionTree(TreeSet):
@@ -222,8 +203,8 @@ class DecisionTree(TreeSet):
     @classmethod
     def leaf(cls, value: float) -> "DecisionTree":
         """A one-node regression tree, as `fit_tree` stores a single leaf."""
-        return cls(np.array([-1], dtype=np.intp), np.array([0.0]),
-                   np.array([-1], dtype=np.intp), np.array([value], dtype=float))
+        return cls(np.array([-1], dtype=np.intp), np.empty(0),
+                   np.empty(0, dtype=np.intp), np.array([value], dtype=float))
 
     def predict_value(self, matrix) -> np.ndarray:
         """Leaf payload per row: (n, K) probabilities or (n,) scalars."""
@@ -458,7 +439,7 @@ def _grow(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows):
         if depth == 0 and open_[0] and np.isfinite(gain[0]):
             root_decrease = float(gain[0])
         split = open_ & (gain >= params.min_impurity_decrease)
-        feature, threshold = np.where(split, f, -1), np.where(split, t, 0.0)
+        feature = np.where(split, f, -1)
         n_split = np.count_nonzero(split)
         value = np.zeros((nb, K) if mode == "classification" else nb)
         if leaf_value_fn is not None:
@@ -474,15 +455,14 @@ def _grow(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows):
                 value = sums.reshape(nb, K) / weight[:, None]
             else:
                 value = np.bincount(node, weights=stats[rows, 0], minlength=nb) / weight
-            value[split] = 0.0
-        levels.append((feature, threshold, value))
+        levels.append((feature, t, value))
         if not n_split:
             break
         # stable partition: each split node's rows go to its left child,
         # then its right child, in canonical order; children keep level order
         keep = split[node]
         rows, at = rows[keep], node[keep]
-        child = (2 * split.cumsum() - 2)[at] + (X.take(rows * d + feature[at]) > threshold[at])
+        child = (2 * split.cumsum() - 2)[at] + (X.take(rows * d + feature[at]) > t[at])
         order = np.argsort(child, kind="stable")
         rows, node = rows[order], child[order]
         sizes = np.bincount(child, minlength=2 * n_split)
@@ -494,7 +474,9 @@ def _preorder(levels):
     """Level-order node arrays renumbered into preorder: a level's split
     nodes have the next level's nodes as children, (left, right) pairs in
     the order of their parents, so each level's preorder numbers follow
-    from its parents' and the left subtrees' sizes."""
+    from its parents' and the left subtrees' sizes.  Returns ``feature``
+    over all nodes, ``threshold`` and ``right`` over the splits and
+    ``value`` over the leaves, each in preorder."""
     splits = [f >= 0 for f, _, _ in levels]
     subtree = [np.ones(s.size, dtype=np.intp) for s in splits]
     for i in reversed(range(len(levels) - 1)):
@@ -509,7 +491,8 @@ def _preorder(levels):
         pre.append(children)
     order = np.argsort(np.concatenate(pre))
     feature, threshold, value = (np.concatenate(arrays)[order] for arrays in zip(*levels))
-    return feature, threshold, right, value
+    split = feature >= 0
+    return feature, threshold[split], right[split], value[~split]
 
 
 def fit_tree(

@@ -426,6 +426,21 @@ class TestDoctoredModel:
         assert self._predict(model, devices, payload) == 3
         assert "classification leaf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", [[5.0, -3.0, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0],
+                                     [0.5, 0.5, 0.5, 0.0]],
+                             ids=["negative_sum_two", "negative_sum_one", "sum_above_one"])
+    def test_classification_leaf_not_a_probability_row(self, corpus, trained, tmp_path,
+                                                       capsys, row):
+        model, devices = trained
+        payload = self._forest_payload(corpus, tmp_path)
+        trees = tree_lists(payload["model"]["trees"])
+        trees["value"] = row * (len(trees["value"]) // 4)
+        payload["model"]["trees"] = tree_payload(trees)
+        assert self._predict(model, devices, payload) == 3
+        err = capsys.readouterr().err
+        assert "m.json: tree classification leaf is not a probability row" in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
     def test_majority_payload_predicts(self, trained, capsys):
         model, devices = trained
         payload = json.loads(model.read_text())
@@ -491,7 +506,8 @@ class TestDoctoredModel:
         "sidecar_without_feature", "sidecar_not_an_object", "sidecar_short_means",
         "sidecar_negative_n_fit", "sidecar_nan_frequency", "sidecar_nan_std",
         "sidecar_negative_std", "unknown_family", "six_classes", "two_classes",
-        "majority_six_classes", "majority_null", "majority_negative", "majority_nested", "voting_no_members",
+        "majority_six_classes", "majority_null", "majority_negative", "majority_nested",
+        "majority_all_zero", "majority_sum_above_one", "voting_no_members",
         "voting_two_class_member", "nested_voting_six_classes",
     ])
     def test_malformed_payload_is_data_error(self, trained, capsys, defect):
@@ -500,7 +516,7 @@ class TestDoctoredModel:
         sidecar = model.parent / (model.name + ".encoders.json")
         gbdt = payload["model"]
         narrow = {**gbdt, "n_classes": 2, "init_scores": [-1.0] * 2}
-        six = {"family": "majority", "distribution": [0.1] * 6}
+        six = {"family": "majority", "distribution": [1 / 6] * 6}
 
         def voting(*members):
             return {"family": "voting", "members": list(members)}
@@ -523,6 +539,10 @@ class TestDoctoredModel:
                                   "majority distribution"),
             "majority_nested": ({"family": "majority", "distribution": [[0.25] * 4]},
                                 "majority distribution"),
+            "majority_all_zero": ({"family": "majority", "distribution": [0.0] * 4},
+                                  "majority distribution"),
+            "majority_sum_above_one": ({"family": "majority", "distribution": [0.5] * 4},
+                                       "majority distribution"),
             "voting_no_members": (voting(), "voting model has no members"),
             "voting_two_class_member": (voting(gbdt, narrow), "gbdt model scores 2 classes"),
             "nested_voting_six_classes": (voting(gbdt, voting(gbdt, six)),

@@ -431,7 +431,9 @@ class TestAdaboost:
         assert np.allclose(proba.sum(axis=1), 1.0)
 
     @pytest.mark.parametrize("alphas", [lambda a: a + [1.0], lambda a: a[:-1],
-                                        lambda a: [math.nan] + a[1:]])
+                                        lambda a: [math.nan] + a[1:],
+                                        lambda a: "7" * len(a), lambda a: [True] * len(a),
+                                        lambda a: [str(x) for x in a]])
     def test_payload_needs_one_finite_alpha_per_tree(self, alphas):
         X, y = separable_toy(n=16)
         payload = adaboost_fit(X, y, AdaboostParams(n_rounds=4)).to_payload()

@@ -8,6 +8,7 @@ from iotrisk.dataset import bundled_corpus_path, load_corpus
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DataFormatError, DomainError
 from iotrisk.tree import (
+    DecisionTree,
     TreeParams,
     TreeSet,
     _best_split_exact,
@@ -23,13 +24,24 @@ def column(values):
     return np.asarray(values, dtype=float).reshape(-1, 1)
 
 
+def split_of(tree, i):
+    """Split node i's (threshold, right child), read at its split index."""
+    k = tree.splits_before[i]
+    return tree.threshold[k], tree.right[k]
+
+
+def leaf_of(tree, i):
+    """Leaf node i's value, read at its leaf index."""
+    return tree.value[i - tree.splits_before[i]]
+
+
 def depths(tree):
     """Depth of every node; one forward pass suffices since children
     always come after their parent (the left child is the next node)."""
     depth = np.zeros(tree.node_count(), dtype=int)
     for i in range(tree.node_count()):
         if tree.feature[i] >= 0:
-            depth[[i + 1, tree.right[i]]] = depth[i] + 1
+            depth[[i + 1, split_of(tree, i)[1]]] = depth[i] + 1
     return depth
 
 
@@ -38,13 +50,14 @@ class TestClassificationSplits:
         tree = fit_tree(column([0, 1, 2, 3]), np.array([0, 0, 1, 1]),
                         mode="classification", n_classes=2)
         assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
-        assert tree.value[1].tolist() == [1.0, 0.0]
-        assert tree.value[tree.right[0]].tolist() == [0.0, 1.0]
+        assert leaf_of(tree, 1).tolist() == [1.0, 0.0]
+        assert leaf_of(tree, tree.right[0]).tolist() == [0.0, 1.0]
 
     def test_pure_node_is_single_leaf(self):
         tree = fit_tree(column([0, 1, 2]), np.array([1, 1, 1]),
                         mode="classification", n_classes=2)
-        assert tree.node_count() == 1 and tree.feature[0] == tree.right[0] == -1
+        assert tree.node_count() == 1 and tree.feature[0] == -1
+        assert tree.threshold.size == tree.right.size == 0
 
     def test_xor_depth_two(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -73,8 +86,8 @@ class TestClassificationSplits:
         tree = fit_tree(column([below, 1.0, below, 1.0]), np.array([0, 1, 0, 1]),
                         mode="classification", n_classes=2)
         assert tree.node_count() == 3 and tree.threshold[0] == below
-        assert tree.value[1].tolist() == [1.0, 0.0]
-        assert tree.value[2].tolist() == [0.0, 1.0]
+        assert leaf_of(tree, 1).tolist() == [1.0, 0.0]
+        assert leaf_of(tree, 2).tolist() == [0.0, 1.0]
 
     def test_min_impurity_decrease_blocks_weak_split(self):
         params = TreeParams(min_impurity_decrease=0.2)
@@ -99,9 +112,10 @@ class TestClassificationSplits:
             rows = reach.pop(i)
             if tree.feature[i] < 0:
                 continue
-            go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
+            threshold, right_child = split_of(tree, i)
+            go_left = X[rows, tree.feature[i]] <= threshold
             left, right = rows[go_left], rows[~go_left]
-            reach[i + 1], reach[tree.right[i]] = left, right
+            reach[i + 1], reach[right_child] = left, right
             decrease = gini(rows) - (left.size * gini(left) + right.size * gini(right)) / rows.size
             assert decrease >= 0.01 - 1e-12
             splits += 1
@@ -126,8 +140,8 @@ class TestRegressionSplits:
         tree = fit_tree(column([0, 1, 2, 3]), np.array([0.0, 0.0, 10.0, 10.0]),
                         mode="regression")
         assert tree.threshold[0] == 1.5
-        assert tree.value[1] == 0.0
-        assert tree.value[tree.right[0]] == 10.0
+        assert leaf_of(tree, 1) == 0.0
+        assert leaf_of(tree, tree.right[0]) == 10.0
 
     def test_constant_targets_single_leaf(self):
         tree = fit_tree(column([0, 1, 2]), np.array([4.0, 4.0, 4.0]),
@@ -197,9 +211,9 @@ class TestContract:
         def walk(row):
             node = 0
             while tree.feature[node] >= 0:
-                go_left = row[tree.feature[node]] <= tree.threshold[node]
-                node = node + 1 if go_left else tree.right[node]
-            return tree.value[node]
+                threshold, right = split_of(tree, node)
+                node = node + 1 if row[tree.feature[node]] <= threshold else right
+            return leaf_of(tree, node)
 
         expected = np.array([walk(row) for row in probe])
         assert np.array_equal(tree.predict_value(probe), expected)
@@ -216,7 +230,7 @@ class TestContract:
         stored = tree_lists(payload)
         splits = sum(int((t.feature >= 0).sum()) for t in trees)
         assert len(stored["threshold"]) == len(stored["right"]) == splits
-        assert stored["right"] == [r for t in trees for r in t.right[t.feature >= 0].tolist()]
+        assert stored["right"] == [r for t in trees for r in t.right.tolist()]
         assert len(stored["value"]) == 4 * (trees_set.feature.size - splits)
         clone = TreeSet.from_payload(payload, "classification", 4, 3)
         assert_same_arrays(trees_set, clone)
@@ -246,16 +260,24 @@ class TestContract:
         assert peak < 3 * a.nbytes
         assert base64.b64decode(text) == a.tobytes()
 
-    def test_packed_sets_unpack_into_their_concatenation(self):
+    def test_concat_appends_each_array_at_its_own_length(self):
         X = np.random.default_rng(3).normal(size=(40, 3))
-        y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0)
-        trees = [fit_tree(X, y, params=TreeParams(max_depth=depth), mode="classification",
-                          n_classes=3) for depth in (0, 1, 3)]
-        sets = [TreeSet.concat(trees[:1]), TreeSet.concat(trees[1:])]
-        packs = [s.packed() for s in sets]
-        joined = TreeSet.unpacked(packs, (3,))
-        assert packs == []
-        assert_same_arrays(joined, TreeSet.concat(trees))
+        y = X[:, 0] + (X[:, 1] > 0)
+        trees = [DecisionTree.leaf(0.25)] + [
+            fit_tree(X, y, params=TreeParams(max_depth=depth), mode="regression")
+            for depth in (1, 4)]
+        joined = TreeSet.concat(trees)
+        splits = [int((t.feature >= 0).sum()) for t in trees]
+        assert splits[0] == 0 and splits[1] == 1 and splits[2] > 1
+        # checked before any scoring, which a misplaced array can keep from ending
+        assert joined.threshold.shape == joined.right.shape == (sum(splits),)
+        assert joined.value.shape == (joined.feature.size - sum(splits),)
+        for name in ("feature", "threshold", "right", "value"):
+            assert np.array_equal(getattr(joined, name),
+                                  np.concatenate([getattr(t, name) for t in trees])), name
+        per_tree = joined.apply(X, lambda values: values.swapaxes(0, 1))
+        for i, tree in enumerate(trees):
+            assert np.array_equal(tree.predict_value(X), per_tree[:, i])
 
     def test_truncated_payload_rejected(self):
         payload = tree_payload({"nodes": [2], "feature": [0, -1], "threshold": [0.5],
@@ -280,9 +302,10 @@ def reaching_rows(tree, X):
     reach = np.zeros((tree.node_count(), len(X)), dtype=bool)
     reach[0] = True
     for i in np.flatnonzero(tree.feature >= 0):
-        left = X[:, tree.feature[i]] <= tree.threshold[i]
+        threshold, right = split_of(tree, i)
+        left = X[:, tree.feature[i]] <= threshold
         reach[i + 1] = reach[i] & left
-        reach[tree.right[i]] = reach[i] & ~left
+        reach[right] = reach[i] & ~left
     return reach
 
 
@@ -330,9 +353,10 @@ class TestLevelWiseGrower:
         reach = reaching_rows(tree, X)
         depth = depths(tree)
         for i in np.flatnonzero(tree.feature >= 0):
+            threshold, right = split_of(tree, i)
             x = X[reach[i], tree.feature[i]]
-            assert x.min() <= tree.threshold[i] < x.max()
-            assert reach[i + 1].any() and reach[tree.right[i]].any()
+            assert x.min() <= threshold < x.max()
+            assert reach[i + 1].any() and reach[right].any()
             assert reach[i].sum() >= params.min_samples_split
             assert params.max_depth is None or depth[i] < params.max_depth
 
@@ -345,7 +369,7 @@ class TestLevelWiseGrower:
             return 1.0 - np.square(shares).sum()
 
         for i in np.flatnonzero(tree.feature >= 0):
-            node, left, right = reach[i], reach[i + 1], reach[tree.right[i]]
+            node, left, right = reach[i], reach[i + 1], reach[split_of(tree, i)[1]]
             decrease = gini(node) - (w[left].sum() * gini(left)
                                      + w[right].sum() * gini(right)) / w[node].sum()
             assert decrease >= params.min_impurity_decrease - 1e-12
@@ -369,7 +393,7 @@ class TestLevelWiseGrower:
                     or spread <= d - drawn  # every drawn feature may be constant
                     or 0 < best[2] < params.min_impurity_decrease), i
             shares = np.bincount(y[rows], weights=w[rows], minlength=3) / w[rows].sum()
-            assert np.allclose(tree.value[i], shares, rtol=0, atol=1e-12)
+            assert np.allclose(leaf_of(tree, i), shares, rtol=0, atol=1e-12)
 
     def test_payload_round_trip(self, grown):
         tree, X, y, w, params = grown
