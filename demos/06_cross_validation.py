@@ -37,8 +37,13 @@ def main():
     print("The reduced modes are reported for comparison; whether they help "
           "is an empirical question the table answers per corpus.")
 
-    baseline = cross_validate(ModelSpec("majority"), encoded.data, labels, plan)
-    print(f"majority-class baseline: {100 * baseline.mean:.1f}%")
+    # each fold predicts its training folds' most common class everywhere
+    baseline = [
+        (labels[plan.test_indices(r, f)]
+         == np.bincount(labels[plan.train_indices(r, f)]).argmax()).mean()
+        for r in range(plan.repeats) for f in range(plan.k)
+    ]
+    print(f"majority-class baseline: {100 * np.mean(baseline):.1f}%")
 
 
 if __name__ == "__main__":

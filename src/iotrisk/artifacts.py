@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import FEATURE_COLUMNS
 from .dimred import KmeansModel, PcaModel
 from .encoding import CorpusEncoder, StandardScaler
-from .ensemble import VotingModel, model_from_payload
+from .ensemble import model_from_payload
 from .errors import DataFormatError
 from .nvd import CLASS_NAMES
 from .pipeline import MODES, DimredArtifacts, PipelineModel
@@ -157,12 +157,10 @@ def _dimred_from(payload: dict, mode) -> DimredArtifacts:
 def _check_classes(model) -> None:
     """Every model in a file, each voting member too, must score exactly
     the file's classes."""
-    if isinstance(model, VotingModel):
-        for member in model.members:
-            _check_classes(member)
-    elif model.n_classes != len(CLASS_NAMES):
-        raise DataFormatError(f"{model.family} model scores {model.n_classes} "
-                              f"classes, not the file's {len(CLASS_NAMES)}")
+    for member in getattr(model, "members", [model]):
+        if member.n_classes != len(CLASS_NAMES):
+            raise DataFormatError(f"{member.family} model scores {member.n_classes} "
+                                  f"classes, not the file's {len(CLASS_NAMES)}")
 
 
 def save_model(

@@ -227,11 +227,14 @@ def cmd_build(args) -> int:
 
 
 def cmd_train(args) -> int:
+    sidecar = args.encoders or f"{args.out}.encoders.json"
+    if Path(sidecar).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--encoders and --out both name {args.out}; "
+                          "the sidecar would overwrite the model")
     records, _ = load_corpus(args.corpus)
     config = _pipeline_config(args)
     with _training_errors():
         encoder, pipeline = fit_pipeline(records, config, threads=args.threads)
-    sidecar = args.encoders or f"{args.out}.encoders.json"
     save_model(args.out, pipeline, encoder.fingerprint())
     save_encoder(sidecar, encoder)
     print(f"model: {args.out}")
@@ -251,6 +254,8 @@ def cmd_cv(args) -> int:
     records, _ = load_corpus(args.corpus)
     config = _pipeline_config(args)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise ConfigError(f"--modes names no mode; choose from {'/'.join(MODES)}")
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}; choose from {'/'.join(MODES)}")

@@ -4,8 +4,7 @@
   one-step Newton leaf values) -- the primary model;
 * random forests and extra-trees (soft voting across trees);
 * SAMME AdaBoost over shallow trees;
-* an unweighted soft-voting combiner;
-* a majority-class baseline for sanity checks.
+* an unweighted soft-voting combiner over models of those families.
 
 Every model exposes ``predict_proba`` (rows sum to 1) and ``predict``
 (argmax, lowest ordinal wins ties), and serializes through
@@ -570,41 +569,12 @@ class VotingModel(_Classifier):
 
     @classmethod
     def from_payload(cls, payload: dict) -> "VotingModel":
-        members = [model_from_payload(p) for p in payload["members"]]
+        members = payload["members"]
         if not members:
             raise DataFormatError("voting model has no members")
-        return cls(members)
-
-
-class MajorityModel(_Classifier):
-    """Constant baseline: the training class distribution everywhere."""
-
-    family = "majority"
-
-    def __init__(self, distribution: np.ndarray):
-        self.distribution = distribution
-        self.n_classes = len(distribution)
-
-    def predict_proba(self, matrix) -> np.ndarray:
-        n = np.asarray(matrix).shape[0]
-        return np.tile(self.distribution, (n, 1))
-
-    def to_payload(self) -> dict:
-        return {"family": self.family, "distribution": self.distribution.tolist()}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MajorityModel":
-        distribution = np.asarray(payload["distribution"], dtype=float)
-        if (distribution.ndim != 1 or not (np.isfinite(distribution) & (distribution >= 0)).all()
-                or abs(distribution.sum() - 1) > 1e-9):
-            raise DataFormatError("majority distribution is not a list of "
-                                  "finite, non-negative probabilities summing to 1")
-        return cls(distribution)
-
-
-def majority_fit(matrix, labels, n_classes: int = len(RISK_CLASSES)) -> MajorityModel:
-    counts = np.bincount(np.asarray(labels, int), minlength=n_classes)
-    return MajorityModel(counts / counts.sum())
+        if any(member.get("family") == "voting" for member in members):
+            raise DataFormatError("a voting member cannot itself be a voting model")
+        return cls([model_from_payload(member) for member in members])
 
 
 @dataclass
@@ -628,7 +598,8 @@ _FAMILIES = {
 
 def model_params(family: str, params: dict):
     """Keyword params as the checked params dataclass of a single-model
-    family; an unknown family, an unknown name or a bad value is a
+    family; an unknown family, an unknown name, a bad value or a class
+    weight for no risk class (every command fits all of them) is a
     ConfigError."""
     if family not in _FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")
@@ -636,60 +607,55 @@ def model_params(family: str, params: dict):
     unknown = sorted(set(params) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {family} parameter {unknown[0]!r}")
-    return cls(**params)
+    checked = cls(**params)
+    weights = getattr(checked, "class_weights", None)
+    K = len(RISK_CLASSES)
+    bad = [o for o in weights if int(o) >= K] if isinstance(weights, Mapping) else []
+    if bad:
+        raise ConfigError(f"class weight for class {bad[0]}, outside [0, {K})")
+    return checked
 
 
-def _voting_members(spec: ModelSpec) -> list[ModelSpec]:
+def model_members(spec: ModelSpec) -> list:
+    """The single models a spec fits, as (member spec, `model_params`): a
+    voting spec's members in order, or the spec itself.  Each member must
+    be one of the `_FAMILIES`, so a voting member cannot itself vote;
+    anything else is a ConfigError, raised before any data is encoded or
+    reduced."""
+    if spec.family != "voting":
+        return [(spec, model_params(spec.family, spec.params))]
     members = spec.params.get("members")
     if not members:
         raise ConfigError("voting spec needs a non-empty members list")
-    return [ModelSpec(m["family"], m.get("params", {}), spec.seed) for m in members]
+    members = [ModelSpec(m["family"], m.get("params", {}), spec.seed) for m in members]
+    if any(member.family == "voting" for member in members):
+        raise ConfigError("a voting member cannot itself be a voting model")
+    return [(member, model_params(member.family, member.params)) for member in members]
 
 
-def check_spec(spec: ModelSpec) -> None:
-    """Build the params of every model a spec fits, so that a bad one fails
-    before any data is encoded or reduced.  A class weight must name one of
-    the risk classes every command fits."""
-    if spec.family == "voting":
-        for member in _voting_members(spec):
-            check_spec(member)
-    elif spec.family != "majority":
-        weights = getattr(model_params(spec.family, spec.params), "class_weights", None)
-        K = len(RISK_CLASSES)
-        bad = [o for o in weights if int(o) >= K] if isinstance(weights, Mapping) else []
-        if bad:
-            raise ConfigError(f"class weight for class {bad[0]}, outside [0, {K})")
+def fit_model(spec: ModelSpec, matrix, labels, threads: int = 1):
+    """Fit the model a spec describes over the risk classes; a spec
+    `model_members` refuses is a ConfigError.
 
-
-def fit_model(spec: ModelSpec, matrix, labels, n_classes: int = len(RISK_CLASSES),
-              threads: int = 1):
-    """Fit the model a spec describes.  Unknown families are ConfigErrors.
-
-    The fit runs as cells in `threads` forked workers (`run_cells`), the
-    forests first as the largest.  With `threads` > 1 each forest, alone or
-    a voting member, is `threads` contiguous tree ranges, each a
+    The fit runs as cells in `threads` forked workers (`run_cells`), in
+    member order.  With `threads` > 1 each forest, alone or a voting
+    member, is `threads` contiguous tree ranges, each a
     `forest_fit(..., trees=range)`, and the ranges' trees join in index
-    order into the forest one process grows.  Every other model is one
+    order into the forest one process grows.  Every other member is one
     cell, and a fit of one cell runs in this process.
     """
-    members = _voting_members(spec) if spec.family == "voting" else [spec]
-    params = [None if m.family in ("voting", "majority") else model_params(m.family, m.params)
-              for m in members]
-    forests = [i for i, p in enumerate(params) if isinstance(p, ForestParams)]
-    cells = [(i, trees) for i in forests for trees in _tree_ranges(params[i].n_trees, threads)]
-    cells += [(i, None) for i in range(len(members)) if i not in forests]
+    members = model_members(spec)
+    cells = [(index, trees) for index, (_, params) in enumerate(members)
+             for trees in (_tree_ranges(params.n_trees, threads)
+                           if isinstance(params, ForestParams) else [None])]
 
     def fit(cell: int):
         index, trees = cells[cell]
-        member = members[index]
-        if member.family == "voting":
-            return fit_model(member, matrix, labels, n_classes)
-        if member.family == "majority":
-            return majority_fit(matrix, labels, n_classes)
+        member, params = members[index]
         fit_family = globals()[_FAMILIES[member.family][1]]
         ranged = {} if trees is None else {"trees": trees}
-        return fit_family(matrix, labels, params[index], seed=member.seed,
-                          n_classes=n_classes, **ranged)
+        return fit_family(matrix, labels, params, seed=member.seed,
+                          n_classes=len(RISK_CLASSES), **ranged)
 
     results = run_cells(fit, len(cells), threads, died=TrainingError)
     parts = [[] for _ in members]
@@ -727,7 +693,6 @@ _MODEL_CLASSES = {
     "extra_trees": ForestModel,
     "abc": AdaboostModel,
     "voting": VotingModel,
-    "majority": MajorityModel,
 }
 
 

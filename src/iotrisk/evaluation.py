@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 
-from .ensemble import ModelSpec, check_spec, fit_model
+from .ensemble import ModelSpec, fit_model, model_members
 from .errors import ConfigError, DomainError, EvaluationError
 from .nvd import RISK_CLASSES, RiskClass
 from .util import derived_seed, largest_remainder, run_cells
@@ -289,7 +289,7 @@ def grid_configs(family: str, grid: dict[str, list],
             raise ConfigError(f"grid entry {name!r} has no values")
     configs = [dict(zip(grid, combo)) for combo in product(*grid.values())]
     for config in configs:
-        check_spec(ModelSpec(family, {**(base_params or {}), **config}))
+        model_members(ModelSpec(family, {**(base_params or {}), **config}))
     return configs
 
 

@@ -26,7 +26,7 @@ from .dimred import (
     tsne_embed,
 )
 from .encoding import CorpusEncoder, EncodedMatrix, StandardScaler, apply_scaler, fit_scaler
-from .ensemble import ModelSpec, check_spec, fit_model
+from .ensemble import ModelSpec, fit_model, model_members
 from .errors import ConfigError
 from .nvd import RiskClass
 from .util import derived_seed
@@ -97,7 +97,7 @@ class PipelineConfig:
             raise ConfigError(f"components must be >= 1 or unset, got {self.components}")
         if not 0.0 < self.test_fraction < 1.0:  # also refuses NaN
             raise ConfigError(f"test fraction must be inside (0, 1), got {self.test_fraction}")
-        check_spec(self.model_spec())
+        model_members(self.model_spec())
         return self
 
     def model_spec(self) -> ModelSpec:

@@ -441,13 +441,6 @@ class TestDoctoredModel:
         assert "m.json: tree classification leaf is not a probability row" in err
         assert err.count("error:") == 1 and "Traceback" not in err
 
-    def test_majority_payload_predicts(self, trained, capsys):
-        model, devices = trained
-        payload = json.loads(model.read_text())
-        payload["model"] = {"family": "majority", "distribution": [0.1, 0.2, 0.3, 0.4]}
-        assert self._predict(model, devices, payload) == 0
-        assert "Critical" in capsys.readouterr().out
-
     @pytest.mark.parametrize("defect", [
         "backwards_child", "child_out_of_range", "child_past_its_tree", "shared_child",
         "unequal_lengths", "missing_leaf_row", "null_threshold", "null_leaf_value",
@@ -508,7 +501,7 @@ class TestDoctoredModel:
         "sidecar_negative_std", "unknown_family", "six_classes", "two_classes",
         "majority_six_classes", "majority_null", "majority_negative", "majority_nested",
         "majority_all_zero", "majority_sum_above_one", "voting_no_members",
-        "voting_two_class_member", "nested_voting_six_classes",
+        "voting_two_class_member", "nested_voting_six_classes", "voting_member_votes",
     ])
     def test_malformed_payload_is_data_error(self, trained, capsys, defect):
         model, devices = trained
@@ -522,7 +515,10 @@ class TestDoctoredModel:
             return {"family": "voting", "members": list(members)}
 
         # defect: (the model payload put in the file, the error it must name);
-        # the file's classes are four, so every model in it must score four
+        # the file's classes are four, so every model in it must score four,
+        # and no command fits the majority family or a voting member that votes
+        unknown_majority = "unknown model family in payload: 'majority'"
+        nested = "a voting member cannot itself be a voting model"
         replaced = {
             "unknown_family": ({**gbdt, "family": "xgb"},
                                "unknown model family in payload: 'xgb'"),
@@ -531,22 +527,22 @@ class TestDoctoredModel:
             "two_classes": (narrow, "gbdt model scores 2 classes"),
             "no_classes": ({**gbdt, "n_classes": 0, "init_scores": []},
                            "gbdt model scores 0 classes"),
-            "majority_six_classes": (six, "majority model scores 6 classes"),
+            "majority_six_classes": (six, unknown_majority),
             "majority_null": ({"family": "majority", "distribution": [0.5, None, 0.25, 0.25]},
-                              "majority distribution"),
+                              unknown_majority),
             "majority_negative": ({"family": "majority",
                                    "distribution": [0.5, -0.25, 0.25, 0.5]},
-                                  "majority distribution"),
+                                  unknown_majority),
             "majority_nested": ({"family": "majority", "distribution": [[0.25] * 4]},
-                                "majority distribution"),
+                                unknown_majority),
             "majority_all_zero": ({"family": "majority", "distribution": [0.0] * 4},
-                                  "majority distribution"),
+                                  unknown_majority),
             "majority_sum_above_one": ({"family": "majority", "distribution": [0.5] * 4},
-                                       "majority distribution"),
+                                       unknown_majority),
             "voting_no_members": (voting(), "voting model has no members"),
             "voting_two_class_member": (voting(gbdt, narrow), "gbdt model scores 2 classes"),
-            "nested_voting_six_classes": (voting(gbdt, voting(gbdt, six)),
-                                          "majority model scores 6 classes"),
+            "nested_voting_six_classes": (voting(gbdt, voting(gbdt, six)), nested),
+            "voting_member_votes": (voting(gbdt, voting(gbdt)), nested),
         }
         expected = ""
         if defect in replaced:
@@ -729,6 +725,23 @@ class TestEvaluateCv:
         assert rc == 2
         assert "class weight for class 7, outside [0, 4)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("member, message", [
+        ({"family": "majority"}, "unknown model family 'majority'"),
+        ({"family": "voting", "params": {"members": [{"family": "gbdt"}]}},
+         "a voting member cannot itself be a voting model"),
+    ], ids=["majority", "voting"])
+    def test_voting_member_outside_the_single_families(self, corpus, capsys, monkeypatch,
+                                                       member, message):
+        def no_design(*args, **kwargs):
+            raise AssertionError("the design matrix was built")
+
+        monkeypatch.setattr(cli, "fit_design", no_design)
+        monkeypatch.setattr(pipeline, "profile_params", lambda family, profile, overrides:
+                            {"members": [{"family": "gbdt"}, member]})
+        rc = main(["cv", "--corpus", str(corpus), "--seed", "4", "--model", "voting"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_setting_fails_before_any_reduction(self, corpus, tmp_path, capsys,
                                                     monkeypatch):
         def no_tsne(*args, **kwargs):
@@ -749,7 +762,14 @@ class TestEvaluateCv:
         assert main([*train, *common, "--clusters", "2000"]) == 3
         assert capsys.readouterr().err == "error: k 2000 outside [1, 160]\n"
         # a setting no data can satisfy: exit 2, with one error line
+        model = tmp_path / "model.json"
         for argv, message in (
+            ([*train, "--encoders", str(model)],
+             f"--encoders and --out both name {model}; the sidecar would overwrite the model"),
+            ([*train, "--encoders", str(tmp_path / "." / "model.json")],
+             f"--encoders and --out both name {model}; the sidecar would overwrite the model"),
+            (["cv", "--modes", ","], "--modes names no mode; choose from wo_dr/tsne/pca"),
+            (["cv", "--modes", ""], "--modes names no mode; choose from wo_dr/tsne/pca"),
             ([*train, "--clusters", "0"], "clusters must be >= 1, got 0"),
             ([*train, "--components", "0"], "components must be >= 1 or unset, got 0"),
             (["cv", "--modes", "tsne", "--k", "1"], "k must be >= 2, got 1"),

@@ -20,13 +20,12 @@ from iotrisk.ensemble import (
     VotingModel,
     adaboost_fit,
     balanced_class_weights,
-    check_spec,
     deviance_gradient,
     fit_model,
     forest_fit,
     gbdt_fit,
-    majority_fit,
     model_from_payload,
+    model_members,
     model_params,
     multinomial_deviance,
     samme_alpha,
@@ -60,6 +59,14 @@ def separable_toy(n=20, seed=0):
     ])
     y = np.array([0] * (n // 2) + [1] * (n // 2))
     return X, y
+
+
+def four_class_toy(n=24, seed=0):
+    """n rows in four separated clusters, one per risk class."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % 4
+    centres = np.array([[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]])
+    return centres[y] + rng.normal(0.0, 0.3, size=(n, 2)), y
 
 
 class TestDevianceGradient:
@@ -584,11 +591,11 @@ class TestModelParams:
 
     def test_spec_class_weight_ordinal_checked_before_fitting(self):
         for weights in ({"0": 1.5, 3: 2}, "balanced", None):
-            check_spec(ModelSpec("rfc", {"class_weights": weights}))
+            model_members(ModelSpec("rfc", {"class_weights": weights}))
         with pytest.raises(ConfigError, match="class 4, outside"):
-            check_spec(ModelSpec("rfc", {"class_weights": {"1": 2.0, "4": 1.0}}))
+            model_members(ModelSpec("rfc", {"class_weights": {"1": 2.0, "4": 1.0}}))
         with pytest.raises(ConfigError, match="class 7, outside"):
-            check_spec(ModelSpec("voting", {"members": [
+            model_members(ModelSpec("voting", {"members": [
                 {"family": "etc", "params": {"class_weights": {7: 1.0}}}]}))
 
     def test_nan_min_impurity_decrease_rejected(self):
@@ -721,13 +728,26 @@ class TestBlockedScoring:
 
 class TestModelSpec:
     def test_unknown_family(self):
-        X, y = separable_toy(n=8)
+        X, y = four_class_toy(n=8)
         with pytest.raises(ConfigError):
-            fit_model(ModelSpec("xgb"), X, y, n_classes=2)
+            fit_model(ModelSpec("xgb"), X, y)
+
+    def test_members_are_single_families(self):
+        gbdt = {"family": "gbdt", "params": {"n_stages": 2}}
+        members = model_members(ModelSpec("voting", {"members": [gbdt, gbdt]}, seed=4))
+        assert [(m.family, m.seed, p) for m, p in members] == [
+            ("gbdt", 4, GbdtParams(n_stages=2))] * 2
+        with pytest.raises(ConfigError, match="unknown model family 'majority'"):
+            model_members(ModelSpec("majority"))
+        with pytest.raises(ConfigError, match="unknown model family 'majority'"):
+            model_members(ModelSpec("voting", {"members": [gbdt, {"family": "majority"}]}))
+        nested = {"family": "voting", "params": {"members": [gbdt]}}
+        with pytest.raises(ConfigError, match="voting member cannot itself be a voting"):
+            model_members(ModelSpec("voting", {"members": [gbdt, nested]}))
 
     def test_fit_functions_looked_up_when_called(self, monkeypatch):
         # wrappers installed on the module attributes must see every fit
-        X, y = separable_toy(n=8)
+        X, y = four_class_toy(n=8)
         seen = []
         for name in ("gbdt_fit", "forest_fit", "adaboost_fit"):
             original = getattr(ensemble, name)
@@ -739,29 +759,20 @@ class TestModelSpec:
             monkeypatch.setattr(ensemble, name, recording)
         for family, params in (("gbdt", {"n_stages": 2}), ("rfc", {"n_trees": 2}),
                                ("etc", {"n_trees": 2}), ("abc", {"n_rounds": 2})):
-            fit_model(ModelSpec(family, params), X, y, n_classes=2)
+            fit_model(ModelSpec(family, params), X, y)
         assert seen == [("gbdt_fit", "GbdtParams"), ("forest_fit", "ForestParams"),
                         ("forest_fit", "ExtraTreesParams"),
                         ("adaboost_fit", "AdaboostParams")]
 
-    def test_majority_baseline(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(20, 2))
-        y = np.repeat([0, 3], [5, 15])
-        model = majority_fit(X, y, n_classes=4)
-        assert model.predict(X).tolist() == [3] * 20
-        assert np.allclose(model.predict_proba(X)[0], [0.25, 0, 0, 0.75])
-
     def test_voting_family_end_to_end(self):
-        X, y = separable_toy(n=24)
+        X, y = four_class_toy(n=24)
         members = [
             {"family": "abc", "params": {"n_rounds": 5}},
             {"family": "gbdt", "params": {"n_stages": 10, "max_depth": 2}},
             {"family": "etc", "params": {"n_trees": 5}},
             {"family": "rfc", "params": {"n_trees": 5}},
         ]
-        model = fit_model(ModelSpec("voting", {"members": members}, seed=1),
-                          X, y, n_classes=2)
+        model = fit_model(ModelSpec("voting", {"members": members}, seed=1), X, y)
         assert (model.predict(X) == y).mean() > 0.9
         clone = model_from_payload(model.to_payload())
         assert np.array_equal(model.predict_proba(X), clone.predict_proba(X))
@@ -772,13 +783,13 @@ class TestForkedFit:
     N forked workers and joins them into the model one process fits."""
 
     def test_voting_payload_identical_at_any_worker_count(self):
-        X, y = separable_toy(n=40)
+        X, y = four_class_toy(n=40)
         members = [{"family": "abc", "params": {"n_rounds": 4}},
                    {"family": "gbdt", "params": {"n_stages": 3, "max_depth": 2}},
                    {"family": "etc", "params": {"n_trees": 5}},
                    {"family": "rfc", "params": {"n_trees": 7}}]
         spec = ModelSpec("voting", {"members": members}, seed=3)
-        payloads = [json.dumps(fit_model(spec, X, y, n_classes=2, threads=threads)
+        payloads = [json.dumps(fit_model(spec, X, y, threads=threads)
                                .to_payload(), sort_keys=True)
                     for threads in (1, 2, 3)]
         assert payloads[0] == payloads[1] == payloads[2]

@@ -167,13 +167,15 @@ def encoded_corpus(total, signal, seed):
 
 
 QUICK_GBDT = {"n_stages": 15, "learning_rate": 0.2, "max_depth": 3}
+# one single-leaf stage: predicts the training folds' most common class
+CONSTANT = ModelSpec("gbdt", {"n_stages": 1, "max_depth": 0})
 
 
 class TestCrossValidate:
     def test_ten_evaluations_in_order(self):
         X, y, _ = encoded_corpus(200, 0.5, seed=1)
         plan = make_fold_plan(y, 5, 2, seed=2)
-        result = cross_validate(ModelSpec("majority"), X, y, plan)
+        result = cross_validate(CONSTANT, X, y, plan)
         assert len(result.accuracies) == 10
         assert result.fold_labels == (
             "R1-F1", "R1-F2", "R1-F3", "R1-F4", "R1-F5",
@@ -184,7 +186,7 @@ class TestCrossValidate:
         labels = reference_labels(4)
         X = np.zeros((len(labels), 2))
         plan = make_fold_plan(labels, 5, 2, seed=5)
-        result = cross_validate(ModelSpec("majority"), X, labels, plan)
+        result = cross_validate(CONSTANT, X, labels, plan)
         assert np.all(np.abs(result.accuracies - 656 / 1153) < 0.02)
 
     def test_noise_labels_bounded_by_prior_ceiling(self):
@@ -209,7 +211,7 @@ class TestCrossValidate:
         X, y, _ = encoded_corpus(80, 0.5, seed=3)
         plan = make_fold_plan(y, 4, 1, seed=1)
         with pytest.raises(DomainError):
-            cross_validate(ModelSpec("majority"), X[:-1], y[:-1], plan)
+            cross_validate(CONSTANT, X[:-1], y[:-1], plan)
 
     def test_training_failure_reports_fold(self):
         X, y, _ = encoded_corpus(80, 0.5, seed=4)
@@ -280,7 +282,8 @@ class TestGridSearch:
         X = np.zeros((40, 2))
         y = np.tile([0, 1, 2, 3], 10)
         plan = make_fold_plan(y, 2, 1, seed=0)
-        result = grid_search("majority", {"unused": [1, 2]}, X, y, plan)
+        result = grid_search("gbdt", {"n_stages": [1, 2]}, X, y, plan,
+                             base_params=CONSTANT.params)
         assert result.means[0] == result.means[1]
         assert result.winner_index == 0
 
@@ -292,8 +295,9 @@ class TestGridSearch:
         labels = reference_labels(9)
         X = np.zeros((len(labels), 2))
         plan = make_fold_plan(labels, 3, 1, seed=1)
-        by_accuracy = grid_search("majority", {"unused": [1]}, X, labels, plan)
-        by_macro = grid_search("majority", {"unused": [1]}, X, labels, plan,
+        grid = {"n_stages": [1]}
+        by_accuracy = grid_search("gbdt", grid, X, labels, plan, base_params=CONSTANT.params)
+        by_macro = grid_search("gbdt", grid, X, labels, plan, base_params=CONSTANT.params,
                                metric="macro_f1")
         # the constant model scores the majority share on accuracy but is
         # punished by the unweighted class mean
@@ -305,7 +309,7 @@ class TestGridSearch:
         labels = np.tile([0, 1, 2, 3], 6)
         plan = make_fold_plan(labels, 2, 1, seed=0)
         with pytest.raises(ConfigError):
-            cross_validate(ModelSpec("majority"), np.zeros((24, 2)), labels,
+            cross_validate(CONSTANT, np.zeros((24, 2)), labels,
                            plan, metric="rmse")
 
     def test_reported_scale_parameters_runnable(self):
@@ -350,10 +354,10 @@ class TestAblation:
         X = np.random.default_rng(2).normal(size=(40, 2))
         y = np.tile([0, 1, 2, 3], 10)
         plan = make_fold_plan(y, 2, 1, seed=0)
-        report = ablation_study(ModelSpec("majority"), X, y, plan)
+        report = ablation_study(CONSTANT, X, y, plan)
         assert len(report.entries) == 2
 
     def test_single_feature_rejected(self):
         with pytest.raises(DomainError):
-            ablation_study(ModelSpec("majority"), np.zeros((4, 1)),
+            ablation_study(CONSTANT, np.zeros((4, 1)),
                            np.array([0, 1, 2, 3]), None)
