@@ -625,8 +625,13 @@ def model_members(spec: ModelSpec) -> list:
     if spec.family != "voting":
         return [(spec, model_params(spec.family, spec.params))]
     members = spec.params.get("members")
-    if not members:
+    if not isinstance(members, (list, tuple)) or not members:
         raise ConfigError("voting spec needs a non-empty members list")
+    for m in members:
+        if not (isinstance(m, Mapping) and isinstance(m.get("family"), str)
+                and isinstance(m.get("params", {}), Mapping)):
+            raise ConfigError(f"voting member {m!r} is not a mapping of a family "
+                              "name and optional params mapping")
     members = [ModelSpec(m["family"], m.get("params", {}), spec.seed) for m in members]
     if any(member.family == "voting" for member in members):
         raise ConfigError("a voting member cannot itself be a voting model")

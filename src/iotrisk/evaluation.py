@@ -202,11 +202,14 @@ class CvResult:
 def _cross_validate_runs(runs, labels, plan: FoldPlan, metric: str,
                          threads: int) -> list[CvResult]:
     """Cross-validate each (spec, matrix) run, with the cells of every run
-    in one `run_cells` call, ordered (run, repeat, fold)."""
+    in one `run_cells` call, ordered (run, repeat, fold).  A spec
+    `model_members` refuses is a ConfigError before any cell runs."""
     if metric not in CV_METRICS:
         raise ConfigError(f"metric must be one of {'/'.join(CV_METRICS)}")
     y = np.asarray(labels, dtype=int)
     runs = [(spec, np.asarray(matrix, dtype=float)) for spec, matrix in runs]
+    for spec, _ in runs:
+        model_members(spec)  # a bad spec fails here, not inside every cell
     if any(len(plan.assignments[0]) != X.shape[0] for _, X in runs):
         raise DomainError("fold plan does not match the matrix rows")
     cells = [(r, f) for r in range(plan.repeats) for f in range(plan.k)]

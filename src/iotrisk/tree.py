@@ -25,7 +25,13 @@ column's sorted distinct values and ranks the rows in X-lexicographic
 order, once per ensemble fit rather than once per tree.  Each node orders
 its rows per feature by a stable radix sort of the int16 codes, and
 impurity is scored only at value boundaries.  The arithmetic matches a
-float sort and a full scan bit for bit.
+float sort and a full scan bit for bit.  A level's nodes are searched in
+two groups: nodes of SMALL_NODE_ROWS rows or more one call each
+(`_best_split_exact`), and, when a level holds at least SMALL_NODE_BATCH
+smaller ones, those in one padded batch (`_batched_splits`) with the same
+arithmetic.  Fully grown forest trees are mostly such small nodes, where
+a lone call's fixed numpy overhead outweighs its work; below four of them
+a batch costs more than the calls it replaces.
 
 The extra-trees proposal (`_random_splits`, classification only) draws one
 uniform threshold per candidate feature in [min, max) of the node's rows
@@ -59,6 +65,11 @@ class TreeParams:
     max_features: int | None = None  # per-node random feature subset
     random_thresholds: bool = False  # extra-trees style split proposal
 
+
+# Open nodes of fewer rows than this are searched together in one padded
+# batch when a level holds at least SMALL_NODE_BATCH of them (`_exact_splits`)
+SMALL_NODE_ROWS = 32
+SMALL_NODE_BATCH = 4
 
 # (tree, row) pairs per traversal block, so a block's leaf payloads stay small
 BLOCK_PAIRS = 1 << 14
@@ -291,6 +302,32 @@ def column_codes(matrix) -> tuple[np.ndarray, np.ndarray]:
     return codes, rank
 
 
+def _decreases(total, seq, left, mode):
+    """Impurity decrease of each candidate boundary, -inf where it is not
+    finite.  ``total`` holds the split statistics of each sorted row
+    sequence, ``seq`` each boundary's sequence and ``left`` the statistics
+    of the rows before it."""
+    right = total[seq] - left
+    tot_w = total[:, -1]
+    wl = left[:, -1]
+    wr = right[:, -1]
+    # extreme weight skew can cancel a side's weight to exactly zero; such
+    # positions are ruled out below rather than allowed to go NaN -> argmax
+    # (fit_tree silences the division warnings once per tree)
+    if mode == "classification":
+        gini_left = 1.0 - np.square(left[:, :-1] / wl[:, None]).sum(axis=-1)
+        gini_right = 1.0 - np.square(right[:, :-1] / wr[:, None]).sum(axis=-1)
+        parent = 1.0 - np.square(total[:, :-1] / tot_w[:, None]).sum(axis=-1)
+        decrease = parent[seq] - (wl * gini_left + wr * gini_right) / tot_w[seq]
+    else:
+        sse_parent = total[:, 1] - np.square(total[:, 0]) / tot_w
+        sse_left = left[:, 1] - np.square(left[:, 0]) / wl
+        sse_right = right[:, 1] - np.square(right[:, 0]) / wr
+        decrease = (sse_parent[seq] - sse_left - sse_right) / tot_w[seq]
+    decrease[~np.isfinite(decrease)] = -np.inf
+    return decrease
+
+
 def _best_split_exact(codes, value_rows, mode):
     """Exhaustive midpoint scan over every feature at once.
 
@@ -311,31 +348,53 @@ def _best_split_exact(codes, value_rows, mode):
     if not feat.size:
         return None
     cum = np.cumsum(value_rows.take(order, axis=0), axis=1)  # (f, m, C)
-    total = cum[:, -1]
-    left = cum[feat, pos]
-    right = total[feat] - left
-    tot_w = total[:, -1]
-    wl = left[:, -1]
-    wr = right[:, -1]
-    # extreme weight skew can cancel a side's weight to exactly zero; such
-    # positions are ruled out below rather than allowed to go NaN -> argmax
-    # (fit_tree silences the division warnings once per tree)
-    if mode == "classification":
-        gini_left = 1.0 - np.square(left[:, :-1] / wl[:, None]).sum(axis=-1)
-        gini_right = 1.0 - np.square(right[:, :-1] / wr[:, None]).sum(axis=-1)
-        parent = 1.0 - np.square(total[:, :-1] / tot_w[:, None]).sum(axis=-1)
-        decrease = parent[feat] - (wl * gini_left + wr * gini_right) / tot_w[feat]
-    else:
-        sse_parent = total[:, 1] - np.square(total[:, 0]) / tot_w
-        sse_left = left[:, 1] - np.square(left[:, 0]) / wl
-        sse_right = right[:, 1] - np.square(right[:, 0]) / wr
-        decrease = (sse_parent[feat] - sse_left - sse_right) / tot_w[feat]
-    decrease[~np.isfinite(decrease)] = -np.inf
+    decrease = _decreases(cum[:, -1], feat, cum[feat, pos], mode)
     best = int(decrease.argmax())  # first max: lowest feature, then threshold
     if not np.isfinite(decrease[best]):
         return None
     j, i = int(feat[best]), int(pos[best])
     return j, int(order[j, i]), int(order[j, i + 1]), float(decrease[best])
+
+
+def _batched_splits(codes, stats, rows, starts, sizes, nodes, feats, mode):
+    """`_best_split_exact` of several nodes of a level in one pass.
+
+    Each (node, candidate feature) pair is one row of an (S, L) code
+    matrix, padded to the longest node with a code above every real one,
+    so the same stable sort puts the padding last.  Padded cells gather
+    the last row of ``stats``, which is zero, so each row's cumulative sum
+    is the node's own followed by +0.0 additions; totals are read at the
+    last real cell (-0.0 + 0.0 would be +0.0), and boundaries are scored
+    only between two real cells, by `_decreases` as in `_best_split_exact`.
+    One argmax per node over its (feature slot, position) grid keeps the
+    first maximum, the same tie-break.  Returns per node the best decrease
+    (-inf where none), its feature and the rows on either side of its
+    boundary.
+    """
+    m = sizes[nodes]
+    B, L = nodes.size, int(m.max())
+    real = np.arange(L) < m[:, None]
+    idx = np.full((B, L), len(stats) - 1)
+    idx[real] = rows[(starts[nodes, None] + np.arange(L))[real]]
+    d, n = codes.shape
+    fs = np.broadcast_to(np.arange(d), (B, d)) if feats is None else feats[nodes]
+    mf = fs.shape[1]
+    cells = np.where(real[:, None], codes[fs[:, :, None], np.minimum(idx, n - 1)[:, None]],
+                     np.iinfo(codes.dtype).max).reshape(B * mf, L)
+    order = np.argsort(cells, axis=1, kind="stable")
+    ranked = np.take_along_axis(cells, order, axis=1)
+    ordered = np.take_along_axis(np.repeat(idx, mf, axis=0), order, axis=1)
+    cum = np.cumsum(stats[ordered], axis=1)  # (S, L, C)
+    last = np.repeat(m - 1, mf)
+    total = cum[np.arange(B * mf), last]
+    seq, pos = np.nonzero((ranked[:, 1:] != ranked[:, :-1]) & (np.arange(L - 1) < last[:, None]))
+    decrease = _decreases(total, seq, cum[seq, pos], mode)
+    grid = np.full((B, mf * (L - 1)), -np.inf)
+    grid[seq // mf, seq % mf * (L - 1) + pos] = decrease
+    best = grid.argmax(axis=1)  # first max: lowest feature slot, then threshold
+    slot, at = np.divmod(best, L - 1)
+    pick = np.arange(B) * mf + slot
+    return grid[np.arange(B), best], fs[np.arange(B), slot], ordered[pick, at], ordered[pick, at + 1]
 
 
 def _random_splits(X, node_y, node_w, K, rows, node, starts, feats, rng):
@@ -373,12 +432,38 @@ def _random_splits(X, node_y, node_w, K, rows, node, starts, feats, rng):
 
 
 def _exact_splits(X, codes, stats, rows, starts, sizes, open_, feats, mode):
-    """The exhaustive best split of every open node of a level, one
-    `_best_split_exact` call each, its threshold the midpoint of the two
-    values around the best boundary (the lower value where the midpoint
-    rounds up to the upper); -inf where a node has none."""
+    """The exhaustive best split of every open node of a level, its
+    threshold the midpoint of the two values around the best boundary (the
+    lower value where the midpoint rounds up to the upper); -inf where a
+    node has none.
+
+    The open nodes of fewer than SMALL_NODE_ROWS rows are searched together
+    by `_batched_splits` when there are at least SMALL_NODE_BATCH of them;
+    every other open node gets its own `_best_split_exact` call.  Both give
+    the same split bit for bit; the grouping only moves the cost.  A search
+    call costs a flat ~40 us of numpy overhead, which dominates a node of a
+    few rows, while one padded batch costs about two lone calls.  Median
+    search time per level over the small nodes of a seed-7 rfc fit (2-vCPU
+    host), per node against batched: 1 node 90 against 195 us, 2-3 nodes
+    185 against 217 us, 4-7 nodes 357 against 249 us, 16-31 nodes 1471
+    against 450 us; GBDT levels, whose nodes try every feature, about
+    break even at 4-7 nodes (352 against 367 us).  Large nodes stay per
+    node: the call overhead is a small share of their search, and padding
+    them to a common length would only add cells.
+    """
     nb = starts.size
     gain, feature, threshold = np.full(nb, -np.inf), np.full(nb, -1, dtype=np.intp), np.zeros(nb)
+    small = open_ & (sizes < SMALL_NODE_ROWS)
+    if np.count_nonzero(small) >= SMALL_NODE_BATCH:
+        batch = small.nonzero()[0]
+        best, f, lo, hi = _batched_splits(codes, stats, rows, starts, sizes, batch, feats, mode)
+        found = np.isfinite(best)
+        batch, f = batch[found], f[found]
+        below, above = X[lo[found], f], X[hi[found], f]
+        middle = (below + above) / 2.0
+        gain[batch], feature[batch] = best[found], f
+        threshold[batch] = np.where(middle < above, middle, below)  # the rule below
+        open_ = open_ & ~small
     for i in open_.nonzero()[0]:
         idx = rows[starts[i]:starts[i] + sizes[i]]
         node_codes = codes.take(idx, axis=1) if feats is None else codes[feats[i, :, None], idx]
@@ -412,13 +497,14 @@ def _grow(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows):
     n, d = X.shape
     mf = d if params.max_features is None else min(params.max_features, d)
     # Last column is the weight itself, so one cumulative sum per node
-    # yields all split statistics.
+    # yields all split statistics; the zero row after the n rows pads
+    # `_batched_splits`.
+    stats = np.zeros((n + 1, K + 1 if mode == "classification" else 3))
     if mode == "classification":
-        stats = np.zeros((n, K + 1))
         stats[np.arange(n), y] = w
-        stats[:, K] = w
+        stats[:n, K] = w
     else:
-        stats = np.column_stack([w * y, w * y * y, w])
+        stats[:n] = np.column_stack([w * y, w * y * y, w])
     sizes = np.array([n])
     node = np.zeros(n, dtype=np.intp)  # each row's node within its level
     levels = []  # (feature, threshold, value) per level, nodes in level order

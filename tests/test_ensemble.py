@@ -745,6 +745,20 @@ class TestModelSpec:
         with pytest.raises(ConfigError, match="voting member cannot itself be a voting"):
             model_members(ModelSpec("voting", {"members": [gbdt, nested]}))
 
+    @pytest.mark.parametrize("member", [
+        "gbdt", ["gbdt"], None, {"params": {}}, {"family": 3},
+        {"family": "gbdt", "params": ["n_stages"]}, {"family": "gbdt", "params": 2},
+    ])
+    def test_malformed_voting_member_is_a_config_error(self, member):
+        gbdt = {"family": "gbdt", "params": {"n_stages": 2}}
+        with pytest.raises(ConfigError, match="voting member"):
+            model_members(ModelSpec("voting", {"members": [gbdt, member]}))
+
+    @pytest.mark.parametrize("members", [None, [], {}, "gbdt", {"family": "gbdt"}])
+    def test_voting_members_must_be_a_non_empty_list(self, members):
+        with pytest.raises(ConfigError, match="non-empty members list"):
+            model_members(ModelSpec("voting", {"members": members}))
+
     def test_fit_functions_looked_up_when_called(self, monkeypatch):
         # wrappers installed on the module attributes must see every fit
         X, y = four_class_toy(n=8)

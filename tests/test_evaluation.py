@@ -8,7 +8,7 @@ from iotrisk.dataset import REFERENCE_CLASS_COUNTS, SynthesisSpec, synthesize_co
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.ensemble import ModelSpec
 from iotrisk.errors import ConfigError, DomainError, EvaluationError
-from iotrisk import util
+from iotrisk import evaluation, util
 from iotrisk.evaluation import (
     CV_METRICS,
     ablation_study,
@@ -214,10 +214,27 @@ class TestCrossValidate:
             cross_validate(CONSTANT, X[:-1], y[:-1], plan)
 
     def test_training_failure_reports_fold(self):
+        # a non-finite value reaches only the folds that train on its row;
+        # placed in fold 2's test rows, fold 1 is the first to fail
         X, y, _ = encoded_corpus(80, 0.5, seed=4)
         plan = make_fold_plan(y, 4, 1, seed=1)
-        with pytest.raises(EvaluationError, match="repeat 1 fold 1"):
-            cross_validate(ModelSpec("gbdt", {"bogus": 1}), X, y, plan)
+        X[plan.test_indices(0, 1)[0], 0] = np.nan
+        with pytest.raises(EvaluationError, match="repeat 1 fold 1: .*non-finite"):
+            cross_validate(ModelSpec("gbdt", QUICK_GBDT), X, y, plan)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("gbdt", {"bogus": 1}),
+        ModelSpec("majority"),
+        ModelSpec("voting", {"members": [{"params": {}}]}),
+    ])
+    def test_bad_spec_is_a_config_error_before_any_fit(self, spec, monkeypatch):
+        X, y, _ = encoded_corpus(80, 0.5, seed=4)
+        plan = make_fold_plan(y, 4, 1, seed=1)
+        monkeypatch.setattr(evaluation, "run_cells", None)  # never reached
+        with pytest.raises(ConfigError):
+            cross_validate(spec, X, y, plan)
+        with pytest.raises(ConfigError):
+            ablation_study(spec, X, y, plan)
 
 
 class TestRunCells:

@@ -7,12 +7,15 @@ import pytest
 from iotrisk.dataset import bundled_corpus_path, load_corpus
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DataFormatError, DomainError
+from iotrisk import ensemble, tree as tree_module
 from iotrisk.tree import (
     DecisionTree,
     TreeParams,
     TreeSet,
+    _batched_splits,
     _best_split_exact,
     _encode,
+    _exact_splits,
     column_codes,
     fit_tree,
 )
@@ -479,18 +482,21 @@ def split_values(mode, m, rng):
     return np.column_stack([w * y, w * y * y, w])
 
 
-class TestExactSearch:
-    @pytest.fixture(scope="class")
-    def designs(self):
-        records, _ = load_corpus(bundled_corpus_path())
-        corpus = CorpusEncoder.fit(records).transform(records).data
-        rng = np.random.default_rng(0)
-        tied = rng.integers(0, 3, size=(400, 6)).astype(float)
-        tied[:, 3] = tied[:, 1]  # identical columns score identical decreases
-        tied[rng.random(400) < 0.3, 4] = -0.0  # signed zeros compare equal
-        tied[:, 5] = np.where(rng.random(400) < 0.97, 1.0, 2.0)  # near-constant
-        return [corpus, tied]
+@pytest.fixture(scope="module")
+def designs():
+    """The bundled corpus and a design of ties, signed zeros and a
+    near-constant column."""
+    records, _ = load_corpus(bundled_corpus_path())
+    corpus = CorpusEncoder.fit(records).transform(records).data
+    rng = np.random.default_rng(0)
+    tied = rng.integers(0, 3, size=(400, 6)).astype(float)
+    tied[:, 3] = tied[:, 1]  # identical columns score identical decreases
+    tied[rng.random(400) < 0.3, 4] = -0.0  # signed zeros compare equal
+    tied[:, 5] = np.where(rng.random(400) < 0.97, 1.0, 2.0)  # near-constant
+    return [corpus, tied]
 
+
+class TestExactSearch:
     @pytest.mark.parametrize("mode", ["classification", "regression"])
     def test_matches_full_scan_on_random_nodes(self, designs, mode):
         rng = np.random.default_rng(1 if mode == "classification" else 2)
@@ -543,3 +549,107 @@ class TestExactSearch:
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(DomainError, match="non-finite"):
             fit_tree(column([1, bad, 3, 4]), np.array([0, 1, 0, 1]))
+
+
+def random_level(design, sizes, mode, subset, rng):
+    """A level laid out as `_grow` holds it: each node's rows a distinct
+    slice of ``rows``, the statistics with their zero padding row, and a
+    sorted feature subset per node when ``subset`` is set."""
+    n, d = design.shape
+    sizes = np.asarray(sizes)
+    rows = rng.permutation(n)[:sizes.sum()]
+    starts = sizes.cumsum() - sizes
+    values = split_values(mode, n, rng)
+    if mode == "regression":
+        values[rng.random(n) < 0.2, :2] = [-0.0, 0.0]  # targets of -0.0
+    stats = np.vstack([values, np.zeros(values.shape[1])])
+    feats = None
+    if subset:
+        mf = int(rng.integers(1, d)) if d > 1 else 1
+        feats = np.sort(np.argsort(rng.random((sizes.size, d)), axis=1)[:, :mf], axis=1)
+    return rows, starts, sizes, stats, feats
+
+
+def wide_design():
+    """Two columns, the first with more distinct values than int16 holds."""
+    rng = np.random.default_rng(5)
+    return np.column_stack([rng.permutation(40_000) / 7.0, rng.integers(0, 3, 40_000)])
+
+
+class TestBatchedSearch:
+    """`_batched_splits` finds each small node's `_best_split_exact` split,
+    so `_exact_splits` gives the same level whichever nodes it batches."""
+
+    @pytest.fixture(scope="class")
+    def coded(self, designs):
+        return [(X, column_codes(X)[0]) for X in designs + [wide_design()]]
+
+    @pytest.mark.parametrize("mode", ["classification", "regression"])
+    def test_batch_matches_per_node_search(self, coded, mode):
+        rng = np.random.default_rng(6 if mode == "classification" else 7)
+        checked = 0
+        for design, codes in coded:
+            for _ in range(150):
+                sizes = rng.choice([2, 3, 31, int(rng.integers(4, 31))], size=int(rng.integers(1, 9)))
+                rows, starts, sizes, stats, feats = random_level(
+                    design, sizes, mode, rng.random() < 0.5, rng)
+                nodes = np.arange(sizes.size)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    gain, feature, lo, hi = _batched_splits(
+                        codes, stats, rows, starts, sizes, nodes, feats, mode)
+                    for i in nodes:
+                        idx = rows[starts[i]:starts[i] + sizes[i]]
+                        fs = np.arange(design.shape[1]) if feats is None else feats[i]
+                        found = _best_split_exact(codes[fs[:, None], idx], stats[idx], mode)
+                        if found is None:
+                            assert gain[i] == -np.inf
+                            continue
+                        j, low, high, decrease = found
+                        assert (fs[j], idx[low], idx[high]) == (feature[i], lo[i], hi[i])
+                        assert np.float64(decrease).tobytes() == gain[i].tobytes()
+                        checked += 1
+        assert coded[-1][1].dtype == np.int32 and checked > 1500
+
+    @pytest.mark.parametrize("mode", ["classification", "regression"])
+    def test_level_is_the_same_whichever_nodes_are_batched(self, coded, mode, monkeypatch):
+        rng = np.random.default_rng(8 if mode == "classification" else 9)
+        batched = 0
+        for design, codes in coded:
+            for _ in range(60):
+                count = int(rng.choice([2, 3, 5, 9]))  # < and >= SMALL_NODE_BATCH
+                sizes = rng.choice([2, 3, 31, 32, int(rng.integers(4, 80))], size=count)
+                rows, starts, sizes, stats, feats = random_level(
+                    design, sizes, mode, rng.random() < 0.5, rng)
+                open_ = rng.random(count) < 0.9
+                batched += np.count_nonzero(open_ & (sizes < 32)) >= 4
+                levels = []
+                for threshold in (1, 4, 10**9):
+                    monkeypatch.setattr(tree_module, "SMALL_NODE_BATCH", threshold)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        levels.append(_exact_splits(design, codes, stats, rows, starts,
+                                                    sizes, open_, feats, mode))
+                for level in levels[:2]:
+                    for got, want in zip(level, levels[2]):
+                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert batched > 40
+
+    def test_model_fits_are_the_same_whichever_nodes_are_batched(self, monkeypatch):
+        records, _ = load_corpus(bundled_corpus_path())
+        encoded = CorpusEncoder.fit(records).transform(records)
+        X, y = encoded.data, encoded.labels
+        fits = [("rfc", {"n_trees": 8, "class_weights": "balanced"}), ("etc", {"n_trees": 4}),
+                ("gbdt", {"n_stages": 10, "max_depth": 6}), ("abc", {"n_rounds": 10})]
+        batches = []
+        batched_splits = tree_module._batched_splits
+        monkeypatch.setattr(tree_module, "_batched_splits",
+                            lambda *args: batches.append(args[5].size) or batched_splits(*args))
+        payloads = {}
+        for threshold in (1, 10**9):
+            monkeypatch.setattr(tree_module, "SMALL_NODE_BATCH", threshold)
+            for family, params in fits:
+                model = ensemble.fit_model(ensemble.ModelSpec(family, params, seed=7), X, y)
+                payloads.setdefault(family, []).append(model.to_payload())
+            if threshold == 1:
+                assert len(batches) > 100 and max(batches) >= 4
+        for family, (batched, per_node) in payloads.items():
+            assert batched == per_node, family
