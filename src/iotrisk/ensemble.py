@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, DomainError, TrainingError
 from .nvd import RISK_CLASSES
-from .tree import DecisionTree, TreeParams, TreeSet, column_codes, fit_tree
+from .tree import DecisionTree, TreeParams, TreeSet, column_codes, fit_tree, grow_trees
 from .util import run_cells
 
 
@@ -380,6 +380,11 @@ def _resolve_max_features(spec, d):
     return int(spec)
 
 
+# Sample rows of the trees `forest_fit` grows together in one group (7
+# trees of the bundled corpus), which bounds the group's per-row arrays
+FOREST_GROUP_ROWS = 1 << 13
+
+
 def forest_fit(
     matrix,
     labels,
@@ -395,7 +400,10 @@ def forest_fit(
     Tree i grows from the i-th child of SeedSequence(seed), so `trees`, a
     range of tree indices, fits just those trees of the whole forest: the
     ranges of a forest, fitted anywhere and joined in index order, are the
-    forest bit for bit.
+    forest bit for bit.  A range with a step other than 1, or not a
+    non-empty part of [0, n_trees), is a ConfigError.  The trees grow
+    together in groups of about FOREST_GROUP_ROWS sample rows
+    (`grow_trees`), each as it would grow alone.
     """
     X, y, K = _fit_data(matrix, labels, n_classes)
     params = params or ForestParams()
@@ -418,24 +426,24 @@ def forest_fit(
         max_features=_resolve_max_features(params.max_features, d),
         random_thresholds=not bootstrap,
     )
-    codes, rank = column_codes(X)
     picked = range(params.n_trees) if trees is None else trees
+    if picked.step != 1 or not 0 <= picked.start < picked.stop <= params.n_trees:
+        raise ConfigError(f"tree range {picked} is not a non-empty step-1 range "
+                          f"of the {params.n_trees} trees")
+    codes = column_codes(X)
     children = np.random.SeedSequence(seed).spawn(params.n_trees)[picked.start:picked.stop]
 
-    def fit_one(child):
+    def sample(child):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, n) if bootstrap else np.arange(n)
-        Xi, yi = X[rows], y[rows]
-        wi = class_w[yi]
-        wi = wi / wi.sum()
-        return fit_tree(
-            Xi, yi, sample_weight=wi, params=tree_params,
-            mode="classification", n_classes=K, rng=rng,
-            codes=(codes[:, rows], rank[rows]),
-        )
+        w = class_w[y[rows]]
+        return rows, w / w.sum(), rng
 
-    return ForestModel(TreeSet.concat(fit_one(child) for child in children), K,
-                       params.variant, d)
+    per_group = max(1, FOREST_GROUP_ROWS // n)
+    groups = (grow_trees(X, codes, y, K, "classification", tree_params,
+                         map(sample, children[i:i + per_group]))[0]
+              for i in range(0, len(children), per_group))
+    return ForestModel(TreeSet.concat(groups), K, params.variant, d)
 
 
 @dataclass

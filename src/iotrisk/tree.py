@@ -1,18 +1,23 @@
-"""CART decision trees, grown one depth level at a time.
+"""CART decision trees, grown together one depth level at a time.
 
 Every tree -- random-forest members, GBDT stages, AdaBoost learners and
-extra-trees -- is grown by one grower (`_grow`), in either mode:
+extra-trees -- is grown by one grower (`grow_trees`), in either mode:
 
 * classification -- weighted Gini impurity, leaves hold class-probability
   vectors;
 * regression -- weighted variance, leaves hold scalars (these trees carry
   the stages of the gradient-boosted ensemble).
 
-Each level proposes a split for every open node at once, as extra-trees
-were defined (Geurts et al., 2006) and as XGBoost's depthwise policy
-grows.  The stops (max_depth, min_samples_split, purity,
-min_impurity_decrease), the per-node feature subsets, the leaf values and
-the renumbering into preorder are shared; only the split proposal differs.
+The grower takes a group of trees, each with its own sample of the rows
+of one shared matrix and its own generator, and advances all of them one
+depth level at a time; `fit_tree` grows a group of one.  Each level
+proposes a split for every open node of every tree at once, as
+extra-trees were defined (Geurts et al., 2006) and as XGBoost's
+depthwise policy grows.  The stops (max_depth, min_samples_split,
+purity, min_impurity_decrease), the per-node feature subsets, the leaf
+values and the renumbering into preorder are shared; only the split
+proposal differs.  Each tree draws from its own generator exactly what
+it would draw grown alone, so a tree is the same in any group.
 
 The exhaustive proposal (`_exact_splits`) takes the midpoints between
 consecutive distinct sorted values of a feature as candidates; rows with
@@ -25,32 +30,35 @@ column's sorted distinct values and ranks the rows in X-lexicographic
 order, once per ensemble fit rather than once per tree.  Each node orders
 its rows per feature by a stable radix sort of the int16 codes, and
 impurity is scored only at value boundaries.  The arithmetic matches a
-float sort and a full scan bit for bit.  A level's nodes are searched in
-two groups: nodes of SMALL_NODE_ROWS rows or more one call each
-(`_best_split_exact`), and, when a level holds at least SMALL_NODE_BATCH
-smaller ones, those in one padded batch (`_batched_splits`) with the same
-arithmetic.  Fully grown forest trees are mostly such small nodes, where
-a lone call's fixed numpy overhead outweighs its work; below four of them
-a batch costs more than the calls it replaces.
+float sort and a full scan bit for bit.  A level's open nodes of up to
+256 rows go into padded batches by power-of-two size bucket
+(`_batched_splits`, the same arithmetic), where the measured crossover
+for their rows x candidate features says a batch beats a call per node
+(BATCH_FROM), each batch of at most BATCH_CELLS padded cells; every
+other node gets its own `_best_split_exact` call.  A group's level holds
+many times the small nodes of one tree's, so most of a forest's nodes
+are searched in full batches.
 
 The extra-trees proposal (`_random_splits`, classification only) draws one
 uniform threshold per candidate feature in [min, max) of the node's rows
 and scores the Gini decrease of all of them by one bincount.
 
-The rows are put into a canonical order first, a three-key sort (rank,
-target, weight), so a fit depends only on the row multiset, never on
-input row order.  Input must be finite.
+Each tree puts its rows into a canonical order first, a three-key sort
+(rank, target, weight), so a fit depends only on the row multiset, never
+on input row order.  Input must be finite.
 
 An ensemble holds its trees as one `TreeSet`, exactly the arrays its
 model file stores (a threshold and right child per split, a value per
 leaf), and scores them in one traversal: all (tree, row) pairs descend a
-level per step, as in Hummingbird (Nakandala et al., 2020).  `fit_tree`
-returns a `DecisionTree`, a set of one tree.
+level per step, as in Hummingbird (Nakandala et al., 2020).  The grower
+returns its group as a `TreeSet`; `fit_tree` returns a `DecisionTree`,
+a set of one tree.
 """
 
 import base64
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -66,10 +74,18 @@ class TreeParams:
     random_thresholds: bool = False  # extra-trees style split proposal
 
 
-# Open nodes of fewer rows than this are searched together in one padded
-# batch when a level holds at least SMALL_NODE_BATCH of them (`_exact_splits`)
-SMALL_NODE_ROWS = 32
-SMALL_NODE_BATCH = 4
+# The fewest open nodes that `_exact_splits` searches in one padded batch,
+# by the batch's most cells per node (rows x candidate features): the
+# measured crossover against a call per node.  Nodes of more cells, or of
+# more than 256 rows, are never batched.
+BATCH_FROM = {64: 4, 256: 5, 512: 6}
+# A batch takes in the next size bucket while it pads fewer cells than
+# MERGE_CELLS, about what one more batch's fixed cost buys (~200 us at
+# 0.1-0.2 us per padded cell).  It holds at most BATCH_CELLS padded
+# cells, about 0.45 MB of temporaries; the crossover runs found the cost
+# per cell rising past 6,000-9,000 cells.
+MERGE_CELLS = 1 << 10
+BATCH_CELLS = 1 << 12
 
 # (tree, row) pairs per traversal block, so a block's leaf payloads stay small
 BLOCK_PAIRS = 1 << 14
@@ -92,16 +108,18 @@ class TreeSet:
     (leaves,) scalars, each in node order.  Nodes are in preorder within a
     tree, so a split's left child is the next node; ``right`` holds the
     tree-local index of its right child.  ``start``, each tree's root, and
-    ``splits_before``, the splits ahead of each node, are derived on use: a
-    split's entry is ``splits_before[i]``, a leaf's ``i - splits_before[i]``.
+    ``splits_before``, the splits ahead of each node, are derived once per
+    set: a split's entry is ``splits_before[i]``, a leaf's
+    ``i - splits_before[i]``.
     """
 
     def __init__(self, nodes, feature, threshold, right, value):
         self.nodes, self.feature, self.threshold, self.right, self.value = (
             nodes, feature, threshold, right, value)
 
-    start = property(lambda self: np.cumsum(self.nodes) - self.nodes)
-    splits_before = property(lambda self: np.cumsum(self.feature >= 0) - (self.feature >= 0))
+    start = cached_property(lambda self: np.cumsum(self.nodes) - self.nodes)
+    splits_before = cached_property(
+        lambda self: np.cumsum(self.feature >= 0) - (self.feature >= 0))
 
     @classmethod
     def concat(cls, trees) -> "TreeSet":
@@ -274,8 +292,8 @@ def column_codes(matrix) -> tuple[np.ndarray, np.ndarray]:
     so a stable sort of a code row orders the rows exactly as a stable sort
     of the column does.  ``rank[r]`` is the row's place in X-lexicographic
     order, shared by identical rows.  An ensemble builds both once per fit
-    and hands them to each `fit_tree` call; a bootstrap sample passes
-    ``(codes[:, rows], rank[rows])``.
+    and hands them to each `fit_tree` or `grow_trees` call; the grower
+    takes the columns of its sample rows itself.
     """
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -397,15 +415,16 @@ def _batched_splits(codes, stats, rows, starts, sizes, nodes, feats, mode):
     return grid[np.arange(B), best], fs[np.arange(B), slot], ordered[pick, at], ordered[pick, at + 1]
 
 
-def _random_splits(X, node_y, node_w, K, rows, node, starts, feats, rng):
+def _random_splits(X, node_y, node_w, K, rows, node, starts, feats, draws):
     """Extra-trees proposals (Geurts et al., 2006) for every node of a level.
 
-    Per candidate feature the rng draws one uniform placing the threshold
-    in [min, max) of the feature over the node's rows; left and right class
-    sums come from one bincount over (node, feature, side, class), and each
-    node takes its best Gini decrease, tie-broken toward the lowest feature
-    index.  A candidate that leaves a side empty (no spread, or a threshold
-    rounded up to the maximum) scores -inf.
+    ``rows`` are the level's rows of X.  Per candidate feature a uniform
+    of ``draws`` (nodes, candidates) places the threshold in [min, max) of
+    the feature over the node's rows; left and right class sums come from
+    one bincount over (node, feature, side, class), and each node takes its
+    best Gini decrease, tie-broken toward the lowest feature index.  A
+    candidate that leaves a side empty (no spread, or a threshold rounded
+    up to the maximum) scores -inf.
     """
     nb = starts.size
     sums = np.bincount(node * K + node_y, weights=node_w, minlength=nb * K).reshape(nb, K)
@@ -418,7 +437,7 @@ def _random_splits(X, node_y, node_w, K, rows, node, starts, feats, rng):
     mf = feats.shape[1]
     lo = np.minimum.reduceat(xs, starts, axis=0)
     hi = np.maximum.reduceat(xs, starts, axis=0)
-    cut = lo + (hi - lo) * rng.random((nb, mf))
+    cut = lo + (hi - lo) * draws
     key = ((node[:, None] * mf + np.arange(mf)) * 2 + (xs > cut[node])) * K + node_y[:, None]
     side = np.bincount(key.ravel(), weights=np.repeat(node_w, mf),
                        minlength=nb * mf * 2 * K).reshape(nb, mf, 2, K)
@@ -431,99 +450,178 @@ def _random_splits(X, node_y, node_w, K, rows, node, starts, feats, rng):
     return decrease[pick], feats[pick], cut[pick]
 
 
-def _exact_splits(X, codes, stats, rows, starts, sizes, open_, feats, mode):
+@cache
+def _fewest_batched(mf, table):
+    """The fewest nodes of mf candidate features batched in each size
+    bucket of up to 2^e rows, e = 0..8, by the (cells, fewest) table."""
+    return tuple(next((fewest for top, fewest in table if mf << e <= top), math.inf)
+                 for e in range(9))
+
+
+def _exact_splits(X, src, codes, stats, rows, starts, sizes, open_, feats, mode):
     """The exhaustive best split of every open node of a level, its
     threshold the midpoint of the two values around the best boundary (the
     lower value where the midpoint rounds up to the upper); -inf where a
-    node has none.
+    node has none.  ``rows`` and ``codes`` number the sample rows, and
+    ``src`` maps them to rows of X.
 
-    The open nodes of fewer than SMALL_NODE_ROWS rows are searched together
-    by `_batched_splits` when there are at least SMALL_NODE_BATCH of them;
-    every other open node gets its own `_best_split_exact` call.  Both give
-    the same split bit for bit; the grouping only moves the cost.  A search
-    call costs a flat ~40 us of numpy overhead, which dominates a node of a
-    few rows, while one padded batch costs about two lone calls.  Median
-    search time per level over the small nodes of a seed-7 rfc fit (2-vCPU
-    host), per node against batched: 1 node 90 against 195 us, 2-3 nodes
-    185 against 217 us, 4-7 nodes 357 against 249 us, 16-31 nodes 1471
-    against 450 us; GBDT levels, whose nodes try every feature, about
-    break even at 4-7 nodes (352 against 367 us).  Large nodes stay per
-    node: the call overhead is a small share of their search, and padding
-    them to a common length would only add cells.
+    Open nodes of up to 256 rows go into padded batches (`_batched_splits`)
+    by size bucket, bucket e holding the nodes of 2^(e-1) + 1 to 2^e rows.
+    Buckets are taken from the smallest up.  A batch closes at bucket e
+    once it holds at least ``BATCH_FROM`` nodes for its cells per node
+    (2^e rows x candidate features), unless the next non-empty bucket can
+    join it and the batch pads fewer than MERGE_CELLS cells or that
+    bucket's nodes are too few for a batch of their own.  It is searched
+    in parts of at most BATCH_CELLS padded cells, smallest bucket first;
+    every other open node gets its own `_best_split_exact` call.  Both
+    give the same split bit for bit; the grouping only moves the cost.  A
+    lone call costs a flat ~40 us of numpy overhead, which dominates a
+    node of a few rows, while a batch costs about four lone calls plus
+    ~0.1-0.2 us per padded cell.
+
+    The crossover: the fewest nodes from which one batch beat a call per
+    node at every larger count measured (up to 32 nodes), for nodes
+    within the bucket / nodes of 2 rows up to the bucket's top; median of
+    41 alternating runs per point, bundled corpus, 2-vCPU host.
+
+        bucket rows      2    4    8    16   32   64    128  256
+        3 features       3/3  3/3  3/3  3/3  3/3  3/4   4/5  never
+        10 features      4/4  4/4  4/5  5/5  5/7  8/16  never never
+
+    So BATCH_FROM asks 4 nodes up to 64 cells per node, 5 up to 256 and 6
+    up to 512, and never batches more: at 640 cells a part of 4,096 cells
+    holds only 6 nodes.  GBDT levels of 4-7 small nodes, which try all 10
+    features, mostly stay per node.
     """
     nb = starts.size
     gain, feature, threshold = np.full(nb, -np.inf), np.full(nb, -1, dtype=np.intp), np.zeros(nb)
-    small = open_ & (sizes < SMALL_NODE_ROWS)
-    if np.count_nonzero(small) >= SMALL_NODE_BATCH:
-        batch = small.nonzero()[0]
-        best, f, lo, hi = _batched_splits(codes, stats, rows, starts, sizes, batch, feats, mode)
-        found = np.isfinite(best)
-        batch, f = batch[found], f[found]
-        below, above = X[lo[found], f], X[hi[found], f]
-        middle = (below + above) / 2.0
-        gain[batch], feature[batch] = best[found], f
-        threshold[batch] = np.where(middle < above, middle, below)  # the rule below
-        open_ = open_ & ~small
-    for i in open_.nonzero()[0]:
+    mf = codes.shape[0] if feats is None else feats.shape[1]
+    single = open_.copy()
+    small = open_ & (sizes <= 256)
+    if np.count_nonzero(small) >= min(BATCH_FROM.values()):
+        bucket = np.frexp(sizes - 1)[1]  # 2^(e-1) < rows <= 2^e
+        least = _fewest_batched(mf, tuple(BATCH_FROM.items()))
+        counts = np.bincount(bucket[small], minlength=9).tolist()
+        filled = [e for e in range(9) if counts[e]]
+        low, count = 0, 0
+        for e, up in zip(filled, filled[1:] + [None]):
+            count += counts[e]  # the open nodes of buckets low..e
+            if count < least[e] or up is not None and least[up] <= count + counts[up] and (
+                    count * (mf << e) < MERGE_CELLS or counts[up] < least[up]):
+                continue  # too few yet, or the next bucket joins
+            nodes = np.flatnonzero(small & (bucket >= low) & (bucket <= e))
+            nodes = nodes[np.argsort(bucket[nodes], kind="stable")]  # parts pad less
+            low, count = e + 1, 0
+            per_part = BATCH_CELLS // (mf * int(sizes[nodes].max()))
+            for part in np.array_split(nodes, -(-nodes.size // per_part)):
+                if part.size < least[e]:
+                    continue
+                best, f, lo, hi = _batched_splits(codes, stats, rows, starts, sizes, part,
+                                                  feats, mode)
+                single[part] = False
+                found = np.isfinite(best)
+                part, f = part[found], f[found]
+                below, above = X[src[lo[found]], f], X[src[hi[found]], f]
+                middle = (below + above) / 2.0
+                gain[part], feature[part] = best[found], f
+                threshold[part] = np.where(middle < above, middle, below)  # the rule below
+    for i in single.nonzero()[0]:
         idx = rows[starts[i]:starts[i] + sizes[i]]
         node_codes = codes.take(idx, axis=1) if feats is None else codes[feats[i, :, None], idx]
         found = _best_split_exact(node_codes, stats[idx], mode)
         if found is not None:
             j, lo, hi, gain[i] = found
             f = feature[i] = j if feats is None else feats[i, j]
-            below, above = X[idx[lo], f], X[idx[hi], f]
+            below, above = X[src[idx[lo]], f], X[src[idx[hi]], f]
             middle = (below + above) / 2.0
             # the midpoint of two adjacent floats can round up to the upper one
             threshold[i] = middle if middle < above else below
     return gain, feature, threshold
 
 
-def _grow(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows):
-    """CART growth one depth level at a time, every node of a level at once.
+@np.errstate(divide="ignore", invalid="ignore")
+def grow_trees(X, codes, y, K, mode, params, samples, leaf_value_fn=None):
+    """Grow a group of CART trees together, one depth level at a time.
 
-    ``rows`` is grouped by node, each group in canonical order.  A node
-    below max_depth is open when it holds at least min_samples_split rows
-    of more than one target value.  Per level the tree's rng first draws
-    the nodes' feature subsets (argsort of one (nodes, d) uniform block,
+    ``X`` is the shared C-contiguous matrix and ``codes`` its
+    `column_codes`.  ``samples`` yields per tree (rows, w, rng): its sample
+    as rows of X (a bootstrap repeats some), one positive weight per
+    sample row, and the generator of its feature subsets and thresholds.
+    The sample rows of all trees are numbered in one sequence, tree by
+    tree, and each tree puts its own in canonical order.  A level holds
+    every tree's nodes at that depth, tree by tree, and each node is open
+    when it is below max_depth and holds at least min_samples_split rows
+    of more than one target value.  Per level each tree's rng first draws
+    its nodes' feature subsets (argsort of one (nodes, d) uniform block,
     first max_features columns, sorted; no draw when every feature is a
-    candidate), then the split proposal scores the nodes (`_random_splits`
-    or `_exact_splits`).  An open node splits when its best decrease is at
-    least min_impurity_decrease; its rows go stably to the left child
-    (value <= threshold), then the right.  Leaves take
-    ``leaf_value_fn(rows)`` or the weighted class shares / mean, summed per
-    node in row order.  Returns preorder node arrays and the root's best
-    decrease.
+    candidate), then, for random thresholds, one (nodes, max_features)
+    block of threshold uniforms, so a tree grows as it would alone.  An
+    open node splits when its best decrease is at least
+    min_impurity_decrease; its rows go stably to the left child (value <=
+    threshold), then the right.  Leaves take ``leaf_value_fn(rows)``, the
+    node's sample numbers, or the weighted class shares / mean, summed per
+    node in row order.  Returns the trees as one TreeSet and each tree's
+    best root decrease (0.0 where the root found none).
     """
     n, d = X.shape
+    codes, rank = codes
     mf = d if params.max_features is None else min(params.max_features, d)
-    # Last column is the weight itself, so one cumulative sum per node
-    # yields all split statistics; the zero row after the n rows pads
-    # `_batched_splits`.
-    stats = np.zeros((n + 1, K + 1 if mode == "classification" else 3))
-    if mode == "classification":
-        stats[np.arange(n), y] = w
-        stats[:n, K] = w
-    else:
-        stats[:n] = np.column_stack([w * y, w * y * y, w])
-    sizes = np.array([n])
-    node = np.zeros(n, dtype=np.intp)  # each row's node within its level
+    rows, w, rngs = zip(*samples)
+    sizes = np.array([r.size for r in rows])
+    src, w = np.concatenate(rows), np.concatenate(w)  # X row and weight of each sample row
+    del rows  # a group holds its samples once
+    y = y[src]
+    tree = np.arange(sizes.size)  # each node's tree
+    node = np.repeat(tree, sizes)  # each row's node within its level
+    # Canonical row order per tree: X-lexicographic, ties resolved by target
+    # and weight, so identical row multisets grow identical trees.  A stable
+    # sort by (tree, rank) orders every row but identical ones of a tree,
+    # which the three-key sort orders among themselves.
+    key = node * n + rank[src]
+    rows = np.argsort(key, kind="stable")
+    key = key[rows]
+    tie = np.zeros(src.size + 1, dtype=bool)
+    tie[1:-1] = key[1:] == key[:-1]
+    tie = tie[1:] | tie[:-1]
+    if tie.any():
+        tied = rows[tie]
+        rows[tie] = tied[np.lexsort((w[tied], y[tied], key[tie]))]
+    if not params.random_thresholds:
+        # Last column is the weight itself, so one cumulative sum per node
+        # yields all split statistics; the zero row after the sample rows
+        # pads `_batched_splits`.
+        stats = np.zeros((src.size + 1, K + 1 if mode == "classification" else 3))
+        if mode == "classification":
+            stats[np.arange(src.size), y] = w
+            stats[:-1, K] = w
+        else:
+            stats[:-1] = np.column_stack([w * y, w * y * y, w])
+        if src.size != n or (src != np.arange(n)).any():
+            codes = codes.take(src, axis=1)
     levels = []  # (feature, threshold, value) per level, nodes in level order
-    root_decrease = 0.0
     depth = 0
     while True:
         nb = sizes.size
         starts = sizes.cumsum() - sizes
-        feats = (np.sort(np.argsort(rng.random((nb, d)), axis=1)[:, :mf], axis=1)
-                 if mf < d else None)
+        if mf < d or params.random_thresholds:  # each tree draws for its own nodes
+            drawn = [(rng, count) for rng, count in
+                     zip(rngs, np.bincount(tree, minlength=len(rngs)).tolist()) if count]
+        feats = None
+        if mf < d:
+            block = np.concatenate([rng.random((count, d)) for rng, count in drawn])
+            feats = np.sort(np.argsort(block, axis=1)[:, :mf], axis=1)
         node_y = y[rows]
         open_ = ((depth != params.max_depth) & (sizes >= params.min_samples_split)
                  & (np.minimum.reduceat(node_y, starts) < np.maximum.reduceat(node_y, starts)))
         if params.random_thresholds:
-            gain, f, t = _random_splits(X, node_y, w[rows], K, rows, node, starts, feats, rng)
+            draws = np.concatenate([rng.random((count, mf)) for rng, count in drawn])
+            gain, f, threshold = _random_splits(X, node_y, w[rows], K, src[rows], node, starts,
+                                                feats, draws)
         else:
-            gain, f, t = _exact_splits(X, codes, stats, rows, starts, sizes, open_, feats, mode)
-        if depth == 0 and open_[0] and np.isfinite(gain[0]):
-            root_decrease = float(gain[0])
+            gain, f, threshold = _exact_splits(X, src, codes, stats, rows, starts, sizes, open_,
+                                               feats, mode)
+        if depth == 0:
+            root_decrease = np.where(open_ & np.isfinite(gain), gain, 0.0)
         split = open_ & (gain >= params.min_impurity_decrease)
         feature = np.where(split, f, -1)
         n_split = np.count_nonzero(split)
@@ -537,48 +635,51 @@ def _grow(X, codes, y, w, K, mode, params, rng, leaf_value_fn, rows):
             node_w = w[rows]
             weight = np.bincount(node, weights=node_w, minlength=nb)
             if mode == "classification":
-                sums = np.bincount(node * K + y[rows], weights=node_w, minlength=nb * K)
+                sums = np.bincount(node * K + node_y, weights=node_w, minlength=nb * K)
                 value = sums.reshape(nb, K) / weight[:, None]
             else:
                 value = np.bincount(node, weights=stats[rows, 0], minlength=nb) / weight
-        levels.append((feature, t, value))
+        levels.append((feature, threshold, value))
         if not n_split:
             break
         # stable partition: each split node's rows go to its left child,
         # then its right child, in canonical order; children keep level order
         keep = split[node]
         rows, at = rows[keep], node[keep]
-        child = (2 * split.cumsum() - 2)[at] + (X.take(rows * d + feature[at]) > t[at])
+        child = (2 * split.cumsum() - 2)[at] + (X.take(src[rows] * d + feature[at]) > threshold[at])
         order = np.argsort(child, kind="stable")
         rows, node = rows[order], child[order]
         sizes = np.bincount(child, minlength=2 * n_split)
+        tree = np.repeat(tree[split], 2)
         depth += 1
-    return _preorder(levels) + (root_decrease,)
+    return _preorder(levels), root_decrease
 
 
 def _preorder(levels):
-    """Level-order node arrays renumbered into preorder: a level's split
+    """Level-order node arrays of a group of trees, the first level their
+    roots, as one TreeSet with each tree in preorder.  A level's split
     nodes have the next level's nodes as children, (left, right) pairs in
     the order of their parents, so each level's preorder numbers follow
-    from its parents' and the left subtrees' sizes.  Returns ``feature``
-    over all nodes, ``threshold`` and ``right`` over the splits and
-    ``value`` over the leaves, each in preorder."""
+    from its parents' and the left subtrees' sizes; a tree's nodes follow
+    the whole trees before it."""
     splits = [f >= 0 for f, _, _ in levels]
     subtree = [np.ones(s.size, dtype=np.intp) for s in splits]
     for i in reversed(range(len(levels) - 1)):
         subtree[i][splits[i]] += subtree[i + 1][0::2] + subtree[i + 1][1::2]
-    pre = [np.zeros(1, dtype=np.intp)]
-    right = np.full(int(subtree[0][0]), -1, dtype=np.intp)
+    nodes = subtree[0]
+    pre = [nodes.cumsum() - nodes]
+    right = np.full(int(nodes.sum()), -1, dtype=np.intp)
     for split, below in zip(splits, subtree[1:]):
         parents = pre[-1][split]
         children = np.repeat(parents + 1, 2)
         children[1::2] += below[0::2]
         right[parents] = children[1::2]
         pre.append(children)
+    right -= np.repeat(pre[0], nodes)  # local to its tree
     order = np.argsort(np.concatenate(pre))
     feature, threshold, value = (np.concatenate(arrays)[order] for arrays in zip(*levels))
     split = feature >= 0
-    return feature, threshold[split], right[split], value[~split]
+    return TreeSet(nodes, feature, threshold[split], right[split], value[~split])
 
 
 def fit_tree(
@@ -592,7 +693,7 @@ def fit_tree(
     leaf_value_fn=None,
     codes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DecisionTree:
-    """Grow a CART tree, one depth level at a time (`_grow`).
+    """Grow one CART tree, a group of one (`grow_trees`).
 
     `leaf_value_fn(row_indices)` overrides the default leaf payload
     (class-probability vector / weighted mean, summed in row order); it
@@ -607,9 +708,9 @@ def fit_tree(
     if mode not in ("classification", "regression"):
         raise ConfigError(f"unknown tree mode {mode!r}")
     X = np.ascontiguousarray(matrix, dtype=float)
-    codes, rank = column_codes(X) if codes is None else codes
+    codes = column_codes(X) if codes is None else codes
     n, d = X.shape
-    if codes.shape != (d, n) or rank.shape != (n,):
+    if codes[0].shape != (d, n) or codes[1].shape != (n,):
         raise DomainError("column codes do not match the matrix")
     y = np.asarray(targets)
     if y.shape != (n,):
@@ -627,13 +728,8 @@ def fit_tree(
     if params.random_thresholds and (mode != "classification" or leaf_value_fn is not None):
         raise ConfigError("random thresholds grow classification trees with "
                           "class-share leaves only")
-
-    # Canonical row order: X-lexicographic, ties resolved by target and
-    # weight, so identical row multisets grow identical trees.
-    rows = np.lexsort((w, y, rank))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        *arrays, root_decrease = _grow(X, codes, y, w, K, mode, params, rng,
-                                       leaf_value_fn, rows)
-    tree = DecisionTree(*arrays)
-    tree.root_decrease = root_decrease
+    grown, root_decrease = grow_trees(X, codes, y, K, mode, params, [(np.arange(n), w, rng)],
+                                      leaf_value_fn)
+    tree = DecisionTree(grown.feature, grown.threshold, grown.right, grown.value)
+    tree.root_decrease = float(root_decrease[0])
     return tree

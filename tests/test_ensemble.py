@@ -39,6 +39,7 @@ from iotrisk.pipeline import (
     fit_design,
     profile_params,
 )
+from iotrisk import tree as tree_module
 from iotrisk.tree import (
     BLOCK_PAIRS,
     TreeParams,
@@ -495,6 +496,78 @@ class TestSharedColumnCodes:
                              rng=rng)
             assert alone.predict_value(probe).tobytes() == per_tree[:, i].tobytes()
 
+    @staticmethod
+    def grown_alone(X, y, params, seed, trees, K=4):
+        """The trees of range `trees` of a forest, each grown alone by
+        `fit_tree` from its own generator, sample and weights."""
+        n, d = X.shape
+        bootstrap = params.variant == "random_forest"
+        class_w = balanced_class_weights(y, K) if params.class_weights == "balanced" else np.ones(K)
+        tree_params = TreeParams(max_depth=params.max_depth, max_features=int(math.sqrt(d)),
+                                 random_thresholds=not bootstrap)
+        alone = []
+        for child in np.random.SeedSequence(seed).spawn(params.n_trees)[trees.start:trees.stop]:
+            rng = np.random.default_rng(child)
+            rows = rng.integers(0, n, n) if bootstrap else np.arange(n)
+            w = class_w[y[rows]]
+            alone.append(fit_tree(X[rows], y[rows], sample_weight=w / w.sum(), params=tree_params,
+                                  mode="classification", n_classes=K, rng=rng))
+        return TreeSet.concat(alone)
+
+    @pytest.mark.parametrize("params, trees", [
+        (ExtraTreesParams(n_trees=7), None),
+        (ExtraTreesParams(n_trees=8, max_depth=3), range(2, 7)),
+        (ForestParams(n_trees=7, class_weights="balanced"), None),
+        (ForestParams(n_trees=8), range(2, 7)),  # starts and ends mid-group
+        (ForestParams(n_trees=10, max_depth=4), range(3, 6)),  # exactly one group
+    ])
+    def test_trees_grown_together_equal_trees_grown_alone(self, params, trees, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = rng.choice(np.linspace(-1, 1, 7), size=(90, 4))
+        y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(0, 0.4, 90) > 0).astype(int) * 2
+        y[rng.random(90) < 0.3] += 1
+        monkeypatch.setattr(ensemble, "FOREST_GROUP_ROWS", 3 * len(X))  # groups of 3 trees
+        trees = trees or range(params.n_trees)
+        forest = forest_fit(X, y, params, seed=5, n_classes=4, trees=trees)
+        assert_same_arrays(forest.trees, self.grown_alone(X, y, params, 5, trees))
+        assert forest.trees.nodes.size == len(trees) >= 3
+
+    def test_trees_of_different_depths_equal_trees_grown_alone(self, monkeypatch):
+        # one row of class 1: the bootstraps that miss it grow single leaves,
+        # the others isolate it in as many levels as their feature draws take
+        X = np.random.default_rng(12).normal(size=(40, 3))
+        y = np.zeros(40, dtype=int)
+        y[7] = 1
+        params = ForestParams(n_trees=12)
+        monkeypatch.setattr(ensemble, "FOREST_GROUP_ROWS", 5 * len(X))
+        forest = forest_fit(X, y, params, seed=3, n_classes=4)
+        assert_same_arrays(forest.trees, self.grown_alone(X, y, params, 3, range(12)))
+        trees = forest.trees
+        depths = []
+        for start, count in zip(trees.start, trees.nodes):
+            depth = np.zeros(count, dtype=int)
+            for i in np.flatnonzero(trees.feature[start:start + count] >= 0):
+                depth[[i + 1, trees.right[trees.splits_before[start + i]]]] = depth[i] + 1
+            depths.append(depth.max())
+        assert 0 in depths and len(set(depths)) >= 3
+
+    def test_no_batch_exceeds_the_cell_cap(self, monkeypatch):
+        records, _ = load_corpus(bundled_corpus_path())
+        encoded = CorpusEncoder.fit(records).transform(records)
+        cells = []
+        search = tree_module._batched_splits
+
+        def recorded(codes, stats, rows, starts, sizes, nodes, feats, mode):
+            per_node = codes.shape[0] if feats is None else feats.shape[1]
+            cells.append(nodes.size * per_node * int(sizes[nodes].max()))  # S * L
+            return search(codes, stats, rows, starts, sizes, nodes, feats, mode)
+
+        monkeypatch.setattr(tree_module, "_batched_splits", recorded)
+        forest_fit(encoded.data, encoded.labels, ForestParams(n_trees=28), seed=7, n_classes=4)
+        gbdt_fit(encoded.data, encoded.labels, GbdtParams(n_stages=20), n_classes=4)
+        assert len(cells) > 100 and max(cells) <= tree_module.BATCH_CELLS
+        assert max(cells) > tree_module.BATCH_CELLS // 2  # the cap binds
+
     def test_adaboost(self):
         # SAMME sums the row weights in sorted order, so the learner weights
         # and the learners are the same to the last bit
@@ -816,6 +889,14 @@ class TestForkedFit:
         parts = [forest_fit(X, y, params, seed=4, trees=trees).trees
                  for trees in (range(0, 2), range(2, 5))]
         assert_same_arrays(TreeSet.concat(parts), whole.trees)
+
+    @pytest.mark.parametrize("trees", [range(0, 10, 2), range(8, 14), range(-2, 10),
+                                       range(4, 4), range(5, 3)])
+    def test_tree_range_not_within_the_forest_is_a_config_error(self, trees):
+        # a step, a stop past n_trees, a negative start or no tree at all
+        X, y = separable_toy(n=30)
+        with pytest.raises(ConfigError, match="tree range"):
+            forest_fit(X, y, ForestParams(n_trees=10), seed=4, trees=trees)
 
     def test_concat_of_range_sets_equals_concat_of_their_trees(self):
         X, y = separable_toy(n=30)

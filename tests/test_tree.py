@@ -552,7 +552,7 @@ class TestExactSearch:
 
 
 def random_level(design, sizes, mode, subset, rng):
-    """A level laid out as `_grow` holds it: each node's rows a distinct
+    """A level laid out as `grow_trees` holds it: each node's rows a distinct
     slice of ``rows``, the statistics with their zero padding row, and a
     sorted feature subset per node when ``subset`` is set."""
     n, d = design.shape
@@ -611,27 +611,67 @@ class TestBatchedSearch:
         assert coded[-1][1].dtype == np.int32 and checked > 1500
 
     @pytest.mark.parametrize("mode", ["classification", "regression"])
+    @pytest.mark.parametrize("mf", [3, 10])
+    def test_mixed_size_batches_match_per_node_search(self, designs, mode, mf):
+        # levels of 2 to 255 rows, batched together whatever their bucket
+        design = designs[0]
+        codes = column_codes(design)[0]
+        assert design.shape[1] == 10
+        rng = np.random.default_rng(10 + mf + (mode == "regression"))
+        checked = 0
+        for _ in range(40):
+            sizes = rng.integers(2, 256, size=int(rng.integers(1, 12)))
+            sizes[rng.random(sizes.size) < 0.3] = rng.choice([2, 3, 128, 129, 255])
+            rows = np.concatenate([rng.choice(design.shape[0], m, replace=False) for m in sizes])
+            starts = sizes.cumsum() - sizes
+            values = split_values(mode, design.shape[0], rng)
+            stats = np.vstack([values, np.zeros(values.shape[1])])
+            feats = (None if mf == 10 else
+                     np.sort(np.argsort(rng.random((sizes.size, 10)), axis=1)[:, :mf], axis=1))
+            nodes = np.arange(sizes.size)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain, feature, lo, hi = _batched_splits(codes, stats, rows, starts, sizes, nodes,
+                                                        feats, mode)
+                for i in nodes:
+                    idx = rows[starts[i]:starts[i] + sizes[i]]
+                    fs = np.arange(10) if feats is None else feats[i]
+                    found = _best_split_exact(codes[fs[:, None], idx], stats[idx], mode)
+                    if found is None:
+                        assert gain[i] == -np.inf
+                        continue
+                    j, low, high, decrease = found
+                    assert (fs[j], idx[low], idx[high]) == (feature[i], lo[i], hi[i])
+                    assert np.float64(decrease).tobytes() == gain[i].tobytes()
+                    checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("mode", ["classification", "regression"])
     def test_level_is_the_same_whichever_nodes_are_batched(self, coded, mode, monkeypatch):
         rng = np.random.default_rng(8 if mode == "classification" else 9)
-        batched = 0
+        batched, measured = [], tree_module.BATCH_FROM
+        search = tree_module._batched_splits
+        monkeypatch.setattr(tree_module, "_batched_splits",
+                            lambda *args: batched.append(args[5].size) or search(*args))
         for design, codes in coded:
+            src = np.arange(design.shape[0])
             for _ in range(60):
-                count = int(rng.choice([2, 3, 5, 9]))  # < and >= SMALL_NODE_BATCH
-                sizes = rng.choice([2, 3, 31, 32, int(rng.integers(4, 80))], size=count)
+                count = int(rng.choice([2, 3, 5, 9, 17]))
+                sizes = rng.choice([2, 3, 31, 32, 255, 256, 257, int(rng.integers(4, 300))],
+                                   size=count).clip(2, len(design) // count)
                 rows, starts, sizes, stats, feats = random_level(
                     design, sizes, mode, rng.random() < 0.5, rng)
                 open_ = rng.random(count) < 0.9
-                batched += np.count_nonzero(open_ & (sizes < 32)) >= 4
                 levels = []
-                for threshold in (1, 4, 10**9):
-                    monkeypatch.setattr(tree_module, "SMALL_NODE_BATCH", threshold)
+                # every node of at most 256 rows batched, the measured rule, none
+                for rule in ({1 << 30: 1}, measured, {1: 10**9}):
+                    monkeypatch.setattr(tree_module, "BATCH_FROM", rule)
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        levels.append(_exact_splits(design, codes, stats, rows, starts,
+                        levels.append(_exact_splits(design, src, codes, stats, rows, starts,
                                                     sizes, open_, feats, mode))
                 for level in levels[:2]:
                     for got, want in zip(level, levels[2]):
                         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert batched > 40
+        assert len(batched) > 100 and max(batched) >= 4
 
     def test_model_fits_are_the_same_whichever_nodes_are_batched(self, monkeypatch):
         records, _ = load_corpus(bundled_corpus_path())
@@ -643,13 +683,14 @@ class TestBatchedSearch:
         batched_splits = tree_module._batched_splits
         monkeypatch.setattr(tree_module, "_batched_splits",
                             lambda *args: batches.append(args[5].size) or batched_splits(*args))
-        payloads = {}
-        for threshold in (1, 10**9):
-            monkeypatch.setattr(tree_module, "SMALL_NODE_BATCH", threshold)
+        payloads, counts = {}, []
+        for rule in ({1 << 30: 1}, {1: 10**9}):  # every node of at most 256 rows, none
+            monkeypatch.setattr(tree_module, "BATCH_FROM", rule)
+            before = len(batches)
             for family, params in fits:
                 model = ensemble.fit_model(ensemble.ModelSpec(family, params, seed=7), X, y)
                 payloads.setdefault(family, []).append(model.to_payload())
-            if threshold == 1:
-                assert len(batches) > 100 and max(batches) >= 4
+            counts.append(len(batches) - before)
+        assert counts[0] > 100 and max(batches) >= 4 and counts[1] == 0
         for family, (batched, per_node) in payloads.items():
             assert batched == per_node, family
