@@ -16,29 +16,41 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DomainError, TrainingError
 from .nvd import RISK_CLASSES
-from .tree import DecisionTree, TreeParams, TreeSet, column_codes, fit_tree, grow_trees
+from .tree import BLOCK_PAIRS, TreeParams, TreeSet, column_codes, fit_tree, grow_trees
 from .util import run_cells
+
+
+def _softmax_deviance(scores: np.ndarray, labels: np.ndarray | None = None):
+    """(softmax(scores), multinomial_deviance(scores, labels) or None
+    without labels), from one shift-stabilized exp pass."""
+    top = scores[:, 0].copy()
+    for column in scores.T[1:]:  # a max is exact in any order; ~15x a row-wise max
+        np.maximum(top, column, out=top)
+    shifted = scores - top[:, None]
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    deviance = None
+    if labels is not None:
+        picked = shifted[np.arange(len(labels)), labels]
+        deviance = float((np.log(total[:, 0]) - picked).sum())
+    return e / total, deviance
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shift-stabilized."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_deviance(scores)[0]
 
 
 def multinomial_deviance(scores: np.ndarray, labels: np.ndarray) -> float:
     """Sum over rows of -log softmax(scores)[label]."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(len(labels)), labels]
-    return float((log_norm - picked).sum())
+    return _softmax_deviance(scores, labels)[1]
 
 
 def deviance_gradient(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -153,6 +165,10 @@ class GbdtParams:
         )
 
 
+# Stages `GbdtModel.decision_scores` adds per np.add.reduce call
+SCORE_STAGES = 256
+
+
 class GbdtModel(_TreeEnsemble):
     """Additive stages of per-class regression trees over log-prior scores,
     stored stage-major: K trees per stage, class 0 first."""
@@ -171,16 +187,45 @@ class GbdtModel(_TreeEnsemble):
     # the index in trees of each stage's per-class tree, (stages, K)
     stages = property(lambda self: np.arange(self.trees.nodes.size).reshape(-1, self.n_classes))
 
+    @cached_property
+    def _scoring(self):
+        """The trees that split, as a set and as indices, and each tree's
+        first-leaf step, (stages, K): a single-leaf tree's whole step."""
+        trees = self.trees
+        split = np.flatnonzero(trees.nodes > 1)
+        first_leaf = trees.start - trees.splits_before[trees.start]
+        steps = self.learning_rate * trees.value[first_leaf]
+        return trees.take(split), split, steps.reshape(-1, self.n_classes)
+
     def decision_scores(self, matrix) -> np.ndarray:
+        """Init scores plus every stage's steps, added in stage order: per
+        block of rows, np.add.reduce adds SCORE_STAGES stages at a time,
+        one after another, into a running (K, rows) sum.  Only the trees
+        that split are traversed."""
         X = _check_columns(matrix, self.n_features)
         K = self.n_classes
+        split_trees, split, leaf_steps = self._scoring
+        stages = len(leaf_steps)
+        chunk = min(stages, SCORE_STAGES)
+        starts = range(0, stages, chunk)
+        bounds = np.searchsorted(split, [K * start for start in (*starts, stages)])
 
-        def combine(values):  # (stages * K, rows)
-            steps = self.learning_rate * values.reshape(len(values) // K, K, -1)
-            init = np.broadcast_to(self.init_scores[:, None], (1,) + steps.shape[1:])
-            return np.add.reduce(np.concatenate([init, steps]), axis=0).T
+        def combine(values):  # (trees that split, rows) leaf values
+            rows = values.shape[1]
+            split_steps = self.learning_rate * values
+            block = np.empty((chunk + 1, K, rows))
+            tree_steps = block[1:].reshape(chunk * K, rows)
+            total = np.broadcast_to(self.init_scores[:, None], (K, rows))
+            for i, start in enumerate(starts):
+                count = min(chunk, stages - start)
+                block[0] = total
+                block[1:count + 1] = leaf_steps[start:start + count, :, None]
+                at = slice(bounds[i], bounds[i + 1])
+                tree_steps[split[at] - K * start] = split_steps[at]
+                total = np.add.reduce(block[:count + 1], axis=0)
+            return total.T
 
-        return self.trees.apply(X, combine)
+        return split_trees.apply(X, combine, rows=max(1, BLOCK_PAIRS // (K * chunk)))
 
     def predict_proba(self, matrix) -> np.ndarray:
         return softmax(self.decision_scores(matrix))
@@ -226,6 +271,11 @@ def gbdt_fit(
     while a bound proves the next tree is one too (`_certified_leaf`); the
     leaf it emits is the one the search would grow, so the model is the
     same.  With min_impurity_decrease 0 every tree is searched.
+
+    A stage is one step over its K classes: one shift/exp pass gives its
+    probabilities and deviance, the certified classes take their Newton
+    values together, and the searched classes grow as one `grow_trees`
+    group.  The model's arrays are built once, after the last stage.
     """
     del seed  # fitting is deterministic; kept for a uniform interface
     X, y, K = _fit_data(matrix, labels, n_classes)
@@ -242,6 +292,7 @@ def gbdt_fit(
     init_scores = np.log(priors)
 
     codes = column_codes(X)
+    rows = np.arange(n)
     scores = np.tile(init_scores, (n, 1))
     tree_params = params.tree_params()
     newton_scale = (K - 1) / K
@@ -250,43 +301,64 @@ def gbdt_fit(
     anchors = [None] * K
     certify_below = math.sqrt(params.min_impurity_decrease) * (1.0 - 1e-9)
 
-    trees = []  # stage-major
-    loss_history = [multinomial_deviance(scores, y) / n]
-    for _ in range(params.n_stages):
-        gradient = deviance_gradient(scores, y)
-        for c in range(K):
-            residual = -gradient[:, c]
-            step = np.empty(n)  # each training row's leaf value, set as leaves close
+    stages = params.n_stages
+    leaves = np.zeros((stages, K))  # the value of each certified leaf
+    grown = []  # each stage's searched trees, as one set
+    # each tree's index among the certified leaves, then the grown sets' trees
+    place = np.arange(stages * K).reshape(stages, K)
+    n_placed = stages * K
+    probabilities, deviance = _softmax_deviance(scores, y)
+    loss_history = [deviance / n]
+    for stage in range(stages):
+        probabilities[rows, y] -= 1.0  # now deviance_gradient(scores, y)
+        residuals = np.negative(probabilities.T, order="C")  # (K, n)
+        certified = np.array([_certified_leaf(anchors[c], residuals[c], certify_below)
+                              for c in range(K)])
+        step = np.empty((K, n))  # each class's leaf value at each training row
+        if certified.any():
+            leaves[stage, certified] = _newton_values(residuals[certified], w, newton_scale)
+            step[certified] = leaves[stage, certified, None]
+        searched = np.flatnonzero(~certified)
+        if searched.size:
+            stacked_r, stacked_w = residuals[searched].ravel(), np.tile(w, searched.size)
+            stacked_step = np.empty(stacked_r.size)
 
-            def newton_leaf(idx, residual=residual, step=step):
-                # sorted sums keep leaf values independent of row order
-                num = np.sort(w[idx] * residual[idx]).sum()
-                mag = np.abs(residual[idx])
-                den = np.sort(w[idx] * mag * (1.0 - mag)).sum()
-                value = 0.0 if den <= 1e-150 else float(newton_scale * num / den)
-                step[idx] = value
+            def newton_leaf(idx):
+                value = _newton_values(stacked_r[idx], stacked_w[idx], newton_scale)
+                stacked_step[idx] = value
                 return value
 
-            if _certified_leaf(anchors[c], residual, certify_below):
-                tree = DecisionTree.leaf(newton_leaf(np.arange(n)))
-            else:
-                tree = fit_tree(
-                    X,
-                    residual,
-                    sample_weight=w,
-                    params=tree_params,
-                    mode="regression",
-                    leaf_value_fn=newton_leaf,
-                    codes=codes,
-                )
-                anchors[c] = None
-                if tree.node_count() == 1:
-                    anchors[c] = (math.sqrt(max(tree.root_decrease, 0.0)), residual)
-            scores[:, c] += params.learning_rate * step
-            trees.append(tree)
-        loss_history.append(multinomial_deviance(scores, y) / n)
-    return GbdtModel(K, X.shape[1], init_scores, TreeSet.concat(trees), params.learning_rate,
-                     loss_history)
+            group, root_decrease = grow_trees(
+                X, codes, None, "regression", tree_params,
+                [(rows, residuals[c], w, None) for c in searched], newton_leaf)
+            step[searched] = stacked_step.reshape(searched.size, n)
+            for c, nodes, decrease in zip(searched, group.nodes, root_decrease):
+                anchors[c] = (math.sqrt(max(decrease, 0.0)), residuals[c]) if nodes == 1 else None
+            place[stage, searched] = n_placed + np.arange(searched.size)
+            n_placed += searched.size
+            grown.append(group)
+        scores += params.learning_rate * step.T
+        probabilities, deviance = _softmax_deviance(scores, y)
+        loss_history.append(deviance / n)
+    single = TreeSet(np.ones(stages * K, dtype=np.intp), np.full(stages * K, -1, dtype=np.intp),
+                     np.empty(0), np.empty(0, dtype=np.intp), leaves.ravel())
+    trees = TreeSet.concat([single, *grown]).take(place.ravel())
+    return GbdtModel(K, X.shape[1], init_scores, trees, params.learning_rate, loss_history)
+
+
+def _newton_values(residuals, w, scale: float):
+    """The one-step Newton leaf value of multinomial deviance,
+    scale * sum(w r) / sum(w |r| (1 - |r|)) or 0 where the denominator is
+    at most 1e-150, of each row of residuals (leaves, rows), or as a float
+    of one leaf's residuals (rows,); w holds the row weights.  Each sum
+    adds its terms sorted, so a leaf value does not depend on row order."""
+    mag = np.abs(residuals)
+    num = np.sort(w * residuals, axis=-1).sum(axis=-1)
+    den = np.sort(w * mag * (1.0 - mag), axis=-1).sum(axis=-1)
+    if num.ndim == 0:  # one leaf: scalar arithmetic costs a third of np.where's
+        return 0.0 if den <= 1e-150 else float(scale * num / den)
+    usable = den > 1e-150
+    return np.where(usable, scale * num / np.where(usable, den, 1.0), 0.0)
 
 
 def _certified_leaf(anchor, residual, below: float) -> bool:
@@ -436,11 +508,12 @@ def forest_fit(
     def sample(child):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, n) if bootstrap else np.arange(n)
-        w = class_w[y[rows]]
-        return rows, w / w.sum(), rng
+        targets = y[rows]
+        w = class_w[targets]
+        return rows, targets, w / w.sum(), rng
 
     per_group = max(1, FOREST_GROUP_ROWS // n)
-    groups = (grow_trees(X, codes, y, K, "classification", tree_params,
+    groups = (grow_trees(X, codes, K, "classification", tree_params,
                          map(sample, children[i:i + per_group]))[0]
               for i in range(0, len(children), per_group))
     return ForestModel(TreeSet.concat(groups), K, params.variant, d)

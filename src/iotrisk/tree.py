@@ -9,8 +9,9 @@ extra-trees -- is grown by one grower (`grow_trees`), in either mode:
   the stages of the gradient-boosted ensemble).
 
 The grower takes a group of trees, each with its own sample of the rows
-of one shared matrix and its own generator, and advances all of them one
-depth level at a time; `fit_tree` grows a group of one.  Each level
+of one shared matrix, its own targets and its own generator, and
+advances all of them one depth level at a time; `fit_tree` grows a group
+of one.  Each level
 proposes a split for every open node of every tree at once, as
 extra-trees were defined (Geurts et al., 2006) and as XGBoost's
 depthwise policy grows.  The stops (max_depth, min_samples_split,
@@ -138,13 +139,24 @@ class TreeSet:
             nodes.append(tree.nodes)
         return cls(np.concatenate(nodes), *arrays)
 
-    def apply(self, matrix, combine) -> np.ndarray:
-        """``combine(values)`` per block of about BLOCK_PAIRS (tree, row) pairs,
-        stacked in row order; ``values`` holds the block's leaf payloads,
-        (trees, rows, K) or (trees, rows), and combine reduces its tree axis."""
+    def take(self, trees) -> "TreeSet":
+        """The set of the trees at indices ``trees``, in that order."""
+        nodes = self.nodes[trees]
+        shift = self.start[trees] - (np.cumsum(nodes) - nodes)
+        at = np.repeat(shift, nodes) + np.arange(nodes.sum())  # the taken nodes
+        feature, before = self.feature[at], self.splits_before[at]
+        split = feature >= 0
+        return TreeSet(nodes, feature, self.threshold[before[split]], self.right[before[split]],
+                       self.value[(at - before)[~split]])
+
+    def apply(self, matrix, combine, rows=None) -> np.ndarray:
+        """``combine(values)`` per block of ``rows`` rows, by default about
+        BLOCK_PAIRS (tree, row) pairs, stacked in row order; ``values`` holds
+        the block's leaf payloads, (trees, rows, K) or (trees, rows), and
+        combine reduces its tree axis."""
         X = np.ascontiguousarray(matrix, dtype=float)
         before = self.splits_before
-        step = max(1, BLOCK_PAIRS // self.nodes.size)
+        step = rows or max(1, BLOCK_PAIRS // self.nodes.size)
         blocks = (self._leaves(X[i:i + step], before) for i in range(0, max(len(X), 1), step))
         return np.concatenate([combine(self.value[leaf - before[leaf]]) for leaf in blocks])
 
@@ -228,12 +240,6 @@ class DecisionTree(TreeSet):
 
     def __init__(self, feature, threshold, right, value):
         super().__init__(np.array([feature.size]), feature, threshold, right, value)
-
-    @classmethod
-    def leaf(cls, value: float) -> "DecisionTree":
-        """A one-node regression tree, as `fit_tree` stores a single leaf."""
-        return cls(np.array([-1], dtype=np.intp), np.empty(0),
-                   np.empty(0, dtype=np.intp), np.array([value], dtype=float))
 
     def predict_value(self, matrix) -> np.ndarray:
         """Leaf payload per row: (n, K) probabilities or (n,) scalars."""
@@ -540,15 +546,18 @@ def _exact_splits(X, src, codes, stats, rows, starts, sizes, open_, feats, mode)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def grow_trees(X, codes, y, K, mode, params, samples, leaf_value_fn=None):
+def grow_trees(X, codes, K, mode, params, samples, leaf_value_fn=None):
     """Grow a group of CART trees together, one depth level at a time.
 
     ``X`` is the shared C-contiguous matrix and ``codes`` its
-    `column_codes`.  ``samples`` yields per tree (rows, w, rng): its sample
-    as rows of X (a bootstrap repeats some), one positive weight per
-    sample row, and the generator of its feature subsets and thresholds.
-    The sample rows of all trees are numbered in one sequence, tree by
-    tree, and each tree puts its own in canonical order.  A level holds
+    `column_codes`.  ``samples`` yields per tree (rows, y, w, rng): its
+    sample as rows of X (a bootstrap repeats some), the target of each
+    sample row (class ordinals below K, or regression targets), one
+    positive weight per sample row, and the generator of its feature
+    subsets and thresholds.  So the trees of a group may fit different
+    targets on the same rows, as a GBDT stage's class trees do.  The
+    sample rows of all trees are numbered in one sequence, tree by tree,
+    and each tree puts its own in canonical order.  A level holds
     every tree's nodes at that depth, tree by tree, and each node is open
     when it is below max_depth and holds at least min_samples_split rows
     of more than one target value.  Per level each tree's rng first draws
@@ -559,18 +568,19 @@ def grow_trees(X, codes, y, K, mode, params, samples, leaf_value_fn=None):
     open node splits when its best decrease is at least
     min_impurity_decrease; its rows go stably to the left child (value <=
     threshold), then the right.  Leaves take ``leaf_value_fn(rows)``, the
-    node's sample numbers, or the weighted class shares / mean, summed per
-    node in row order.  Returns the trees as one TreeSet and each tree's
-    best root decrease (0.0 where the root found none).
+    node's sample numbers in the group's sequence (tree t's follow the
+    sample rows of trees 0..t-1), or the weighted class shares / mean,
+    summed per node in row order.  Returns the trees as one TreeSet and
+    each tree's best root decrease (0.0 where the root found none).
     """
     n, d = X.shape
     codes, rank = codes
     mf = d if params.max_features is None else min(params.max_features, d)
-    rows, w, rngs = zip(*samples)
+    rows, y, w, rngs = zip(*samples)
     sizes = np.array([r.size for r in rows])
-    src, w = np.concatenate(rows), np.concatenate(w)  # X row and weight of each sample row
+    # X row, target and weight of each sample row
+    src, y, w = np.concatenate(rows), np.concatenate(y), np.concatenate(w)
     del rows  # a group holds its samples once
-    y = y[src]
     tree = np.arange(sizes.size)  # each node's tree
     node = np.repeat(tree, sizes)  # each row's node within its level
     # Canonical row order per tree: X-lexicographic, ties resolved by target
@@ -728,7 +738,7 @@ def fit_tree(
     if params.random_thresholds and (mode != "classification" or leaf_value_fn is not None):
         raise ConfigError("random thresholds grow classification trees with "
                           "class-share leaves only")
-    grown, root_decrease = grow_trees(X, codes, y, K, mode, params, [(np.arange(n), w, rng)],
+    grown, root_decrease = grow_trees(X, codes, K, mode, params, [(np.arange(n), y, w, rng)],
                                       leaf_value_fn)
     tree = DecisionTree(grown.feature, grown.threshold, grown.right, grown.value)
     tree.root_decrease = float(root_decrease[0])

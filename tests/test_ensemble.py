@@ -47,6 +47,7 @@ from iotrisk.tree import (
     _best_split_exact,
     column_codes,
     fit_tree,
+    grow_trees,
 )
 
 from conftest import assert_same_arrays
@@ -226,19 +227,21 @@ class TestCertifiedLeaves:
 
     @staticmethod
     def fit(monkeypatch, X, y, params, certify=True):
-        """The fit and its number of fit_tree calls."""
-        calls = []
+        """The fit and its number of searched trees: the trees of the
+        groups it grew."""
+        searched = []
 
-        def counted(*args, **kw):
-            calls.append(1)
-            return fit_tree(*args, **kw)
+        def counted(X, codes, K, mode, params, samples, leaf_value_fn=None):
+            samples = list(samples)
+            searched.append(len(samples))
+            return grow_trees(X, codes, K, mode, params, samples, leaf_value_fn)
 
         with monkeypatch.context() as patch:
-            patch.setattr(ensemble, "fit_tree", counted)
+            patch.setattr(ensemble, "grow_trees", counted)
             if not certify:
                 patch.setattr(ensemble, "_certified_leaf", lambda *args: False)
             model = gbdt_fit(X, y, params, n_classes=4)
-        return model, len(calls)
+        return model, sum(searched)
 
     def assert_oracle(self, monkeypatch, X, y, params):
         certified, calls = self.fit(monkeypatch, X, y, params)
@@ -323,6 +326,103 @@ class TestCertifiedLeaves:
         assert blocked.node_count() == 1 and blocked.root_decrease == stump.root_decrease
         flat = fit_tree(X, np.full(len(y), 0.5), mode="regression")
         assert flat.root_decrease == 0.0
+
+
+def reference_gbdt(X, y, params, K=4):
+    """gbdt_fit as a loop over each stage's classes: a certified class adds
+    a single leaf, any other grows alone through `fit_tree`, and the trees
+    join by `TreeSet.concat`; softmax and deviance take row-wise maxima and
+    sums, each in its own pass.  Returns the model and, per stage, which
+    classes were certified."""
+
+    def shifted(scores):
+        return scores - scores.max(axis=1, keepdims=True)
+
+    def deviance(scores):
+        picked = shifted(scores)[np.arange(n), y]
+        return float((np.log(np.exp(shifted(scores)).sum(axis=1)) - picked).sum())
+
+    n = len(y)
+    w = np.full(n, 1.0 / n)
+    counts = np.bincount(y, weights=w, minlength=K)
+    init_scores = np.log(counts / counts.sum())
+    scores = np.tile(init_scores, (n, 1))
+    codes = column_codes(X)
+    scale = (K - 1) / K
+    anchors = [None] * K
+    below = math.sqrt(params.min_impurity_decrease) * (1.0 - 1e-9)
+    trees, certified = [], []
+    loss_history = [deviance(scores) / n]
+    for _ in range(params.n_stages):
+        e = np.exp(shifted(scores))
+        gradient = e / e.sum(axis=1, keepdims=True)
+        gradient[np.arange(n), y] -= 1.0
+        certified.append([])
+        for c in range(K):
+            residual = -gradient[:, c]
+            step = np.empty(n)
+
+            def newton_leaf(idx, residual=residual, step=step):
+                num = np.sort(w[idx] * residual[idx]).sum()
+                mag = np.abs(residual[idx])
+                den = np.sort(w[idx] * mag * (1.0 - mag)).sum()
+                step[idx] = value = 0.0 if den <= 1e-150 else float(scale * num / den)
+                return value
+
+            if ensemble._certified_leaf(anchors[c], residual, below):
+                certified[-1].append(c)
+                tree = TreeSet(np.array([1]), np.array([-1]), np.empty(0),
+                               np.empty(0, dtype=np.intp), np.array([newton_leaf(np.arange(n))]))
+            else:
+                tree = fit_tree(X, residual, w, params.tree_params(), mode="regression",
+                                leaf_value_fn=newton_leaf, codes=codes)
+                anchors[c] = None
+                if tree.node_count() == 1:
+                    anchors[c] = (math.sqrt(max(tree.root_decrease, 0.0)), residual)
+            scores[:, c] += params.learning_rate * step
+            trees.append(tree)
+        loss_history.append(deviance(scores) / n)
+    model = ensemble.GbdtModel(K, X.shape[1], init_scores, TreeSet.concat(trees),
+                               params.learning_rate, loss_history)
+    return model, certified
+
+
+def reference_scores(model, X):
+    """decision_scores as one traversal of every tree, summing each block's
+    stages in one np.add.reduce."""
+    K = model.n_classes
+
+    def combine(values):
+        steps = model.learning_rate * values.reshape(len(values) // K, K, -1)
+        init = np.broadcast_to(model.init_scores[:, None], (1,) + steps.shape[1:])
+        return np.add.reduce(np.concatenate([init, steps]), axis=0).T
+
+    return model.trees.apply(X, combine)
+
+
+class TestStageStep:
+    """gbdt_fit grows a stage's searched classes as one group and takes its
+    certified classes' values together; the model, its loss_history and
+    its scores must be those of the per-class loop."""
+
+    @pytest.mark.parametrize("name", ["bundled", "synth1", "synth2", "synth3"])
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_identical_to_per_class_loop(self, name, profile):
+        X, y = design(name)
+        params = profile_params("gbdt", profile)
+        if profile == "paper":
+            params["n_stages"] = 300  # of 10,000
+        params = GbdtParams(**params)
+        model = gbdt_fit(X, y, params, n_classes=4)
+        reference, certified = reference_gbdt(X, y, params)
+        assert (json.dumps(model.to_payload(), sort_keys=True)
+                == json.dumps(reference.to_payload(), sort_keys=True))
+        assert model.loss_history == reference.loss_history
+        assert any(0 < len(classes) < 4 for classes in certified)  # a mixed stage
+        assert model.trees.nodes.size > ensemble.SCORE_STAGES * 4  # two score chunks
+        probe = np.vstack([X, X[::7] + 0.01])
+        for rows in (probe, probe[5:6]):
+            assert model.decision_scores(rows).tobytes() == reference_scores(model, rows).tobytes()
 
 
 class TestBalancedWeights:

@@ -9,7 +9,6 @@ from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DataFormatError, DomainError
 from iotrisk import ensemble, tree as tree_module
 from iotrisk.tree import (
-    DecisionTree,
     TreeParams,
     TreeSet,
     _batched_splits,
@@ -18,6 +17,7 @@ from iotrisk.tree import (
     _exact_splits,
     column_codes,
     fit_tree,
+    grow_trees,
 )
 
 from conftest import assert_same_arrays, tree_lists, tree_payload
@@ -266,9 +266,8 @@ class TestContract:
     def test_concat_appends_each_array_at_its_own_length(self):
         X = np.random.default_rng(3).normal(size=(40, 3))
         y = X[:, 0] + (X[:, 1] > 0)
-        trees = [DecisionTree.leaf(0.25)] + [
-            fit_tree(X, y, params=TreeParams(max_depth=depth), mode="regression")
-            for depth in (1, 4)]
+        trees = [fit_tree(X, y, params=TreeParams(max_depth=depth), mode="regression")
+                 for depth in (0, 1, 4)]
         joined = TreeSet.concat(trees)
         splits = [int((t.feature >= 0).sum()) for t in trees]
         assert splits[0] == 0 and splits[1] == 1 and splits[2] > 1
@@ -281,6 +280,20 @@ class TestContract:
         per_tree = joined.apply(X, lambda values: values.swapaxes(0, 1))
         for i, tree in enumerate(trees):
             assert np.array_equal(tree.predict_value(X), per_tree[:, i])
+
+    def test_take_picks_trees_in_the_order_asked(self):
+        X = np.random.default_rng(4).normal(size=(40, 3))
+        y = X[:, 0] + (X[:, 1] > 0)
+        trees = [fit_tree(X, y, params=TreeParams(max_depth=depth), mode="regression")
+                 for depth in (0, 1, 4, 2)]
+        joined = TreeSet.concat(trees)
+        for picked in ([2, 0, 3], [1, 1], [3], []):
+            taken = joined.take(np.array(picked, dtype=np.intp))
+            if picked:
+                assert_same_arrays(taken, TreeSet.concat([trees[i] for i in picked]))
+            assert taken.nodes.size == len(picked)
+            assert taken.apply(X, lambda values: values.swapaxes(0, 1), rows=7).shape == (
+                40, len(picked))
 
     def test_truncated_payload_rejected(self):
         payload = tree_payload({"nodes": [2], "feature": [0, -1], "threshold": [0.5],
@@ -411,6 +424,43 @@ class TestLevelWiseGrower:
                          rng=np.random.default_rng(5))
         for name in ("feature", "threshold", "right", "value"):
             assert getattr(tree, name).tobytes() == getattr(again, name).tobytes()
+
+    @pytest.mark.parametrize("with_leaf_fn", [False, True])
+    def test_regression_group_with_own_targets_equals_trees_grown_alone(self, with_leaf_fn):
+        # a GBDT stage's class trees: the same rows and weights, one target
+        # each; duplicated rows carry other targets, which the canonical
+        # order sorts by
+        X, labels, w = self.data()
+        n = len(X)
+        targets = [(labels == c) - w * n / 3 for c in range(3)]
+        targets.append(np.full(n, 0.25))  # one value: the root is no open node
+        targets.append(1e-3 * np.sin(np.arange(n)))  # too flat to split
+        assert all((t[100:] != t[:50]).any() for t in targets[:3])
+        params = TreeParams(max_depth=4, min_impurity_decrease=1e-4)
+        codes = column_codes(X)
+        stacked = np.concatenate(targets)
+        calls = []
+
+        def leaf_fn(values):
+            def leaf(idx):
+                calls.append(idx.copy())
+                return float(np.sort(values[idx]).sum())
+            return leaf if with_leaf_fn else None
+
+        grown, root_decrease = grow_trees(X, codes, None, "regression", params,
+                                          [(np.arange(n), t, w, None) for t in targets],
+                                          leaf_fn(stacked))
+        group_calls, calls = calls, []
+        alone = [fit_tree(X, t, w, params, mode="regression", leaf_value_fn=leaf_fn(t),
+                          codes=codes) for t in targets]
+        assert_same_arrays(grown, TreeSet.concat(alone))
+        assert root_decrease.tolist() == [tree.root_decrease for tree in alone]
+        assert [t.node_count() > 1 for t in alone] == [True, True, True, False, False]
+        assert root_decrease[3] == 0.0 < root_decrease[4] < params.min_impurity_decrease
+        if with_leaf_fn:  # the same row sets, tree t's offset by t * n
+            assert sorted(tuple(idx) for idx in group_calls) == sorted(
+                tuple(idx + n * t) for t, idx in zip(
+                    np.repeat(range(len(targets)), [t.value.size for t in alone]), calls))
 
     @pytest.mark.parametrize("kwargs", [{"mode": "regression"},
                                         {"leaf_value_fn": lambda rows: [0.5, 0.5]}],
