@@ -23,7 +23,7 @@ from .nvd import CLASS_NAMES
 from .pipeline import MODES, DimredArtifacts, PipelineModel
 
 ENCODER_FORMAT = "iotrisk-encoders/2"
-MODEL_FORMAT = "iotrisk-model/4"
+MODEL_FORMAT = "iotrisk-model/5"
 
 # what a payload with a missing key or a mistyped value raises while parsed
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)

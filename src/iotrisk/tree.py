@@ -49,11 +49,13 @@ Each tree puts its rows into a canonical order first, a three-key sort
 on input row order.  Input must be finite.
 
 An ensemble holds its trees as one `TreeSet`, exactly the arrays its
-model file stores (a threshold and right child per split, a value per
-leaf), and scores them in one traversal: all (tree, row) pairs descend a
-level per step, as in Hummingbird (Nakandala et al., 2020).  The grower
-returns its group as a `TreeSet`; `fit_tree` returns a `DecisionTree`,
-a set of one tree.
+model file stores (a threshold and right child per split; per leaf a
+scalar, or for classification an index into a table of the set's
+distinct probability rows, each stored once as in lossless forest
+compression, Painsky & Rosset, 2016), and scores them in one traversal:
+all (tree, row) pairs descend a level per step, as in Hummingbird
+(Nakandala et al., 2020).  The grower returns its group as a `TreeSet`;
+`fit_tree` returns a `DecisionTree`, a set of one tree.
 """
 
 import base64
@@ -94,9 +96,13 @@ BLOCK_PAIRS = 1 << 14
 # Each stored array is one base64 string of these little-endian items; a
 # model file never names them, so changing one is a new model format.
 # Features are int8 because a design is at most 10 columns wide; floats are
-# stored whole, so a loaded model scores bit for bit as the fitted one.
+# stored whole, so a loaded model scores bit for bit as the fitted one.  A
+# regression set stores ``value``, a classification set ``table`` and
+# ``index``; the index is widened to WIDE_INDEX once its table holds more
+# than INDEX_ROWS rows, so the table's length decides its type.
 PAYLOAD_DTYPES = {"nodes": "<i4", "feature": "<i1", "threshold": "<f8",
-                  "right": "<i4", "value": "<f8"}
+                  "right": "<i4", "value": "<f8", "table": "<f8", "index": "<u2"}
+INDEX_ROWS, WIDE_INDEX = 1 << 16, "<i4"
 
 
 class TreeSet:
@@ -105,39 +111,66 @@ class TreeSet:
 
     ``nodes`` holds each tree's node count and ``feature`` one entry per
     node, -1 at leaves; ``threshold`` and ``right`` hold one entry per
-    split, ``value`` one per leaf: (leaves, K) class probabilities or
-    (leaves,) scalars, each in node order.  Nodes are in preorder within a
-    tree, so a split's left child is the next node; ``right`` holds the
-    tree-local index of its right child.  ``start``, each tree's root, and
-    ``splits_before``, the splits ahead of each node, are derived once per
-    set: a split's entry is ``splits_before[i]``, a leaf's
-    ``i - splits_before[i]``.
+    split.  The leaves, in node order, hold scalars in a regression set's
+    ``value``; a classification set's ``value`` is None, its ``table``
+    holds its distinct (K-wide) probability rows, compared by their bits,
+    in order of first appearance, and ``index`` one table row per leaf.
+    Nodes are in preorder within a tree, so a split's left child is the
+    next node; ``right`` holds the tree-local index of its right child.
+    ``start``, each tree's root, and ``splits_before``, the splits ahead of
+    each node, are derived once per set: a split's entry is
+    ``splits_before[i]``, a leaf's ``i - splits_before[i]``.
     """
 
-    def __init__(self, nodes, feature, threshold, right, value):
-        self.nodes, self.feature, self.threshold, self.right, self.value = (
-            nodes, feature, threshold, right, value)
+    def __init__(self, nodes, feature, threshold, right, value=None, table=None, index=None):
+        self.nodes, self.feature, self.threshold, self.right = nodes, feature, threshold, right
+        self.value, self.table, self.index = value, table, index
 
     start = cached_property(lambda self: np.cumsum(self.nodes) - self.nodes)
     splits_before = cached_property(
         lambda self: np.cumsum(self.feature >= 0) - (self.feature >= 0))
 
     @classmethod
+    def of_leaves(cls, nodes, feature, threshold, right, values) -> "TreeSet":
+        """The set whose leaves hold ``values``, (leaves,) scalars or
+        (leaves, K) probability rows."""
+        if values.ndim == 1:
+            return cls(nodes, feature, threshold, right, values)
+        table, index = _distinct(values)
+        return cls(nodes, feature, threshold, right, table=table, index=index)
+
+    def leaf_values(self, leaves) -> np.ndarray:
+        """The payloads of the leaves numbered ``leaves`` in leaf order."""
+        return self.value[leaves] if self.table is None else self.table[self.index[leaves]]
+
+    @classmethod
     def concat(cls, trees) -> "TreeSet":
         """The trees of an iterable of sets, in order, as one set (a
         `DecisionTree` is a set of one tree).  Each set is appended in place,
         so a forest grown tree by tree is never held twice; no view of the
-        growing arrays exists, which lets them be resized."""
-        nodes, arrays = [], None
+        growing arrays exists, which lets them be resized.  Classification
+        tables merge into their distinct rows in order and each index is
+        remapped to the merged table, so a set's table stays its leaves'
+        distinct rows in order of first appearance: forest ranges fitted
+        apart join into the set one fit grows."""
+        nodes, arrays, tables, rows = [], None, [], 0
         for tree in trees:
-            parts = (tree.feature, tree.threshold, tree.right, tree.value)
+            leaves = tree.value if tree.table is None else tree.index + rows
+            parts = (tree.feature, tree.threshold, tree.right, leaves)
             arrays = arrays or [np.empty((0,) + p.shape[1:], p.dtype) for p in parts]
             for array, part in zip(arrays, parts):
                 start = len(array)
                 array.resize((start + len(part),) + part.shape[1:], refcheck=False)
                 array[start:] = part
             nodes.append(tree.nodes)
-        return cls(np.concatenate(nodes), *arrays)
+            if tree.table is not None:
+                tables.append(tree.table)
+                rows += len(tree.table)
+        *arrays, leaves = arrays
+        if not tables:
+            return cls(np.concatenate(nodes), *arrays, leaves)
+        table, place = _distinct(np.concatenate(tables))
+        return cls(np.concatenate(nodes), *arrays, table=table, index=place[leaves])
 
     def take(self, trees) -> "TreeSet":
         """The set of the trees at indices ``trees``, in that order."""
@@ -146,8 +179,8 @@ class TreeSet:
         at = np.repeat(shift, nodes) + np.arange(nodes.sum())  # the taken nodes
         feature, before = self.feature[at], self.splits_before[at]
         split = feature >= 0
-        return TreeSet(nodes, feature, self.threshold[before[split]], self.right[before[split]],
-                       self.value[(at - before)[~split]])
+        return TreeSet.of_leaves(nodes, feature, self.threshold[before[split]],
+                                 self.right[before[split]], self.leaf_values((at - before)[~split]))
 
     def apply(self, matrix, combine, rows=None) -> np.ndarray:
         """``combine(values)`` per block of ``rows`` rows, by default about
@@ -158,7 +191,7 @@ class TreeSet:
         before = self.splits_before
         step = rows or max(1, BLOCK_PAIRS // self.nodes.size)
         blocks = (self._leaves(X[i:i + step], before) for i in range(0, max(len(X), 1), step))
-        return np.concatenate([combine(self.value[leaf - before[leaf]]) for leaf in blocks])
+        return np.concatenate([combine(self.leaf_values(leaf - before[leaf])) for leaf in blocks])
 
     def _leaves(self, X, before) -> np.ndarray:
         """The leaf every (tree, row) pair reaches, (trees, rows).  All
@@ -178,17 +211,20 @@ class TreeSet:
         return node.reshape(self.nodes.size, n)
 
     def to_payload(self) -> dict:
-        """Each array as base64 of its `PAYLOAD_DTYPES` bytes (row-major, K
-        numbers per classification leaf)."""
-        return {key: _encode(key, getattr(self, key)) for key in PAYLOAD_DTYPES}
+        """Each array as base64 of its stored bytes (row-major, K numbers
+        per table row)."""
+        rows = 0 if self.table is None else len(self.table)
+        return {key: _encode(key, getattr(self, key), rows)
+                for key in PAYLOAD_DTYPES if getattr(self, key) is not None}
 
     @classmethod
     def from_payload(cls, payload: dict, mode: str, n_classes: int | None,
                      n_features: int) -> "TreeSet":
         """The set of `to_payload` output, checked in one pass: any array
         that does not decode, or does not describe non-empty trees over
-        n_features columns with finite K-wide probability (classification)
-        or scalar (regression) leaves, is a DataFormatError."""
+        n_features columns with finite scalar leaves (regression) or leaves
+        indexing a table of K-wide probability rows (classification), is a
+        DataFormatError."""
         nodes, feature, right = (_decode(payload, k).astype(np.intp)
                                  for k in ("nodes", "feature", "right"))
         n = len(feature)
@@ -213,19 +249,34 @@ class TreeSet:
         parents[start] += 1
         if (parents != 1).any():
             raise DataFormatError("tree node without exactly one parent")
-        leaf_shape = () if mode == "regression" else (n_classes,)
-        value = _decode(payload, "value")
-        expected = (n - at.size,) + leaf_shape
-        if value.size != math.prod(expected):
-            raise DataFormatError(f"tree {mode} leaf values hold {value.size} "
-                                  f"numbers, expected shape {expected}")
-        if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        leaves = n - at.size
+        if mode == "regression":
+            values = _decode(payload, "value")
+            if values.size != leaves:
+                raise DataFormatError(f"tree regression leaf values hold {values.size} "
+                                      f"numbers for {leaves} leaves")
+        else:
+            values = _decode(payload, "table")
+            if n_classes < 1 or not values.size or values.size % n_classes:
+                raise DataFormatError(f"tree classification leaf table holds {values.size} "
+                                      f"numbers, not rows of {n_classes} classes")
+            values = values.reshape(-1, n_classes)
+            index = _decode(payload, "index", len(values)).astype(np.intp)
+            if index.size != leaves:
+                raise DataFormatError(f"tree classification leaf index holds {index.size} "
+                                      f"entries for {leaves} leaves")
+            bad = index[(index < 0) | (index >= len(values))]  # a wide index is signed
+            if bad.size:
+                raise DataFormatError(f"tree classification leaf index {bad[0]} is outside "
+                                      f"its table of {len(values)} rows")
+        if not (np.isfinite(threshold).all() and np.isfinite(values).all()):
             raise DataFormatError("tree split threshold or leaf value is not finite")
-        value = value.reshape(expected)
-        if leaf_shape and ((value < 0).any() or (abs(value.sum(axis=1) - 1) > 1e-9).any()):
+        if mode == "regression":
+            return cls(nodes, feature, threshold, right, values)
+        if (values < 0).any() or (abs(values.sum(axis=1) - 1) > 1e-9).any():
             raise DataFormatError("tree classification leaf is not a probability row: "
                                   "a value is negative or the row does not sum to 1")
-        return cls(nodes, feature, threshold, right, value)
+        return cls(nodes, feature, threshold, right, table=values, index=index)
 
 
 class DecisionTree(TreeSet):
@@ -238,16 +289,13 @@ class DecisionTree(TreeSet):
 
     root_decrease: float | None = None
 
-    def __init__(self, feature, threshold, right, value):
-        super().__init__(np.array([feature.size]), feature, threshold, right, value)
-
     def predict_value(self, matrix) -> np.ndarray:
         """Leaf payload per row: (n, K) probabilities or (n,) scalars."""
         return self.apply(matrix, lambda values: values[0])
 
     def predict(self, matrix) -> np.ndarray:
         """Class labels (argmax with lowest-ordinal tie-break)."""
-        if self.value.ndim != 2:
+        if self.table is None:
             raise DomainError("predict() is for classification trees")
         return np.argmax(self.predict_value(matrix), axis=1)
 
@@ -255,16 +303,34 @@ class DecisionTree(TreeSet):
         return len(self.feature)
 
 
-def _encode(key: str, array: np.ndarray) -> str:
-    """base64 of the array's `PAYLOAD_DTYPES` bytes, encoded from its own
-    buffer when it already has that type."""
-    stored = np.ascontiguousarray(array.astype(PAYLOAD_DTYPES[key], copy=False))
+def _distinct(rows):
+    """The distinct rows of a (n, K) float array, compared by their bits,
+    in order of first appearance, and each row's place among them.  One
+    sort of the rows' bytes, which takes ~10x less than np.unique(axis=0)."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)  # first appearance
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return rows[first[order]], place[inverse]
+
+
+def _item_type(key: str, table_rows: int) -> str:
+    """The stored type of array ``key`` of a set whose table holds
+    ``table_rows`` rows."""
+    return WIDE_INDEX if key == "index" and table_rows > INDEX_ROWS else PAYLOAD_DTYPES[key]
+
+
+def _encode(key: str, array: np.ndarray, table_rows: int = 0) -> str:
+    """base64 of the array's stored bytes, encoded from its own buffer when
+    it already has that type."""
+    stored = np.ascontiguousarray(array.astype(_item_type(key, table_rows), copy=False))
     if stored is not array and not np.array_equal(stored, array, equal_nan=True):
         raise DomainError(f"tree {key!r} does not fit the stored type {stored.dtype}")
     return base64.b64encode(stored).decode("ascii")
 
 
-def _decode(payload: dict, key: str) -> np.ndarray:
+def _decode(payload: dict, key: str, table_rows: int = 0) -> np.ndarray:
     text = payload[key]
     if not isinstance(text, str):
         raise DataFormatError(f"tree {key!r} is not a base64 string")
@@ -272,7 +338,7 @@ def _decode(payload: dict, key: str) -> np.ndarray:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise DataFormatError(f"tree {key!r} is not base64 ({exc})") from exc
-    dtype = np.dtype(PAYLOAD_DTYPES[key])
+    dtype = np.dtype(_item_type(key, table_rows))
     if len(raw) % dtype.itemsize:
         raise DataFormatError(f"tree {key!r} holds {len(raw)} bytes, not a multiple "
                               f"of its {dtype.itemsize}-byte items")
@@ -337,7 +403,7 @@ def _decreases(total, seq, left, mode):
     wr = right[:, -1]
     # extreme weight skew can cancel a side's weight to exactly zero; such
     # positions are ruled out below rather than allowed to go NaN -> argmax
-    # (fit_tree silences the division warnings once per tree)
+    # (grow_trees' np.errstate silences the division warnings)
     if mode == "classification":
         gini_left = 1.0 - np.square(left[:, :-1] / wl[:, None]).sum(axis=-1)
         gini_right = 1.0 - np.square(right[:, :-1] / wr[:, None]).sum(axis=-1)
@@ -689,7 +755,7 @@ def _preorder(levels):
     order = np.argsort(np.concatenate(pre))
     feature, threshold, value = (np.concatenate(arrays)[order] for arrays in zip(*levels))
     split = feature >= 0
-    return TreeSet(nodes, feature, threshold[split], right[split], value[~split])
+    return TreeSet.of_leaves(nodes, feature, threshold[split], right[split], value[~split])
 
 
 def fit_tree(
@@ -740,6 +806,7 @@ def fit_tree(
                           "class-share leaves only")
     grown, root_decrease = grow_trees(X, codes, K, mode, params, [(np.arange(n), y, w, rng)],
                                       leaf_value_fn)
-    tree = DecisionTree(grown.feature, grown.threshold, grown.right, grown.value)
+    tree = DecisionTree(grown.nodes, grown.feature, grown.threshold, grown.right, grown.value,
+                        grown.table, grown.index)
     tree.root_decrease = float(root_decrease[0])
     return tree

@@ -49,24 +49,37 @@ def make_record(
     )
 
 
-def tree_lists(trees):
-    """The arrays of a tree-set payload, decoded to lists of numbers."""
+def stored_type(key, table_rows):
+    """The stored item type of a tree-set array: its `PAYLOAD_DTYPES` one,
+    but an index is <i4 once its table holds more than 65,536 rows."""
+    return "<i4" if key == "index" and table_rows > 1 << 16 else PAYLOAD_DTYPES[key]
+
+
+def tree_lists(trees, n_classes=4):
+    """The arrays of a tree-set payload, decoded to lists of numbers; a
+    classification table holds rows of n_classes numbers."""
     assert all(isinstance(text, str) for text in trees.values())
-    return {key: np.frombuffer(base64.b64decode(text, validate=True),
-                               PAYLOAD_DTYPES[key]).tolist()
-            for key, text in trees.items()}
+    raw = {key: base64.b64decode(text, validate=True) for key, text in trees.items()}
+    rows = len(raw.get("table", b"")) // (8 * n_classes)
+    return {key: np.frombuffer(data, stored_type(key, rows)).tolist()
+            for key, data in raw.items()}
 
 
-def tree_payload(lists):
+def tree_payload(lists, n_classes=4):
     """Lists of numbers encoded back into a tree-set payload."""
-    return {key: base64.b64encode(np.array(values, PAYLOAD_DTYPES[key]).tobytes()).decode()
+    rows = len(lists.get("table", [])) // n_classes
+    return {key: base64.b64encode(np.array(values, stored_type(key, rows)).tobytes()).decode()
             for key, values in lists.items()}
 
 
 def assert_same_arrays(tree_set, clone):
-    """Every array of two tree sets holds the same type and the same bits."""
-    for name in ("nodes", "feature", "threshold", "right", "value"):
+    """Every array of two tree sets holds the same type and the same bits:
+    a regression set's leaf values, a classification set's table and index."""
+    for name in ("nodes", "feature", "threshold", "right", "value", "table", "index"):
         a, b = getattr(tree_set, name), getattr(clone, name)
+        if a is None or b is None:
+            assert a is b, name
+            continue
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 

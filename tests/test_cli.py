@@ -420,8 +420,8 @@ class TestDoctoredModel:
         model, devices = trained
         payload = self._forest_payload(corpus, tmp_path)
         trees = tree_lists(payload["model"]["trees"])
-        # leaves hold 4 class shares each; keep the first 3 of every leaf
-        trees["value"] = [v for i, v in enumerate(trees["value"]) if i % 4 != 3]
+        # table rows hold 4 class shares each; keep the first 3 of every row
+        trees["table"] = [v for i, v in enumerate(trees["table"]) if i % 4 != 3]
         payload["model"]["trees"] = tree_payload(trees)
         assert self._predict(model, devices, payload) == 3
         assert "classification leaf" in capsys.readouterr().err
@@ -434,11 +434,57 @@ class TestDoctoredModel:
         model, devices = trained
         payload = self._forest_payload(corpus, tmp_path)
         trees = tree_lists(payload["model"]["trees"])
-        trees["value"] = row * (len(trees["value"]) // 4)
+        trees["table"] = row * (len(trees["table"]) // 4)
         payload["model"]["trees"] = tree_payload(trees)
         assert self._predict(model, devices, payload) == 3
         err = capsys.readouterr().err
         assert "m.json: tree classification leaf is not a probability row" in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+    # defect: the error it must name, formatted with the payload's sizes
+    LEAF_TABLE_ERRORS = {
+        "index_past_table": "tree classification leaf index {rows} is outside its table "
+                            "of {rows} rows",
+        "ragged_index_bytes": "tree 'index' holds {ragged} bytes, not a multiple of its "
+                              "2-byte items",
+        "text_table": "tree 'table' is not base64",
+        "null_table_value": "tree split threshold or leaf value is not finite",
+        "negative_table_row": "tree classification leaf is not a probability row",
+        "table_row_sum_off": "tree classification leaf is not a probability row",
+        "short_index": "tree classification leaf index holds {short} entries for {leaves}",
+        "long_index": "tree classification leaf index holds {long} entries for {leaves}",
+    }
+
+    @pytest.mark.parametrize("defect", list(LEAF_TABLE_ERRORS))
+    def test_malformed_leaf_table(self, corpus, trained, tmp_path, capsys, defect):
+        model, devices = trained
+        payload = self._forest_payload(corpus, tmp_path)
+        trees = tree_lists(payload["model"]["trees"])
+        table, index = trees["table"], trees["index"]
+        rows, leaves = len(table) // 4, len(index)
+        assert leaves == len(trees["feature"]) - len(trees["threshold"]) > rows
+        if defect == "index_past_table":
+            index[-1] = rows
+        elif defect == "null_table_value":
+            table[5] = float("nan")
+        elif defect == "negative_table_row":
+            table[4:8] = [1.5, -0.5, 0.0, 0.0]  # one row of several, summing to 1
+        elif defect == "table_row_sum_off":
+            table[4:8] = [0.25, 0.25, 0.25, 0.25 + 1e-6]
+        elif defect == "short_index":
+            index.pop()
+        elif defect == "long_index":
+            index.append(0)
+        stored = payload["model"]["trees"] = tree_payload(trees)
+        if defect == "ragged_index_bytes":
+            stored["index"] = base64.b64encode(base64.b64decode(stored["index"]) + b"\0").decode()
+        elif defect == "text_table":
+            stored["table"] = "****" + stored["table"]
+        assert self._predict(model, devices, payload) == 3
+        err = capsys.readouterr().err
+        expected = self.LEAF_TABLE_ERRORS[defect].format(
+            rows=rows, leaves=leaves, short=leaves - 1, long=leaves + 1, ragged=2 * leaves + 1)
+        assert f"m.json: {expected}" in err
         assert err.count("error:") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("defect", [
@@ -494,7 +540,8 @@ class TestDoctoredModel:
 
     @pytest.mark.parametrize("defect", [
         "no_n_features", "text_threshold", "no_dimred_mode", "model_not_an_object",
-        "file_not_an_object", "old_format", "format_2", "format_3", "short_init_scores",
+        "file_not_an_object", "old_format", "format_2", "format_3", "format_4",
+        "short_init_scores",
         "no_classes", "sidecar_without_scaler", "sidecar_unknown_unseen_policy",
         "sidecar_without_feature", "sidecar_not_an_object", "sidecar_short_means",
         "sidecar_negative_n_fit", "sidecar_nan_frequency", "sidecar_nan_std",
@@ -562,7 +609,7 @@ class TestDoctoredModel:
             payload = []
         elif defect == "old_format":
             payload["format"] = "iotrisk-model/1"
-        elif defect in ("format_2", "format_3"):
+        elif defect in ("format_2", "format_3", "format_4"):
             payload["format"] = "iotrisk-model/" + defect[-1]
         elif defect == "short_init_scores":
             payload["model"]["init_scores"].pop()

@@ -823,16 +823,16 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("family, params, payload_sha, proba_sha", [
         ("rfc", {"n_trees": 10, "class_weights": "balanced"},
-         "2649ffb130c2c774c415510124cf725dba355370e8c966cb1e7643b7e49aea73",
+         "e1909b8716b594907e2ba0051a30f2b405065e14191388847317524c3a01018e",
          "ffbe6ba266d244bd6063b8a647b2b7ff5494383277ff7faf5b888c3a5aee2881"),
         ("gbdt", {"n_stages": 25},
          "d9328d848db31b5ae0eb16bb24996cc53a27b89c13b044f951f9add9892695f3",
          "cf40305022fa332e137a0431f755ae72968cd974dc7688501c66dde0a0dfada8"),
         ("abc", {"n_rounds": 20, "base_depth": 3},
-         "877409b47cd60c9f341a643cf223b515f38361600ebf86bd2bf05e036bcb3e7f",
+         "20582eb9cf9773648a75fafebe4f7e2cd5c71c61b1a3abc2b12f48f8d822c4f8",
          "88cbc76aac0afcf6c48a99609213d40286c18ba23ba812f422103c9abdcc1d7a"),
         ("etc", {"n_trees": 10, "class_weights": "balanced"},
-         "10c4057c744e29d6f8df28057e81e5139da5e4e6190e0e5374b2819c9e218875",
+         "65eff9fc61c2032ae5de12af165956817eb3c6b54a23d70b2fb84fdd75e81627",
          "38a2b2dd0be943bbb13284aa2eb4ad47f0ef12f326abb884c98452b6cd340d03"),
     ])
     def test_fit_is_unchanged(self, design, family, params, payload_sha, proba_sha):

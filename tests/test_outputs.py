@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from iotrisk.artifacts import load_model, save_model
 from iotrisk.cli import main
 from iotrisk.dataset import CSV_HEADER, bundled_corpus_path, load_corpus, save_corpus
 
@@ -69,13 +70,16 @@ CORRELATION = {
 # mode: (model file sha256, encoder sidecar sha256) that `train` writes, on
 # the bundled corpus, or for tsne on a 160-row synthesized one
 TRAINED = {
-    "wo_dr": ("3c43802bef248daea961291ad7307bdde5fa6934a85dbca2476f3a6cc033585b",
+    "wo_dr": ("64527b221fec94a66850e1dbbccdc27fb034788d297ed904843e3eda44e26edf",
               "8d66bedc8bf87d4ac08750ff6deaf1f6866d1a4ad7dfa31343b98bdc72886cee"),
-    "pca": ("c5bcd39dae4fe97145ca9be738043f99f649bd3ef250d12362b80d12973d02cb",
+    "pca": ("c9733d71f9b8c38860652353e593d220d2daf67e13733bd7a2d66ddf3cd623ff",
             "8d66bedc8bf87d4ac08750ff6deaf1f6866d1a4ad7dfa31343b98bdc72886cee"),
-    "tsne": ("4c00d8e9c145f6b5ae1dc6c6db63103068ed390c26742bdc42df7a4417d738bb",
+    "tsne": ("e477e67d8168dea64987644ae011b46ee6cc668f4dd85de670a5cf88a9781293",
              "360f03318ed6962036b17f897638dc7b00ed133e45fffc6373a4ad0bf9fccd0a"),
 }
+
+# the default seed-7 voting model `train` writes on the bundled corpus
+VOTING = "7c0c8acfc0955e24bac4c27fe3e36226a5d9a2e118673757449092becfc21443"
 
 
 def _sha(text: str) -> str:
@@ -128,6 +132,20 @@ def test_train_artifact_bytes_are_pinned(mode, files, tmp_path):
     digests = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest()
                     for path in (model, model + ".encoders.json"))
     assert digests == TRAINED[mode]
+
+
+def test_voting_file_is_pinned_at_any_thread_count_and_resaves_to_its_bytes(tmp_path):
+    blobs = []
+    for threads in ("1", "2"):
+        model = tmp_path / f"voting{threads}.json"
+        assert main(["train", "--corpus", BUNDLED, "--seed", "7", "--model", "voting",
+                     "--threads", threads, "--out", str(model)]) == 0
+        blobs.append(model.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert hashlib.sha256(blobs[0]).hexdigest() == VOTING
+    again = tmp_path / "again.json"
+    save_model(again, load_model(model), json.loads(blobs[0])["encoder_fingerprint"])
+    assert again.read_bytes() == blobs[0]
 
 
 def test_build_and_report_bytes_are_pinned(tmp_path, capsys):

@@ -35,7 +35,7 @@ def split_of(tree, i):
 
 def leaf_of(tree, i):
     """Leaf node i's value, read at its leaf index."""
-    return tree.value[i - tree.splits_before[i]]
+    return tree.leaf_values(i - tree.splits_before[i])
 
 
 def depths(tree):
@@ -129,7 +129,7 @@ class TestClassificationSplits:
                         sample_weight=np.array([10.0, 1.0, 1.0]) / 12,
                         params=TreeParams(max_depth=0),
                         mode="classification", n_classes=2)
-        assert tree.value[0] == pytest.approx([10 / 12, 2 / 12])
+        assert leaf_of(tree, 0) == pytest.approx([10 / 12, 2 / 12])
 
     def test_depth_zero_forces_leaf(self):
         tree = fit_tree(column([0, 1]), np.array([0, 1]),
@@ -234,7 +234,8 @@ class TestContract:
         splits = sum(int((t.feature >= 0).sum()) for t in trees)
         assert len(stored["threshold"]) == len(stored["right"]) == splits
         assert stored["right"] == [r for t in trees for r in t.right.tolist()]
-        assert len(stored["value"]) == 4 * (trees_set.feature.size - splits)
+        assert len(stored["index"]) == trees_set.feature.size - splits
+        assert len(stored["table"]) == 4 * len(trees_set.table)
         clone = TreeSet.from_payload(payload, "classification", 4, 3)
         assert_same_arrays(trees_set, clone)
         probe = rng.normal(size=(20, 3))
@@ -310,6 +311,62 @@ class TestContract:
                         mode="classification", n_classes=2,
                         rng=np.random.default_rng(1))
         assert (tree.predict(X) == y).mean() > 0.9
+
+
+def single_leaves(values):
+    """A set of one single-leaf tree per row of ``values``."""
+    n = len(values)
+    return TreeSet.of_leaves(np.ones(n, dtype=np.intp), np.full(n, -1, dtype=np.intp),
+                             np.empty(0), np.empty(0, dtype=np.intp), np.asarray(values))
+
+
+class TestLeafTable:
+    """A classification set stores each distinct leaf row once."""
+
+    ROWS = np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [-0.0, 1.0],
+                     [1.0, 0.0], [0.25, 0.75], [0.0, 1.0]])
+
+    def test_table_holds_the_distinct_rows_by_their_bits_in_order_of_first_appearance(self):
+        trees = single_leaves(self.ROWS)
+        assert trees.value is None
+        assert set(trees.to_payload()) == {"nodes", "feature", "threshold", "right", "table",
+                                           "index"}
+        # -0.0 and 0.0 compare equal but differ in their bits
+        assert trees.table.tobytes() == self.ROWS[[0, 1, 3, 4, 6]].tobytes()
+        assert trees.index.tolist() == [0, 1, 0, 2, 3, 1, 4, 2]
+        assert trees.leaf_values(np.arange(8)).tobytes() == self.ROWS.tobytes()
+
+    def test_regression_leaves_stay_one_value_each(self):
+        trees = single_leaves(np.array([0.5, 0.5, -1.0]))
+        assert trees.table is None and trees.index is None
+        assert set(trees.to_payload()) == {"nodes", "feature", "threshold", "right", "value"}
+        assert trees.value.tolist() == [0.5, 0.5, -1.0]
+
+    @pytest.mark.parametrize("cuts", [(3, 5), (1, 2, 7), (4,)])
+    def test_concat_merges_tables_into_the_set_of_all_rows(self, cuts):
+        bounds = [0, *cuts, len(self.ROWS)]
+        parts = [single_leaves(self.ROWS[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert_same_arrays(TreeSet.concat(parts), single_leaves(self.ROWS))
+
+    def test_take_keeps_only_the_rows_of_the_taken_leaves(self):
+        picked = [6, 3, 6, 0]
+        taken = single_leaves(self.ROWS).take(np.array(picked))
+        assert_same_arrays(taken, single_leaves(self.ROWS[picked]))
+        assert len(taken.table) == 3
+
+    @pytest.mark.parametrize("rows, itemsize", [(1 << 16, 2), ((1 << 16) + 1, 4)])
+    def test_index_type_follows_the_table_rows(self, rows, itemsize):
+        rng = np.random.default_rng(8)
+        distinct = rng.dirichlet(np.ones(3), rows)
+        leaves = np.concatenate([distinct, distinct[rng.integers(0, rows, 50)]])
+        trees = single_leaves(leaves)
+        assert len(trees.table) == rows
+        payload = trees.to_payload()
+        assert len(base64.b64decode(payload["index"])) == itemsize * len(leaves)
+        clone = TreeSet.from_payload(payload, "classification", 3, 1)
+        assert_same_arrays(trees, clone)
+        per_tree = clone.apply(np.zeros((1, 1)), lambda values: values.swapaxes(0, 1))
+        assert per_tree[0].tobytes() == leaves.tobytes()
 
 
 def reaching_rows(tree, X):
@@ -422,8 +479,7 @@ class TestLevelWiseGrower:
         tree, X, y, w, params = grown
         again = fit_tree(X, y, w, params, mode="classification", n_classes=3,
                          rng=np.random.default_rng(5))
-        for name in ("feature", "threshold", "right", "value"):
-            assert getattr(tree, name).tobytes() == getattr(again, name).tobytes()
+        assert_same_arrays(tree, again)
 
     @pytest.mark.parametrize("with_leaf_fn", [False, True])
     def test_regression_group_with_own_targets_equals_trees_grown_alone(self, with_leaf_fn):
