@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, DomainError, TrainingError
 from .nvd import RISK_CLASSES
-from .tree import BLOCK_PAIRS, TreeParams, TreeSet, column_codes, fit_tree, grow_trees
+from .tree import BLOCK_PAIRS, TreeParams, TreeSet, class_labels, column_codes, fit_tree, grow_trees
 from .util import run_cells
 
 
@@ -94,16 +94,11 @@ def _fit_data(matrix, labels, n_classes):
     """The matrix, integer labels and class count K of an ensemble fit.
 
     K is n_classes, or the largest label + 1; a label outside [0, K) is a
-    DomainError that names it."""
+    DomainError that names it (`class_labels`)."""
     X = np.ascontiguousarray(matrix, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    if X.ndim != 2 or y.shape != (X.shape[0],) or X.shape[0] == 0:
+    if X.ndim != 2 or np.shape(labels) != (X.shape[0],) or X.shape[0] == 0:
         raise DomainError("matrix and labels must align and be non-empty")
-    K = int(n_classes) if n_classes is not None else int(y.max()) + 1
-    bad = y[(y < 0) | (y >= K)]
-    if bad.size:
-        raise DomainError(f"label {bad[0]} is outside the {K} classes [0, {K})")
-    return X, y, K
+    return (X, *class_labels(labels, n_classes))
 
 
 def _is_count(value, low) -> bool:
@@ -287,7 +282,7 @@ def gbdt_fit(
     counts = np.bincount(y, weights=w, minlength=K)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
-        raise ConfigError(f"class {missing} absent from training labels; prior undefined")
+        raise DomainError(f"class {missing} absent from training labels; prior undefined")
     priors = counts / counts.sum()
     init_scores = np.log(priors)
 
@@ -576,9 +571,10 @@ class AdaboostModel(_TreeEnsemble):
                                                  and not isinstance(a, bool) for a in alphas)):
             raise DataFormatError("AdaBoost alphas are not a list of numbers")
         alphas = [float(a) for a in alphas]
-        if len(alphas) != trees.nodes.size or not all(map(math.isfinite, alphas)):
+        # SAMME weighs every kept learner above 0 (its error is below 1 - 1/K)
+        if len(alphas) != trees.nodes.size or not all(0 < a < math.inf for a in alphas):
             raise DataFormatError(f"AdaBoost holds {len(alphas)} alphas for "
-                                  f"{trees.nodes.size} trees, or one is not finite")
+                                  f"{trees.nodes.size} trees, or one is not finite and positive")
         return cls(trees, alphas, [], n_classes, n_features)
 
 
@@ -610,7 +606,7 @@ def adaboost_fit(
     for _ in range(params.n_rounds):
         tree = fit_tree(X, y, sample_weight=w, params=tree_params,
                         mode="classification", n_classes=K, codes=codes)
-        miss = tree.predict(X) != y
+        miss = tree.predict_value(X).argmax(axis=1) != y
         # sorted sums keep the weights independent of row order
         error = float(np.sort(w[miss]).sum())
         if error >= 1.0 - 1.0 / K:

@@ -10,8 +10,7 @@ extra-trees -- is grown by one grower (`grow_trees`), in either mode:
 
 The grower takes a group of trees, each with its own sample of the rows
 of one shared matrix, its own targets and its own generator, and
-advances all of them one depth level at a time; `fit_tree` grows a group
-of one.  Each level
+advances all of them one depth level at a time.  Each level
 proposes a split for every open node of every tree at once, as
 extra-trees were defined (Geurts et al., 2006) and as XGBoost's
 depthwise policy grows.  The stops (max_depth, min_samples_split,
@@ -55,7 +54,8 @@ distinct probability rows, each stored once as in lossless forest
 compression, Painsky & Rosset, 2016), and scores them in one traversal:
 all (tree, row) pairs descend a level per step, as in Hummingbird
 (Nakandala et al., 2020).  The grower returns its group as a `TreeSet`;
-`fit_tree` returns a `DecisionTree`, a set of one tree.
+`fit_tree`, AdaBoost's learner, grows one exhaustive tree on every row as
+a group of one and returns it as a `DecisionTree`, a set of one tree.
 """
 
 import base64
@@ -280,24 +280,11 @@ class TreeSet:
 
 
 class DecisionTree(TreeSet):
-    """One fitted CART tree, a set of one tree (node 0 is the root).
-
-    A tree grown by `fit_tree` also carries ``root_decrease``, the best
-    impurity decrease its root search found (0.0 when the root was not
-    searched or had no candidate split).  It is not serialized.
-    """
-
-    root_decrease: float | None = None
+    """One fitted CART tree, a set of one tree (node 0 is the root)."""
 
     def predict_value(self, matrix) -> np.ndarray:
         """Leaf payload per row: (n, K) probabilities or (n,) scalars."""
         return self.apply(matrix, lambda values: values[0])
-
-    def predict(self, matrix) -> np.ndarray:
-        """Class labels (argmax with lowest-ordinal tie-break)."""
-        if self.table is None:
-            raise DomainError("predict() is for classification trees")
-        return np.argmax(self.predict_value(matrix), axis=1)
 
     def node_count(self) -> int:
         return len(self.feature)
@@ -356,6 +343,17 @@ def row_weights(sample_weight, n: int) -> np.ndarray:
     return w
 
 
+def class_labels(labels, n_classes: int | None) -> tuple[np.ndarray, int]:
+    """Integer class labels and their count K, n_classes or the largest
+    label + 1; a label outside [0, K) is a DomainError that names it."""
+    y = np.asarray(labels, dtype=int)
+    K = int(n_classes) if n_classes is not None else int(y.max()) + 1
+    bad = y[(y < 0) | (y >= K)]
+    if bad.size:
+        raise DomainError(f"label {bad[0]} is outside the {K} classes [0, {K})")
+    return y, K
+
+
 def column_codes(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Integer column codes and row ranks of a finite matrix.
 
@@ -369,7 +367,7 @@ def column_codes(matrix) -> tuple[np.ndarray, np.ndarray]:
     """
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2 or X.size == 0:
-        raise DomainError("fit_tree needs a non-empty 2-D matrix")
+        raise DomainError("tree input must be a non-empty 2-D matrix")
     if not np.isfinite(X).all():
         raise DomainError("tree input holds a non-finite value")
     n, d = X.shape
@@ -765,24 +763,23 @@ def fit_tree(
     params: TreeParams | None = None,
     mode: str = "classification",
     n_classes: int | None = None,
-    rng: np.random.Generator | None = None,
-    leaf_value_fn=None,
     codes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DecisionTree:
-    """Grow one CART tree, a group of one (`grow_trees`).
+    """Grow one exhaustive CART tree on every row, a group of one.
 
-    `leaf_value_fn(row_indices)` overrides the default leaf payload
-    (class-probability vector / weighted mean, summed in row order); it
-    receives indices into the caller's row order and is called once per
-    leaf, and the leaves partition the rows.  `rng` draws the feature
-    subsets, one (nodes, d) uniform block per level, and the random
-    thresholds, when enabled.  `codes` is `column_codes(matrix)`, built
-    once by a caller that fits many trees on the same rows; without it the
-    tree builds its own.  Random thresholds grow classification trees with
-    class-share leaves only.
+    A class label outside [0, K), K being n_classes or the largest label
+    + 1, or a regression target that is not finite, is a DomainError.
+    Random feature subsets or thresholds are a ConfigError: such trees
+    grow through `grow_trees`, each from its own generator.  `codes` is
+    `column_codes(matrix)`, built once by a caller that fits many trees on
+    the same rows; without it the tree builds its own.
     """
     if mode not in ("classification", "regression"):
         raise ConfigError(f"unknown tree mode {mode!r}")
+    params = params or TreeParams()
+    if params.max_features is not None or params.random_thresholds:
+        raise ConfigError("fit_tree searches every feature exhaustively; random feature "
+                          "subsets and thresholds grow through grow_trees")
     X = np.ascontiguousarray(matrix, dtype=float)
     codes = column_codes(X) if codes is None else codes
     n, d = X.shape
@@ -792,21 +789,12 @@ def fit_tree(
     if y.shape != (n,):
         raise DomainError("targets must be one value per row")
     if mode == "classification":
-        y = y.astype(int)
-        K = int(n_classes) if n_classes is not None else int(y.max()) + 1
+        y, K = class_labels(y, n_classes)
     else:
-        y = y.astype(float)
-        K = None
-    w = row_weights(sample_weight, n)
-    params = params or TreeParams()
-    if (params.max_features is not None or params.random_thresholds) and rng is None:
-        raise ConfigError("random feature subsets / thresholds need an rng")
-    if params.random_thresholds and (mode != "classification" or leaf_value_fn is not None):
-        raise ConfigError("random thresholds grow classification trees with "
-                          "class-share leaves only")
-    grown, root_decrease = grow_trees(X, codes, K, mode, params, [(np.arange(n), y, w, rng)],
-                                      leaf_value_fn)
-    tree = DecisionTree(grown.nodes, grown.feature, grown.threshold, grown.right, grown.value,
+        y, K = y.astype(float), None
+        if not np.isfinite(y).all():
+            raise DomainError("regression targets must be finite")
+    sample = (np.arange(n), y, row_weights(sample_weight, n), None)
+    grown = grow_trees(X, codes, K, mode, params, [sample])[0]
+    return DecisionTree(grown.nodes, grown.feature, grown.threshold, grown.right, grown.value,
                         grown.table, grown.index)
-    tree.root_decrease = float(root_decrease[0])
-    return tree

@@ -8,7 +8,7 @@ import pytest
 
 from iotrisk.dataset import DeviceRecord
 from iotrisk.nvd import RiskClass
-from iotrisk.tree import PAYLOAD_DTYPES
+from iotrisk.tree import PAYLOAD_DTYPES, TreeParams, column_codes, grow_trees
 
 
 def src_env(**overrides):
@@ -81,6 +81,19 @@ def assert_same_arrays(tree_set, clone):
             assert a is b, name
             continue
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def grow_one(matrix, targets, weights=None, params=None, mode="classification",
+             n_classes=None, rng=None, leaf_value_fn=None, codes=None):
+    """One tree grown on every row of ``matrix`` as a `grow_trees` group of
+    one, its rows weighing 1/n by default: the set and its root decrease."""
+    X = np.ascontiguousarray(matrix, dtype=float)
+    n = len(X)
+    w = np.full(n, 1.0 / n) if weights is None else weights
+    grown, root_decrease = grow_trees(
+        X, column_codes(X) if codes is None else codes, n_classes, mode,
+        params or TreeParams(), [(np.arange(n), targets, w, rng)], leaf_value_fn)
+    return grown, float(root_decrease[0])
 
 
 def feed_item(cve_id="CVE-2019-0001", base_score=9.8, cpe_uris=None,

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from iotrisk import cli, ensemble, evaluation, pipeline, util
@@ -188,6 +189,23 @@ class TestTrainPredict:
         assert done.returncode == 0
         assert "brand='unseen_brand' was not in the training corpus" in done.stdout
         assert done.stderr == ""
+
+    def test_absent_class_exits_3_for_every_family(self, tmp_path, capsys):
+        # which classes a corpus holds is a fault of the data, for any family
+        corpus = tmp_path / "two_classes.csv"
+        assert main(["build", "--synthesize", "--total", "60", "--seed", "3",
+                     "--fractions", "0.5,0.5,0,0", "--out", str(corpus)]) == 0
+        common = ["--corpus", str(corpus), "--seed", "7"]
+        for family in ("gbdt", "rfc", "voting"):
+            capsys.readouterr()
+            rc = main(["train", *common, "--model", family, "--out", str(tmp_path / "m.json")])
+            err = capsys.readouterr().err
+            assert rc == 3, family
+            assert err.count("error:") == 1 and "class 2 absent" in err, family
+        # cv reports a failed fold as an evaluation error
+        assert main(["cv", *common, "--k", "2", "--repeats", "1"]) == 5
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "class 2 absent" in err
 
     def test_sidecar_with_reject_policy_exits_3(self, corpus, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -400,6 +418,24 @@ class TestDoctoredModel:
         payload["model"] = {"family": "voting", "members": [gbdt, rfc]}
         assert self._predict(model, devices, payload) == 3
         assert "feature 99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alphas", [lambda a: [0.0] * len(a), lambda a: [-x for x in a]],
+                             ids=["all_zero", "negated"])
+    def test_adaboost_member_alphas_not_positive(self, trained, capsys, alphas):
+        # zero alphas would score nan for every class, negated ones invert the votes
+        model, devices = trained
+        gbdt = json.loads(model.read_text())["model"]
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(40, gbdt["n_features"])), np.arange(40) % 4
+        abc = ensemble.adaboost_fit(X, y, ensemble.AdaboostParams(n_rounds=3),
+                                    n_classes=4).to_payload()
+        abc["alphas"] = alphas(abc["alphas"])
+        payload = json.loads(model.read_text())
+        payload["model"] = {"family": "voting", "members": [gbdt, abc]}
+        assert self._predict(model, devices, payload) == 3
+        out, err = capsys.readouterr()
+        assert "or one is not finite and positive" in err and err.count("error:") == 1
+        assert "nan" not in out
 
     def test_gbdt_stage_narrower_than_classes(self, trained, capsys):
         # trees are stored stage-major, so a short last stage leaves a tree

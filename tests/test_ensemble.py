@@ -50,7 +50,7 @@ from iotrisk.tree import (
     grow_trees,
 )
 
-from conftest import assert_same_arrays
+from conftest import assert_same_arrays, grow_one
 
 
 def separable_toy(n=20, seed=0):
@@ -118,10 +118,11 @@ class TestGbdt:
         proba = model.predict_proba(X)
         assert np.allclose(proba, [0.3, 0.7])
 
-    def test_absent_class_is_config_error(self):
+    def test_absent_class_is_domain_error(self):
+        # which classes are present depends on the data, like any label fault
         X, _ = separable_toy(n=8)
         labels = np.zeros(8, dtype=int)
-        with pytest.raises(ConfigError, match="absent"):
+        with pytest.raises(DomainError, match="absent"):
             gbdt_fit(X, labels, GbdtParams(n_stages=2), n_classes=4)
 
     def test_dominant_class_probability_near_one(self):
@@ -298,15 +299,15 @@ class TestCertifiedLeaves:
         X = np.array([[0.0], [1.0]])
 
         def stump(residual, threshold):
-            return fit_tree(X, residual, mode="regression",
+            return grow_one(X, residual, mode="regression",
                             params=TreeParams(min_impurity_decrease=threshold))
 
         r = np.array([0.1, -0.1])
         moved = r + np.array([0.05, -0.05])
-        anchor = (math.sqrt(stump(r, 1.0).root_decrease), r)
-        reached = stump(moved, 1.0).root_decrease
+        anchor = (math.sqrt(stump(r, 1.0)[1]), r)
+        reached = stump(moved, 1.0)[1]
         assert math.sqrt(reached) == pytest.approx(anchor[0] + 0.05, rel=1e-12)
-        assert stump(moved, reached).node_count() == 3
+        assert stump(moved, reached)[0].nodes[0] == 3
         below = math.sqrt(reached) * (1.0 - 1e-9)
         assert not ensemble._certified_leaf(anchor, moved, below)
         assert ensemble._certified_leaf(anchor, moved, below * (1.0 + 1e-6))
@@ -315,22 +316,23 @@ class TestCertifiedLeaves:
         X, y = design("synth1")
         residual = (y == 2) - 0.25
         w = np.full(len(y), 1.0 / len(y))
-        stump = fit_tree(X, residual, params=TreeParams(max_depth=1), mode="regression")
+        stump, stump_decrease = grow_one(X, residual, params=TreeParams(max_depth=1),
+                                         mode="regression")
         found = _best_split_exact(column_codes(X)[0],
                                   np.column_stack([w * residual, w * residual ** 2, w]),
                                   "regression")
-        assert stump.node_count() == 3
-        assert stump.root_decrease == pytest.approx(found[3], rel=1e-12)
-        blocked = fit_tree(X, residual, params=TreeParams(min_impurity_decrease=1.0),
-                           mode="regression")
-        assert blocked.node_count() == 1 and blocked.root_decrease == stump.root_decrease
-        flat = fit_tree(X, np.full(len(y), 0.5), mode="regression")
-        assert flat.root_decrease == 0.0
+        assert stump.nodes[0] == 3
+        assert stump_decrease == pytest.approx(found[3], rel=1e-12)
+        blocked, blocked_decrease = grow_one(
+            X, residual, params=TreeParams(min_impurity_decrease=1.0), mode="regression")
+        assert blocked.nodes[0] == 1 and blocked_decrease == stump_decrease
+        flat_decrease = grow_one(X, np.full(len(y), 0.5), mode="regression")[1]
+        assert flat_decrease == 0.0
 
 
 def reference_gbdt(X, y, params, K=4):
     """gbdt_fit as a loop over each stage's classes: a certified class adds
-    a single leaf, any other grows alone through `fit_tree`, and the trees
+    a single leaf, any other grows alone as a group of one, and the trees
     join by `TreeSet.concat`; softmax and deviance take row-wise maxima and
     sums, each in its own pass.  Returns the model and, per stage, which
     classes were certified."""
@@ -374,11 +376,12 @@ def reference_gbdt(X, y, params, K=4):
                 tree = TreeSet(np.array([1]), np.array([-1]), np.empty(0),
                                np.empty(0, dtype=np.intp), np.array([newton_leaf(np.arange(n))]))
             else:
-                tree = fit_tree(X, residual, w, params.tree_params(), mode="regression",
-                                leaf_value_fn=newton_leaf, codes=codes)
+                tree, root_decrease = grow_one(X, residual, w, params.tree_params(),
+                                               mode="regression", leaf_value_fn=newton_leaf,
+                                               codes=codes)
                 anchors[c] = None
-                if tree.node_count() == 1:
-                    anchors[c] = (math.sqrt(max(tree.root_decrease, 0.0)), residual)
+                if tree.nodes[0] == 1:
+                    anchors[c] = (math.sqrt(max(root_decrease, 0.0)), residual)
             scores[:, c] += params.learning_rate * step
             trees.append(tree)
         loss_history.append(deviance(scores) / n)
@@ -541,8 +544,10 @@ class TestAdaboost:
     @pytest.mark.parametrize("alphas", [lambda a: a + [1.0], lambda a: a[:-1],
                                         lambda a: [math.nan] + a[1:],
                                         lambda a: "7" * len(a), lambda a: [True] * len(a),
-                                        lambda a: [str(x) for x in a]])
+                                        lambda a: [str(x) for x in a],
+                                        lambda a: [0.0] * len(a), lambda a: [-x for x in a]])
     def test_payload_needs_one_finite_alpha_per_tree(self, alphas):
+        # SAMME keeps only learners of positive alpha: all zero or negated is doctored
         X, y = separable_toy(n=16)
         payload = adaboost_fit(X, y, AdaboostParams(n_rounds=4)).to_payload()
         payload["alphas"] = alphas(payload["alphas"])
@@ -591,15 +596,15 @@ class TestSharedColumnCodes:
         for i, child in enumerate(np.random.SeedSequence(4).spawn(8)):
             rng = np.random.default_rng(child)
             rows = rng.integers(0, n, n)[perm]
-            alone = fit_tree(X[rows], y[rows], sample_weight=np.full(n, 1 / n),
-                             params=tree_params, mode="classification", n_classes=4,
-                             rng=rng)
-            assert alone.predict_value(probe).tobytes() == per_tree[:, i].tobytes()
+            alone, _ = grow_one(X[rows], y[rows], np.full(n, 1 / n), tree_params, n_classes=4,
+                                rng=rng)
+            assert alone.apply(probe, lambda values: values[0]).tobytes() == (
+                per_tree[:, i].tobytes())
 
     @staticmethod
     def grown_alone(X, y, params, seed, trees, K=4):
-        """The trees of range `trees` of a forest, each grown alone by
-        `fit_tree` from its own generator, sample and weights."""
+        """The trees of range `trees` of a forest, each grown alone as a
+        group of one from its own generator, sample and weights."""
         n, d = X.shape
         bootstrap = params.variant == "random_forest"
         class_w = balanced_class_weights(y, K) if params.class_weights == "balanced" else np.ones(K)
@@ -610,8 +615,8 @@ class TestSharedColumnCodes:
             rng = np.random.default_rng(child)
             rows = rng.integers(0, n, n) if bootstrap else np.arange(n)
             w = class_w[y[rows]]
-            alone.append(fit_tree(X[rows], y[rows], sample_weight=w / w.sum(), params=tree_params,
-                                  mode="classification", n_classes=K, rng=rng))
+            alone.append(grow_one(X[rows], y[rows], w / w.sum(), tree_params, n_classes=K,
+                                  rng=rng)[0])
         return TreeSet.concat(alone)
 
     @pytest.mark.parametrize("params, trees", [
@@ -1001,9 +1006,9 @@ class TestForkedFit:
     def test_concat_of_range_sets_equals_concat_of_their_trees(self):
         X, y = separable_toy(n=30)
         rng = np.random.default_rng(5)
-        trees = [fit_tree(X, y, params=TreeParams(max_depth=depth, max_features=1),
-                          mode="classification", n_classes=2, rng=rng)
+        trees = [grow_one(X, y, params=TreeParams(max_depth=depth, max_features=1),
+                          n_classes=2, rng=rng)[0]
                  for depth in (0, 1, 2, 3, None)]
         ranges = [TreeSet.concat(trees[:2]), TreeSet.concat(trees[2:])]
         assert_same_arrays(TreeSet.concat(ranges), TreeSet.concat(trees))
-        assert TreeSet.concat(ranges).nodes.tolist() == [t.node_count() for t in trees]
+        assert TreeSet.concat(ranges).nodes.tolist() == [t.nodes[0] for t in trees]

@@ -83,3 +83,9 @@ def test_traced_train_and_predict_record_every_attr_the_bench_reads(tmp_path):
                  "ensemble.forest_fit_s.etc", "ensemble.predict_proba_s",
                  "tree.predict_ns_per_tree_row"):
         assert figures[name] > 0, name
+
+
+def test_stump_probe_times_every_node_size():
+    figures = load_tracing().stump_probe(7, repeats=1)
+    assert sorted(figures) == ["tree.stump_ms.n1153", "tree.stump_ms.n300", "tree.stump_ms.n60"]
+    assert all(value > 0 for value in figures.values()), figures

@@ -1,4 +1,5 @@
 import base64
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from iotrisk.tree import (
     grow_trees,
 )
 
-from conftest import assert_same_arrays, tree_lists, tree_payload
+from conftest import assert_same_arrays, grow_one, tree_lists, tree_payload
 
 
 def column(values):
@@ -41,8 +42,8 @@ def leaf_of(tree, i):
 def depths(tree):
     """Depth of every node; one forward pass suffices since children
     always come after their parent (the left child is the next node)."""
-    depth = np.zeros(tree.node_count(), dtype=int)
-    for i in range(tree.node_count()):
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for i in range(tree.feature.size):
         if tree.feature[i] >= 0:
             depth[[i + 1, split_of(tree, i)[1]]] = depth[i] + 1
     return depth
@@ -67,7 +68,7 @@ class TestClassificationSplits:
         y = np.array([0, 1, 1, 0])
         tree = fit_tree(X, y, params=TreeParams(max_depth=2),
                         mode="classification", n_classes=2)
-        assert (tree.predict(X) == y).all()
+        assert (tree.predict_value(X).argmax(axis=1) == y).all()
         assert depths(tree).max() <= 2
 
     def test_feature_tie_breaks_to_lowest_index(self):
@@ -158,7 +159,7 @@ class TestRegressionSplits:
             captured.append(sorted(idx.tolist()))
             return 0.0
 
-        fit_tree(column([3, 2, 1, 0]), np.array([0.0, 0.0, 10.0, 10.0]),
+        grow_one(column([3, 2, 1, 0]), np.array([0.0, 0.0, 10.0, 10.0]),
                  mode="regression", leaf_value_fn=capture)
         assert sorted(captured) == [[0, 1], [2, 3]]
 
@@ -185,10 +186,27 @@ class TestContract:
                 fit_tree(column([0, 1, 2, 3]), np.array([0, 1, 0, 1]),
                          sample_weight=weights, mode=mode)
 
-    def test_random_subset_needs_rng(self):
-        with pytest.raises(ConfigError):
-            fit_tree(column([0, 1]), np.array([0, 1]),
-                     params=TreeParams(max_features=1), mode="classification")
+    @pytest.mark.parametrize("params", [TreeParams(max_features=1),
+                                        TreeParams(random_thresholds=True)],
+                             ids=["subsets", "thresholds"])
+    @pytest.mark.parametrize("mode", ["classification", "regression"])
+    def test_random_subsets_or_thresholds_refused(self, mode, params):
+        # such trees grow in groups, each from its own generator
+        with pytest.raises(ConfigError, match="grow_trees"):
+            fit_tree(column([0, 1, 2, 3]), np.array([0, 1, 0, 1]), params=params, mode=mode)
+
+    @pytest.mark.parametrize("labels, n_classes, message", [
+        ([0, 0, -1, -1], None, "label -1 is outside the 1 classes [0, 1)"),
+        ([0, 1, 2, 1], 2, "label 2 is outside the 2 classes [0, 2)"),
+    ], ids=["negative", "past_n_classes"])
+    def test_label_outside_the_classes_rejected(self, labels, n_classes, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fit_tree(column([0, 1, 2, 3]), np.array(labels), n_classes=n_classes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_regression_target_rejected(self, bad):
+        with pytest.raises(DomainError, match="regression targets must be finite"):
+            fit_tree(column([0, 1, 2, 3]), np.array([0.0, bad, 1.0, 2.0]), mode="regression")
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(5)
@@ -306,11 +324,9 @@ class TestContract:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(100, 4))
         y = (X[:, 1] > 0).astype(int)
-        tree = fit_tree(X, y,
-                        params=TreeParams(max_depth=6, random_thresholds=True),
-                        mode="classification", n_classes=2,
-                        rng=np.random.default_rng(1))
-        assert (tree.predict(X) == y).mean() > 0.9
+        tree, _ = grow_one(X, y, params=TreeParams(max_depth=6, random_thresholds=True),
+                           n_classes=2, rng=np.random.default_rng(1))
+        assert (tree.apply(X, lambda values: values[0]).argmax(axis=1) == y).mean() > 0.9
 
 
 def single_leaves(values):
@@ -372,7 +388,7 @@ class TestLeafTable:
 def reaching_rows(tree, X):
     """Boolean (n_nodes, n) mask of the training rows that reach each node;
     one forward pass, since children come after their parent."""
-    reach = np.zeros((tree.node_count(), len(X)), dtype=bool)
+    reach = np.zeros((tree.feature.size, len(X)), dtype=bool)
     reach[0] = True
     for i in np.flatnonzero(tree.feature >= 0):
         threshold, right = split_of(tree, i)
@@ -416,9 +432,8 @@ class TestLevelWiseGrower:
     def grown(self, request):
         params, binary = self.PARAMS[request.param]
         X, y, w = self.data(binary)
-        tree = fit_tree(X, y, w, params, mode="classification", n_classes=3,
-                        rng=np.random.default_rng(5))
-        assert tree.node_count() > 5
+        tree, _ = grow_one(X, y, w, params, n_classes=3, rng=np.random.default_rng(5))
+        assert tree.feature.size > 5
         return tree, X, y, w, params
 
     def test_splits_cut_inside_their_rows(self, grown):
@@ -472,13 +487,12 @@ class TestLevelWiseGrower:
         tree, X, y, w, params = grown
         clone = TreeSet.from_payload(tree.to_payload(), "classification", 3, 4)
         assert_same_arrays(tree, clone)
-        assert np.array_equal(tree.predict_value(X),
+        assert np.array_equal(tree.apply(X, lambda values: values[0]),
                               clone.apply(X, lambda values: values[0]))
 
     def test_same_seed_same_tree(self, grown):
         tree, X, y, w, params = grown
-        again = fit_tree(X, y, w, params, mode="classification", n_classes=3,
-                         rng=np.random.default_rng(5))
+        again, _ = grow_one(X, y, w, params, n_classes=3, rng=np.random.default_rng(5))
         assert_same_arrays(tree, again)
 
     @pytest.mark.parametrize("with_leaf_fn", [False, True])
@@ -507,25 +521,16 @@ class TestLevelWiseGrower:
                                           [(np.arange(n), t, w, None) for t in targets],
                                           leaf_fn(stacked))
         group_calls, calls = calls, []
-        alone = [fit_tree(X, t, w, params, mode="regression", leaf_value_fn=leaf_fn(t),
-                          codes=codes) for t in targets]
+        alone, roots = zip(*[grow_one(X, t, w, params, mode="regression",
+                                      leaf_value_fn=leaf_fn(t), codes=codes) for t in targets])
         assert_same_arrays(grown, TreeSet.concat(alone))
-        assert root_decrease.tolist() == [tree.root_decrease for tree in alone]
-        assert [t.node_count() > 1 for t in alone] == [True, True, True, False, False]
+        assert root_decrease.tolist() == list(roots)
+        assert [t.nodes[0] > 1 for t in alone] == [True, True, True, False, False]
         assert root_decrease[3] == 0.0 < root_decrease[4] < params.min_impurity_decrease
         if with_leaf_fn:  # the same row sets, tree t's offset by t * n
             assert sorted(tuple(idx) for idx in group_calls) == sorted(
                 tuple(idx + n * t) for t, idx in zip(
                     np.repeat(range(len(targets)), [t.value.size for t in alone]), calls))
-
-    @pytest.mark.parametrize("kwargs", [{"mode": "regression"},
-                                        {"leaf_value_fn": lambda rows: [0.5, 0.5]}],
-                             ids=["regression", "leaf_value_fn"])
-    def test_refused_combinations(self, kwargs):
-        X, y, w = self.data()
-        with pytest.raises(ConfigError, match="random thresholds"):
-            fit_tree(X, y, w, TreeParams(random_thresholds=True),
-                     rng=np.random.default_rng(0), **{"mode": "classification", **kwargs})
 
 
 def full_scan_split(Xn, value_rows, mode):
@@ -567,7 +572,7 @@ def full_scan_split(Xn, value_rows, mode):
 
 def exact_split(Xn, node_codes, value_rows, mode):
     """`_best_split_exact` with its boundary rows turned into a threshold,
-    as `fit_tree` does."""
+    as `grow_trees` does."""
     found = _best_split_exact(node_codes, value_rows, mode)
     if found is None:
         return None
@@ -576,7 +581,7 @@ def exact_split(Xn, node_codes, value_rows, mode):
 
 
 def split_values(mode, m, rng):
-    """Random node statistics laid out as `fit_tree` builds them."""
+    """Random node statistics laid out as `grow_trees` builds them."""
     w = rng.uniform(0.05, 1.0, m) * rng.choice([1.0, 1e-6], m, p=[0.9, 0.1])
     if mode == "classification":
         y = rng.integers(0, 4, m)
