@@ -23,7 +23,7 @@ def main():
     encoder = CorpusEncoder.fit(records)
     encoded = encoder.transform(records)
     print(f"\nencoded matrix: {encoded.data.shape[0]} x {encoded.data.shape[1]}, "
-          f"stages={encoded.stages}")
+          f"columns={', '.join(encoded.columns)}")
     print(f"per-column means ~0: {np.abs(encoded.data.mean(axis=0)).max():.2e}")
     print(f"per-column stds  ~1: {np.abs(encoded.data.std(axis=0) - 1).max():.2e}")
 

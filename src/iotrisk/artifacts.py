@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import FEATURE_COLUMNS
 from .dimred import KmeansModel, PcaModel
-from .encoding import CorpusEncoder, StandardScaler
+from .encoding import CorpusEncoder, StandardScaler, checked_array
 from .ensemble import model_from_payload
 from .errors import DataFormatError
 from .nvd import CLASS_NAMES
@@ -47,48 +47,11 @@ def load_encoder(path: str | Path) -> CorpusEncoder:
     if found != ENCODER_FORMAT:
         raise DataFormatError(f"{path}: expected format {ENCODER_FORMAT}, got {found!r}")
     try:
-        encoder = CorpusEncoder.from_payload(payload)
-        # the values a transform divides by or looks up must be usable
-        encoder.scaler = _scaler_from(payload["scaler"], "scaler", len(FEATURE_COLUMNS))
-        for feature, table in encoder.tables.items():
-            if type(table.n_fit) is not int or table.n_fit < 1:
-                raise DataFormatError(f"{feature} n_fit is {table.n_fit!r}, not an integer >= 1")
-            frequencies = _array([*table.frequencies.values()], f"{feature} frequencies", (None,))
-            if not ((frequencies > 0) & (frequencies <= 1)).all():
-                raise DataFormatError(f"{feature} frequencies hold a value outside (0, 1]")
-        return encoder
+        return CorpusEncoder.from_payload(payload)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     except _MALFORMED as exc:
         raise DataFormatError(f"{path}: malformed encoder payload ({exc!r})") from exc
-
-
-def _scaler_payload(scaler: StandardScaler) -> dict:
-    return {"means": scaler.means.tolist(), "stds": scaler.stds.tolist()}
-
-
-def _array(value, what: str, shape: tuple) -> np.ndarray:
-    """`value` as a finite float array of `shape`, where None stands for
-    any non-zero length."""
-    array = np.asarray(value, dtype=float)
-    if array.ndim != len(shape) or any(
-        found == 0 or want not in (None, found)
-        for found, want in zip(array.shape, shape)
-    ):
-        expected = ", ".join("*" if n is None else str(n) for n in shape)
-        raise DataFormatError(f"{what} has shape {array.shape}, expected ({expected})")
-    if not np.isfinite(array).all():
-        raise DataFormatError(f"{what} holds a non-finite value")
-    return array
-
-
-def _scaler_from(payload, what: str, width: int) -> StandardScaler:
-    """A scaler of `width` finite means and finite, non-negative stds."""
-    scaler = StandardScaler(means=_array(payload["means"], f"{what} means", (width,)),
-                            stds=_array(payload["stds"], f"{what} stds", (width,)))
-    if (scaler.stds < 0).any():
-        raise DataFormatError(f"{what} stds holds a negative value")
-    return scaler
 
 
 def _dimred_payload(artifacts: DimredArtifacts) -> dict:
@@ -105,7 +68,7 @@ def _dimred_payload(artifacts: DimredArtifacts) -> dict:
             "seed": artifacts.kmeans.seed,
         }
         payload["cluster_freqs"] = artifacts.cluster_freqs.tolist()
-        payload["cluster_scaler"] = _scaler_payload(artifacts.cluster_scaler)
+        payload["cluster_scaler"] = artifacts.cluster_scaler.to_payload()
     if artifacts.tsne_kl is not None:
         payload["tsne_kl"] = list(artifacts.tsne_kl)
     return payload
@@ -123,19 +86,19 @@ def _dimred_from(payload: dict, mode) -> DimredArtifacts:
     width = None  # of the space k-means ran in; a t-SNE embedding's is free
     if mode == "pca":
         n_features = len(FEATURE_COLUMNS)
-        components = _array(
+        components = checked_array(
             payload["pca"]["components"], "pca components", (None, n_features)
         )
         width = len(components)
         artifacts.pca = PcaModel(
             components=components,
-            explained_variance_ratio=_array(
+            explained_variance_ratio=checked_array(
                 payload["pca"]["explained_variance_ratio"],
                 "pca explained_variance_ratio", (width,),
             ),
-            means=_array(payload["pca"]["means"], "pca means", (n_features,)),
+            means=checked_array(payload["pca"]["means"], "pca means", (n_features,)),
         )
-    centroids = _array(
+    centroids = checked_array(
         payload["kmeans"]["centroids"], "k-means centroids", (None, width)
     )
     artifacts.kmeans = KmeansModel(
@@ -145,10 +108,11 @@ def _dimred_from(payload: dict, mode) -> DimredArtifacts:
         n_iter=0,
         seed=int(payload["kmeans"]["seed"]),
     )
-    artifacts.cluster_freqs = _array(
+    artifacts.cluster_freqs = checked_array(
         payload["cluster_freqs"], "cluster_freqs", (len(centroids),)
     )
-    artifacts.cluster_scaler = _scaler_from(payload["cluster_scaler"], "cluster_scaler", 1)
+    artifacts.cluster_scaler = StandardScaler.from_payload(payload["cluster_scaler"],
+                                                           "cluster_scaler", 1)
     if "tsne_kl" in payload:
         artifacts.tsne_kl = tuple(payload["tsne_kl"])
     return artifacts

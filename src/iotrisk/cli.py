@@ -59,7 +59,7 @@ from .pipeline import (
     MODES,
     PROFILES,
     PipelineConfig,
-    build_design,  # unused here, but perfbench/tracing.py wraps it by this name
+    build_design,
     fit_design,
     fit_pipeline,
     predict_devices,
@@ -261,9 +261,10 @@ def cmd_cv(args) -> int:
             raise ConfigError(f"unknown mode {mode!r}; choose from {'/'.join(MODES)}")
     spec = config.model_spec()
     plan = _fold_plan(records, config)
+    encoded = CorpusEncoder.fit(records).transform(records)  # the same for every mode
     runs = []
     for mode in modes:
-        _, design, _ = fit_design(records, replace(config, mode=mode))
+        design, _ = build_design(encoded, replace(config, mode=mode))
         runs.append((mode, cross_validate(spec, design.data, design.labels, plan,
                                           threads=args.threads)))
     _emit(reporting.cv_report(args.format, runs, config.k, config.repeats,

@@ -13,10 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CATEGORICAL_FEATURES, FEATURE_COLUMNS
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DataFormatError, DomainError
 
 #: The only policy a sidecar may name: unseen values smooth to 1/(n_fit+1).
 UNSEEN_POLICY = "smooth"
+
+
+def checked_array(value, what: str, shape: tuple) -> np.ndarray:
+    """`value` as a finite float array of `shape`, where None stands for
+    any non-zero length; a stored value that is not is a DataFormatError."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim != len(shape) or any(
+        found == 0 or want not in (None, found)
+        for found, want in zip(array.shape, shape)
+    ):
+        expected = ", ".join("*" if n is None else str(n) for n in shape)
+        raise DataFormatError(f"{what} has shape {array.shape}, expected ({expected})")
+    if not np.isfinite(array).all():
+        raise DataFormatError(f"{what} holds a non-finite value")
+    return array
 
 
 @dataclass
@@ -36,15 +51,26 @@ class StandardScaler:
 
     constant = property(lambda self: self.stds == 0.0)  # zero-spread column flags
 
+    def to_payload(self) -> dict:
+        return {"means": self.means.tolist(), "stds": self.stds.tolist()}
+
+    @classmethod
+    def from_payload(cls, payload, what: str, width: int) -> "StandardScaler":
+        """A scaler of `width` finite means and finite, non-negative stds."""
+        scaler = cls(means=checked_array(payload["means"], f"{what} means", (width,)),
+                     stds=checked_array(payload["stds"], f"{what} stds", (width,)))
+        if (scaler.stds < 0).any():
+            raise DataFormatError(f"{what} stds holds a negative value")
+        return scaler
+
 
 @dataclass
 class EncodedMatrix:
-    """Row-major numeric matrix plus column metadata and provenance."""
+    """Row-major numeric matrix plus column names, labels and unseen values."""
 
     data: np.ndarray
     columns: tuple[str, ...]
     labels: np.ndarray | None
-    stages: tuple[str, ...]
     unseen: tuple[tuple[int, str, str], ...] = ()
 
 
@@ -145,7 +171,6 @@ class CorpusEncoder:
             data=data,
             columns=FEATURE_COLUMNS,
             labels=labels,
-            stages=("frequency", "scale"),
             unseen=tuple(unseen),
         )
 
@@ -159,30 +184,28 @@ class CorpusEncoder:
                 }
                 for f in CATEGORICAL_FEATURES
             },
-            "scaler": {
-                "columns": list(FEATURE_COLUMNS),
-                "means": self.scaler.means.tolist(),
-                "stds": self.scaler.stds.tolist(),
-            },
+            "scaler": {"columns": list(FEATURE_COLUMNS), **self.scaler.to_payload()},
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CorpusEncoder":
+        """The encoder a sidecar payload holds; a policy, count, frequency or
+        scaler value a transform could not use is a DataFormatError."""
         if payload["unseen_policy"] != UNSEEN_POLICY:
-            raise ValueError(f"unseen_policy {payload['unseen_policy']!r}, "
-                             f"expected {UNSEEN_POLICY!r}")
-        features = payload["features"]
-        tables = {
-            f: FrequencyTable(
-                frequencies={k: float(v) for k, v in features[f]["frequencies"].items()},
-                n_fit=features[f]["n_fit"],
-            )
-            for f in CATEGORICAL_FEATURES
-        }
-        scaler = StandardScaler(
-            means=np.array(payload["scaler"]["means"], dtype=float),
-            stds=np.array(payload["scaler"]["stds"], dtype=float),
-        )
+            raise DataFormatError(f"unseen_policy is {payload['unseen_policy']!r}, "
+                                  f"expected {UNSEEN_POLICY!r}")
+        tables = {}
+        for feature in CATEGORICAL_FEATURES:
+            stored = payload["features"][feature]
+            n_fit = stored["n_fit"]
+            if type(n_fit) is not int or n_fit < 1:
+                raise DataFormatError(f"{feature} n_fit is {n_fit!r}, not an integer >= 1")
+            frequencies = {k: float(v) for k, v in stored["frequencies"].items()}
+            values = checked_array([*frequencies.values()], f"{feature} frequencies", (None,))
+            if not ((values > 0) & (values <= 1)).all():
+                raise DataFormatError(f"{feature} frequencies hold a value outside (0, 1]")
+            tables[feature] = FrequencyTable(frequencies=frequencies, n_fit=n_fit)
+        scaler = StandardScaler.from_payload(payload["scaler"], "scaler", len(FEATURE_COLUMNS))
         return cls(tables, scaler)
 
     def fingerprint(self) -> str:

@@ -8,7 +8,7 @@ and clustering run over the full matrix before any split, mirroring the
 staged flow the evaluation tables assume.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,7 +110,7 @@ class PipelineConfig:
 
 @dataclass
 class DimredArtifacts:
-    """Fitted reduction stage, kept so pca-mode models can score new rows."""
+    """Fitted reduction stage; `apply` turns encoded rows into design rows."""
 
     mode: str
     pca: PcaModel | None = None
@@ -119,21 +119,20 @@ class DimredArtifacts:
     cluster_scaler: StandardScaler | None = None
     tsne_kl: tuple[float, float] | None = None
 
-
-def _with_cluster_column(
-    encoded: EncodedMatrix, assignments, artifacts: DimredArtifacts, stage: str
-) -> EncodedMatrix:
-    """Append each row's cluster, as its scaled relative cluster size."""
-    column = apply_scaler(
-        artifacts.cluster_freqs[assignments][:, None], artifacts.cluster_scaler
-    )
-    return EncodedMatrix(
-        data=np.column_stack([encoded.data, column[:, 0]]),
-        columns=encoded.columns + ("cluster",),
-        labels=encoded.labels,
-        stages=encoded.stages + (stage, "cluster"),
-        unseen=encoded.unseen,
-    )
+    def apply(self, encoded: EncodedMatrix, assignments=None) -> EncodedMatrix:
+        """The design rows of encoded rows: unchanged without a reduction,
+        else with each row's cluster appended as its scaled relative cluster
+        size.  Rows without `assignments` take the fitted PCA and k-means."""
+        if self.mode == "wo_dr":
+            return encoded
+        if assignments is None:
+            if self.mode == "tsne":
+                raise ConfigError("tsne-mode models cannot score new devices: the "
+                                  "embedding has no out-of-sample transform")
+            assignments = kmeans_assign(pca_transform(encoded.data, self.pca), self.kmeans)
+        column = apply_scaler(self.cluster_freqs[assignments][:, None], self.cluster_scaler)
+        return replace(encoded, data=np.column_stack([encoded.data, column]),
+                       columns=encoded.columns + ("cluster",))
 
 
 def build_design(
@@ -144,7 +143,7 @@ def build_design(
         raise ConfigError(f"unknown mode {config.mode!r}")
     artifacts = DimredArtifacts(mode=config.mode)
     if config.mode == "wo_dr":
-        return encoded, artifacts
+        return artifacts.apply(encoded), artifacts
     check_cluster_count(config.clusters, len(encoded.data))  # before the reduction runs
     if config.mode == "tsne":
         embedding = tsne_embed(encoded.data, TsneConfig(seed=derived_seed(config.seed, 101)))
@@ -159,7 +158,7 @@ def build_design(
         assignments, len(artifacts.kmeans.centroids)
     )
     artifacts.cluster_scaler = fit_scaler(artifacts.cluster_freqs[assignments][:, None])
-    return _with_cluster_column(encoded, assignments, artifacts, config.mode), artifacts
+    return artifacts.apply(encoded, assignments), artifacts
 
 
 def fit_design(
@@ -203,24 +202,6 @@ def fit_pipeline(
     )
 
 
-def design_for_rows(
-    encoder: CorpusEncoder, pipeline: PipelineModel, records
-) -> EncodedMatrix:
-    """Encode new rows through a fitted pipeline's stages."""
-    encoded = encoder.transform(records)
-    if pipeline.mode == "wo_dr":
-        return encoded
-    if pipeline.mode == "tsne":
-        raise ConfigError(
-            "tsne-mode models cannot score new devices: the embedding has "
-            "no out-of-sample transform"
-        )
-    artifacts = pipeline.dimred
-    scores = pca_transform(encoded.data, artifacts.pca)
-    assignments = kmeans_assign(scores, artifacts.kmeans)
-    return _with_cluster_column(encoded, assignments, artifacts, "pca")
-
-
 @dataclass
 class Prediction:
     risk: RiskClass
@@ -232,7 +213,7 @@ def predict_devices(
     encoder: CorpusEncoder, pipeline: PipelineModel, records
 ) -> list[Prediction]:
     """Score device rows; unseen-category smoothing is reported per row."""
-    design = design_for_rows(encoder, pipeline, records)
+    design = pipeline.dimred.apply(encoder.transform(records))
     probabilities = pipeline.model.predict_proba(design.data)
     labels = np.argmax(probabilities, axis=1)
     notes: dict[int, list[str]] = {}

@@ -345,8 +345,13 @@ def row_weights(sample_weight, n: int) -> np.ndarray:
 
 def class_labels(labels, n_classes: int | None) -> tuple[np.ndarray, int]:
     """Integer class labels and their count K, n_classes or the largest
-    label + 1; a label outside [0, K) is a DomainError that names it."""
-    y = np.asarray(labels, dtype=int)
+    label + 1; a label that is not a whole number in [0, K) is a
+    DomainError that names it."""
+    y = np.asarray(labels, dtype=float)
+    bad = y[~np.isfinite(y) | (y != np.round(y))]  # 0.5, nan, inf
+    if bad.size:
+        raise DomainError(f"label {bad[0]} is not a whole class number")
+    y = y.astype(int)
     K = int(n_classes) if n_classes is not None else int(y.max()) + 1
     bad = y[(y < 0) | (y >= K)]
     if bad.size:

@@ -221,8 +221,8 @@ class TestTrainPredict:
         rc = main(["predict", "--model", str(model), "--encoders", str(sidecar),
                    "--input", str(devices)])
         assert rc == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {sidecar}: ") and "'reject'" in err
+        assert capsys.readouterr().err == (
+            f"error: {sidecar}: unseen_policy is 'reject', expected 'smooth'\n")
 
     def test_fingerprint_mismatch_rejected(self, corpus, tmp_path, capsys):
         model_a = tmp_path / "a.json"
@@ -819,6 +819,7 @@ class TestEvaluateCv:
             raise AssertionError("the design matrix was built")
 
         monkeypatch.setattr(cli, "fit_design", no_design)
+        monkeypatch.setattr(cli, "build_design", no_design)  # cv's path
         monkeypatch.setattr(pipeline, "profile_params", lambda family, profile, overrides:
                             {"members": [{"family": "gbdt"}, member]})
         rc = main(["cv", "--corpus", str(corpus), "--seed", "4", "--model", "voting"])
@@ -993,6 +994,7 @@ class TestWorkerProcesses:
             raise AssertionError("the design matrix was built")
 
         monkeypatch.setattr(cli, "fit_design", no_design)
+        monkeypatch.setattr(cli, "build_design", no_design)  # cv's path
         monkeypatch.setattr(cli, "fit_pipeline", no_design)
         common = ["--corpus", str(corpus), "--seed", "7", "--threads", threads]
         for argv in (["cv"], ["tune", "--grid", str(grid)], ["ablate"],

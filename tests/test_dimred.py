@@ -19,10 +19,16 @@ from iotrisk.dimred import (
     pca_transform,
     tsne_embed,
 )
-from iotrisk.dataset import SynthesisSpec, synthesize_corpus
+from iotrisk.dataset import SynthesisSpec, bundled_corpus_path, load_corpus, synthesize_corpus
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DomainError
-from iotrisk.pipeline import PipelineConfig, build_design
+from iotrisk.pipeline import (
+    PipelineConfig,
+    build_design,
+    fit_design,
+    fit_pipeline,
+    predict_devices,
+)
 
 from conftest import src_env
 
@@ -332,11 +338,24 @@ class TestClusterFeature:
         records = synthesize_corpus(SynthesisSpec(seed=4, total=120, signal_strength=0.8))
         encoded = CorpusEncoder.fit(records).transform(records)
         design, artifacts = build_design(encoded, PipelineConfig(mode="pca", seed=3))
-        assert design.columns[-1] == "cluster" and design.stages[-2:] == ("pca", "cluster")
+        assert design.columns[-1] == "cluster"
         assert np.array_equal(design.data[:, :-1], encoded.data)
         assignments = artifacts.kmeans.assignments
         sizes = cluster_frequencies(assignments, 4)[assignments]
         assert np.allclose(design.data[:, -1], (sizes - sizes.mean()) / sizes.std())
+
+    @pytest.mark.parametrize("family, overrides", [
+        ("gbdt", {"n_stages": 30}), ("rfc", {"n_trees": 10}),
+    ])
+    def test_training_rows_score_as_they_were_fitted(self, family, overrides):
+        # the fitted stage applied to new rows (PCA scores -> nearest centroid)
+        # gives the training rows the design they were fitted on
+        records, _ = load_corpus(bundled_corpus_path())
+        config = PipelineConfig(mode="pca", family=family, overrides=overrides, seed=7)
+        encoder, pipeline = fit_pipeline(records, config)
+        design = fit_design(records, config)[1]
+        scored = np.array([p.probabilities for p in predict_devices(encoder, pipeline, records)])
+        assert scored.tobytes() == pipeline.model.predict_proba(design.data).tobytes()
 
     def test_embedding_csv(self):
         text = embedding_to_csv(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 1])

@@ -111,7 +111,6 @@ class TestTransform:
             "communication_capability", "authorisation_encryption",
         )
         assert encoded.labels.tolist() == [0, 0, 0, 0]
-        assert encoded.stages == ("frequency", "scale")
 
     def test_output_finite_and_deterministic(self):
         rng = np.random.default_rng(2)
@@ -151,7 +150,7 @@ class TestCorrelation:
 
         return EncodedMatrix(
             data=np.asarray(data, float), columns=tuple(columns),
-            labels=labels, stages=("frequency", "scale"),
+            labels=labels,
         )
 
     def test_self_correlation_is_one(self):

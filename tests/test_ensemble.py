@@ -725,6 +725,21 @@ class TestLabelRange:
         with pytest.raises(DomainError, match=f"label {bad} "):
             adaboost_fit(*self.toy(bad), AdaboostParams(n_rounds=2), n_classes=4)
 
+    @pytest.mark.parametrize("bad", [0.5, 3.9, np.nan, np.inf])
+    def test_label_not_a_whole_number(self, bad):
+        # `_fit_data` refuses it rather than truncating it to a class
+        message = f"label {bad} is not a whole class number"
+        with pytest.raises(DomainError, match=message):
+            gbdt_fit(*self.toy(bad), GbdtParams(n_stages=2))
+        with pytest.raises(DomainError, match=message):
+            forest_fit(*self.toy(bad), ForestParams(n_trees=2), n_classes=4)
+
+    def test_whole_valued_float_labels_fit_as_integers(self):
+        X, y = self.toy(3)
+        fitted = [json.dumps(gbdt_fit(X, labels, GbdtParams(n_stages=2)).to_payload(),
+                             sort_keys=True) for labels in (y, y.astype(float))]
+        assert fitted[0] == fitted[1]
+
 
 class TestModelParams:
     """Each params dataclass checks its fields where it is built."""

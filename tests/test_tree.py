@@ -198,7 +198,10 @@ class TestContract:
     @pytest.mark.parametrize("labels, n_classes, message", [
         ([0, 0, -1, -1], None, "label -1 is outside the 1 classes [0, 1)"),
         ([0, 1, 2, 1], 2, "label 2 is outside the 2 classes [0, 2)"),
-    ], ids=["negative", "past_n_classes"])
+        ([0, 0.9, 1.5, 1.99], None, "label 0.9 is not a whole class number"),
+        ([0, 1, np.nan, 1], 2, "label nan is not a whole class number"),
+        ([0, 1, np.inf, 1], 2, "label inf is not a whole class number"),
+    ], ids=["negative", "past_n_classes", "fractional", "nan", "inf"])
     def test_label_outside_the_classes_rejected(self, labels, n_classes, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             fit_tree(column([0, 1, 2, 3]), np.array(labels), n_classes=n_classes)
