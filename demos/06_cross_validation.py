@@ -25,12 +25,11 @@ def main():
     encoder = CorpusEncoder.fit(records)
     encoded = encoder.transform(records)
     params = {"n_stages": 40, "learning_rate": 0.1, "max_depth": 3}
-    runs = []
-    for mode in ("wo_dr", "tsne", "pca"):
-        design, _ = build_design(encoded, PipelineConfig(mode=mode, seed=8))
-        result = cross_validate(ModelSpec("gbdt", params, seed=8),
-                                design.data, labels, plan)
-        runs.append((mode, result))
+    spec = ModelSpec("gbdt", params, seed=8)
+    modes = ("wo_dr", "tsne", "pca")
+    designs = [build_design(encoded, PipelineConfig(mode=mode, seed=8))[0].data
+               for mode in modes]
+    runs = list(zip(modes, cross_validate([(spec, X) for X in designs], labels, plan)))
 
     print()
     print(cv_report("text", runs, k=5, repeats=2, seed=8, family="gbdt"))

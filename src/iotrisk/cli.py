@@ -70,10 +70,9 @@ _SPLIT_TAG = 11  # sub-stream tag for the evaluate train/test split
 
 
 def _typed(text: str):
-    if text.lower() == "true":
-        return True
-    if text.lower() == "false":
-        return False
+    words = {"true": True, "false": False, "none": None, "null": None}
+    if text.lower() in words:
+        return words[text.lower()]
     for converter in (int, float):
         try:
             return converter(text)
@@ -262,13 +261,12 @@ def cmd_cv(args) -> int:
     spec = config.model_spec()
     plan = _fold_plan(records, config)
     encoded = CorpusEncoder.fit(records).transform(records)  # the same for every mode
-    runs = []
-    for mode in modes:
-        design, _ = build_design(encoded, replace(config, mode=mode))
-        runs.append((mode, cross_validate(spec, design.data, design.labels, plan,
-                                          threads=args.threads)))
-    _emit(reporting.cv_report(args.format, runs, config.k, config.repeats,
-                              config.seed, config.family), args.out)
+    # every mode is built before any fold is fitted, so one that cannot be fails first
+    designs = [build_design(encoded, replace(config, mode=mode))[0].data for mode in modes]
+    results = cross_validate([(spec, X) for X in designs], encoded.labels, plan,
+                             threads=args.threads)
+    _emit(reporting.cv_report(args.format, list(zip(modes, results)), config.k,
+                              config.repeats, config.seed, config.family), args.out)
     return 0
 
 

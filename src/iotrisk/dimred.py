@@ -243,11 +243,14 @@ def tsne_embed(matrix, config: TsneConfig | None = None) -> TsneEmbedding:
     """
     config = config or TsneConfig()
     X = np.asarray(matrix, dtype=float)
-    if X.shape[0] < 4:
-        raise DomainError("t-SNE needs at least 4 rows")
+    n = X.shape[0]
+    if n < 4 or not config.perplexity < n - 1 + 1e-12:  # conditional_probabilities' bound
+        needed = max(4, int(np.ceil(config.perplexity + 1 - 1e-12)))
+        raise DomainError(f"t-SNE with perplexity {config.perplexity} needs at least "
+                          f"{needed} rows, got {n}")
     P = joint_probabilities(X, config.perplexity)
     rng = np.random.default_rng(config.seed)
-    Y = rng.normal(scale=1e-4, size=(X.shape[0], _TSNE_DIMS))
+    Y = rng.normal(scale=1e-4, size=(n, _TSNE_DIMS))
     kl_initial = _kl_divergence(P, Y)
     Y = _descend(P, Y, config)
     kl_final = _kl_divergence(P, Y)

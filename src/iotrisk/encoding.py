@@ -189,8 +189,9 @@ class CorpusEncoder:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CorpusEncoder":
-        """The encoder a sidecar payload holds; a policy, count, frequency or
-        scaler value a transform could not use is a DataFormatError."""
+        """The encoder a sidecar payload holds; a policy, count, frequency,
+        scaler column or scaler value a transform could not use is a
+        DataFormatError."""
         if payload["unseen_policy"] != UNSEEN_POLICY:
             raise DataFormatError(f"unseen_policy is {payload['unseen_policy']!r}, "
                                   f"expected {UNSEEN_POLICY!r}")
@@ -205,6 +206,10 @@ class CorpusEncoder:
             if not ((values > 0) & (values <= 1)).all():
                 raise DataFormatError(f"{feature} frequencies hold a value outside (0, 1]")
             tables[feature] = FrequencyTable(frequencies=frequencies, n_fit=n_fit)
+        columns = payload["scaler"]["columns"]
+        if columns != list(FEATURE_COLUMNS):
+            raise DataFormatError(f"scaler columns are {columns!r}, "
+                                  f"expected {list(FEATURE_COLUMNS)!r}")
         scaler = StandardScaler.from_payload(payload["scaler"], "scaler", len(FEATURE_COLUMNS))
         return cls(tables, scaler)
 

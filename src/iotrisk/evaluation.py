@@ -196,14 +196,17 @@ class CvResult:
     mean: float
     std: float
     fold_labels: tuple[str, ...]
-    metric: str = "accuracy"
 
 
-def _cross_validate_runs(runs, labels, plan: FoldPlan, metric: str,
-                         threads: int) -> list[CvResult]:
-    """Cross-validate each (spec, matrix) run, with the cells of every run
-    in one `run_cells` call, ordered (run, repeat, fold).  A spec
-    `model_members` refuses is a ConfigError before any cell runs."""
+def cross_validate(runs, labels, plan: FoldPlan, metric: str = "accuracy",
+                   threads: int = 1) -> list[CvResult]:
+    """Cross-validate each (spec, matrix) run: train on k-1 folds and score
+    the held-out fold, for every (repeat, fold).  The cells of every run
+    go to one `run_cells` call of `threads` worker processes, ordered
+    (run, repeat, fold).  Each evaluation derives its own seed from (spec
+    seed, repeat, fold).  Accuracy is the default score; macro_f1 is
+    available for imbalance-sensitive selection.  A spec `model_members`
+    refuses is a ConfigError before any cell runs."""
     if metric not in CV_METRICS:
         raise ConfigError(f"metric must be one of {'/'.join(CV_METRICS)}")
     y = np.asarray(labels, dtype=int)
@@ -243,25 +246,8 @@ def _cross_validate_runs(runs, labels, plan: FoldPlan, metric: str,
             mean=float(run_scores.mean()),
             std=float(run_scores.std()),
             fold_labels=tuple(f"R{r + 1}-F{f + 1}" for r, f in cells),
-            metric=metric,
         ))
     return results
-
-
-def cross_validate(
-    spec: ModelSpec,
-    matrix,
-    labels,
-    plan: FoldPlan,
-    metric: str = "accuracy",
-    threads: int = 1,
-) -> CvResult:
-    """Train on k-1 folds and score the held-out fold, for every
-    (repeat, fold), across `threads` worker processes.  Each evaluation
-    derives its own seed from (spec seed, repeat, fold).  Accuracy is the
-    default score; macro_f1 is available for imbalance-sensitive
-    selection."""
-    return _cross_validate_runs([(spec, matrix)], labels, plan, metric, threads)[0]
 
 
 @dataclass
@@ -319,7 +305,7 @@ def grid_search(
     runs = [(ModelSpec(family, {**(base_params or {}), **config},
                        derived_seed(seed, index)), matrix)
             for index, config in enumerate(configs)]
-    results = _cross_validate_runs(runs, labels, plan, metric, threads)
+    results = cross_validate(runs, labels, plan, metric, threads=threads)
     means = np.array([r.mean for r in results])
     stds = np.array([r.std for r in results])
     winner = int(means.argmax())  # first maximum: earliest config
@@ -334,7 +320,6 @@ def grid_search(
 class AblationEntry:
     feature: str
     mean: float
-    std: float
     delta: float
 
 
@@ -367,14 +352,13 @@ def ablation_study(
         f"col{j}" for j in range(X.shape[1])
     ]
     runs = [(spec, X)] + [(spec, np.delete(X, j, axis=1)) for j in range(X.shape[1])]
-    baseline, *reduced = _cross_validate_runs(runs, labels, plan, "accuracy", threads)
+    baseline, *reduced = cross_validate(runs, labels, plan, threads=threads)
     entries = []
     for j, result in enumerate(reduced):
         entries.append(
             AblationEntry(
                 feature=names[j],
                 mean=result.mean,
-                std=result.std,
                 delta=result.mean - baseline.mean,
             )
         )

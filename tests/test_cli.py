@@ -279,6 +279,15 @@ class TestTrainPredict:
                    "--input", str(devices)])
         assert rc == 0
 
+    def test_param_none_sets_the_value_none(self, corpus, tmp_path):
+        models = []
+        for name, extra in (("default", []), ("none", ["--param", "max_depth=None"])):
+            model = tmp_path / f"{name}.json"
+            assert main(["train", "--corpus", str(corpus), "--model", "rfc", "--seed", "7",
+                         "--param", "n_trees=6", *extra, "--out", str(model)]) == 0
+            models.append(json.loads(model.read_text())["model"])
+        assert models[0] == models[1]
+
     @pytest.mark.parametrize("param", ["learning_rate=nan", "min_impurity_decrease=-1"])
     def test_bad_gbdt_rate_is_usage_error(self, corpus, tmp_path, capsys, param):
         model = tmp_path / "m.json"
@@ -581,7 +590,8 @@ class TestDoctoredModel:
         "no_classes", "sidecar_without_scaler", "sidecar_unknown_unseen_policy",
         "sidecar_without_feature", "sidecar_not_an_object", "sidecar_short_means",
         "sidecar_negative_n_fit", "sidecar_nan_frequency", "sidecar_nan_std",
-        "sidecar_negative_std", "unknown_family", "six_classes", "two_classes",
+        "sidecar_negative_std", "sidecar_wrong_columns", "unknown_family", "six_classes",
+        "two_classes",
         "majority_six_classes", "majority_null", "majority_negative", "majority_nested",
         "majority_all_zero", "majority_sum_above_one", "voting_no_members",
         "voting_two_class_member", "nested_voting_six_classes", "voting_member_votes",
@@ -673,9 +683,15 @@ class TestDoctoredModel:
             elif defect == "sidecar_negative_std":
                 encoders["scaler"]["stds"][0] = -1.0
                 expected = "scaler stds holds a negative value"
+            elif defect == "sidecar_wrong_columns":
+                # the loaded encoder writes its own column list, so the
+                # model's fingerprint still matches and needs no re-pin
+                encoders["scaler"]["columns"] = ["not", "a", "column"]
+                expected = "scaler columns are ['not', 'a', 'column'], expected ['brand', "
             else:
                 encoders = []
-            if encoders:  # re-pin the model, so only the edited values are wrong
+            if encoders and defect != "sidecar_wrong_columns":
+                # re-pin the model, so only the edited values are wrong
                 pinned = {k: v for k, v in encoders.items() if k != "format"}
                 canonical = json.dumps(pinned, sort_keys=True, separators=(",", ":"))
                 payload["encoder_fingerprint"] = hashlib.sha256(canonical.encode()).hexdigest()
@@ -1034,6 +1050,35 @@ class TestWorkerProcesses:
             assert reports[0] == reports[1], argv
         # cv: 2 folds; tune: 4 configurations x 2 folds; ablate: 11 runs x 2 folds
         assert sizes == [2, 8, 22]
+
+    def test_cv_puts_every_mode_in_one_pool(self, corpus, monkeypatch):
+        calls = []
+
+        def recording_run_cells(cell, count, threads=1, died=RuntimeError):
+            calls.append((count, threads))
+            return util.run_cells(cell, count, threads, died)
+
+        monkeypatch.setattr(evaluation, "run_cells", recording_run_cells)
+        assert main(["cv", "--corpus", str(corpus), "--seed", "7", "--modes", "wo_dr,pca",
+                     "--k", "3", "--repeats", "2", "--threads", "2", *QUICK]) == 0
+        assert calls == [(2 * 3 * 2, 2)]
+        assert multiprocessing.active_children() == []
+
+    def test_cv_fails_on_an_unbuildable_mode_before_any_fold(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold was fitted")
+
+        corpus = tmp_path / "small.csv"
+        assert main(["build", "--synthesize", "--total", "20", "--seed", "7",
+                     "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(evaluation, "fit_model", no_fit)
+        rc = main(["cv", "--corpus", str(corpus), "--seed", "7", "--modes", "pca,tsne",
+                   "--k", "2", "--repeats", "1", *QUICK])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: t-SNE with perplexity 30.0 needs at least 31 rows, got 20"]
 
     def test_importing_the_cli_does_not_import_multiprocessing(self):
         done = subprocess.run([sys.executable, "-X", "importtime", "-c",

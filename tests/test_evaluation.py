@@ -175,7 +175,7 @@ class TestCrossValidate:
     def test_ten_evaluations_in_order(self):
         X, y, _ = encoded_corpus(200, 0.5, seed=1)
         plan = make_fold_plan(y, 5, 2, seed=2)
-        result = cross_validate(CONSTANT, X, y, plan)
+        result = cross_validate([(CONSTANT, X)], y, plan)[0]
         assert len(result.accuracies) == 10
         assert result.fold_labels == (
             "R1-F1", "R1-F2", "R1-F3", "R1-F4", "R1-F5",
@@ -186,7 +186,7 @@ class TestCrossValidate:
         labels = reference_labels(4)
         X = np.zeros((len(labels), 2))
         plan = make_fold_plan(labels, 5, 2, seed=5)
-        result = cross_validate(CONSTANT, X, labels, plan)
+        result = cross_validate([(CONSTANT, X)], labels, plan)[0]
         assert np.all(np.abs(result.accuracies - 656 / 1153) < 0.02)
 
     def test_noise_labels_bounded_by_prior_ceiling(self):
@@ -196,22 +196,22 @@ class TestCrossValidate:
         while np.bincount(y, minlength=4).min() < 8:
             y = rng.integers(0, 4, 160)
         plan = make_fold_plan(y, 4, 1, seed=6)
-        result = cross_validate(ModelSpec("gbdt", QUICK_GBDT, seed=1), X, y, plan)
+        result = cross_validate([(ModelSpec("gbdt", QUICK_GBDT, seed=1), X)], y, plan)[0]
         assert 0.05 < result.mean < 0.45
 
     def test_deterministic_given_seed_and_plan(self):
         X, y, _ = encoded_corpus(150, 0.7, seed=2)
         plan = make_fold_plan(y, 3, 1, seed=3)
         spec = ModelSpec("rfc", {"n_trees": 5}, seed=11)
-        a = cross_validate(spec, X, y, plan)
-        b = cross_validate(spec, X, y, plan)
+        a = cross_validate([(spec, X)], y, plan)[0]
+        b = cross_validate([(spec, X)], y, plan)[0]
         assert np.array_equal(a.accuracies, b.accuracies)
 
     def test_plan_row_mismatch(self):
         X, y, _ = encoded_corpus(80, 0.5, seed=3)
         plan = make_fold_plan(y, 4, 1, seed=1)
         with pytest.raises(DomainError):
-            cross_validate(CONSTANT, X[:-1], y[:-1], plan)
+            cross_validate([(CONSTANT, X[:-1])], y[:-1], plan)[0]
 
     def test_training_failure_reports_fold(self):
         # a non-finite value reaches only the folds that train on its row;
@@ -220,7 +220,7 @@ class TestCrossValidate:
         plan = make_fold_plan(y, 4, 1, seed=1)
         X[plan.test_indices(0, 1)[0], 0] = np.nan
         with pytest.raises(EvaluationError, match="repeat 1 fold 1: .*non-finite"):
-            cross_validate(ModelSpec("gbdt", QUICK_GBDT), X, y, plan)
+            cross_validate([(ModelSpec("gbdt", QUICK_GBDT), X)], y, plan)[0]
 
     @pytest.mark.parametrize("spec", [
         ModelSpec("gbdt", {"bogus": 1}),
@@ -232,7 +232,7 @@ class TestCrossValidate:
         plan = make_fold_plan(y, 4, 1, seed=1)
         monkeypatch.setattr(evaluation, "run_cells", None)  # never reached
         with pytest.raises(ConfigError):
-            cross_validate(spec, X, y, plan)
+            cross_validate([(spec, X)], y, plan)[0]
         with pytest.raises(ConfigError):
             ablation_study(spec, X, y, plan)
 
@@ -268,7 +268,7 @@ class TestRunCells:
         X, y, _ = encoded_corpus(150, 0.7, seed=2)
         plan = make_fold_plan(y, 3, 2, seed=3)
         spec = ModelSpec("gbdt", QUICK_GBDT, seed=11)
-        results = [cross_validate(spec, X, y, plan, metric=metric, threads=threads)
+        results = [cross_validate([(spec, X)], y, plan, metric=metric, threads=threads)[0]
                    for threads in (1, 2, 4)]
         for other in results[1:]:
             assert other.accuracies.tobytes() == results[0].accuracies.tobytes()
@@ -326,8 +326,8 @@ class TestGridSearch:
         labels = np.tile([0, 1, 2, 3], 6)
         plan = make_fold_plan(labels, 2, 1, seed=0)
         with pytest.raises(ConfigError):
-            cross_validate(CONSTANT, np.zeros((24, 2)), labels,
-                           plan, metric="rmse")
+            cross_validate([(CONSTANT, np.zeros((24, 2)))], labels,
+                           plan, metric="rmse")[0]
 
     def test_reported_scale_parameters_runnable(self):
         rng = np.random.default_rng(8)

@@ -50,6 +50,19 @@ def test_traced_cv_records_every_layer_of_its_path(tmp_path):
     }
 
 
+def test_traced_cv_of_two_modes_records_one_cross_validate_span(tmp_path):
+    tracing = load_tracing()
+    corpus = tmp_path / "corpus.csv"
+    assert cli.main(["build", "--synthesize", "--total", "120", "--seed", "3",
+                     "--signal", "0.8", "--out", str(corpus)]) == 0
+    with tracing.Tracer().installed() as tracer:
+        assert cli.main(["cv", "--corpus", str(corpus), "--seed", "7", "--k", "2",
+                         "--repeats", "1", "--modes", "wo_dr,pca", "--threads", "2",
+                         "--param", "n_stages=3"]) == 0
+    spans = [s for s in tracer.spans if s.name == "evaluation.cross_validate"]
+    assert [s.attrs for s in spans] == [{"threads": 2}]
+
+
 def test_traced_train_and_predict_record_every_attr_the_bench_reads(tmp_path):
     tracing = load_tracing()
     corpus, devices, model = tmp_path / "corpus.csv", tmp_path / "devices.csv", tmp_path / "m.json"
