@@ -255,9 +255,11 @@ def cmd_cv(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes:
         raise ConfigError(f"--modes names no mode; choose from {'/'.join(MODES)}")
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}; choose from {'/'.join(MODES)}")
+        if mode in modes[:i]:
+            raise ConfigError(f"--modes names {mode!r} more than once")
     spec = config.model_spec()
     plan = _fold_plan(records, config)
     encoded = CorpusEncoder.fit(records).transform(records)  # the same for every mode

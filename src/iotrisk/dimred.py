@@ -7,12 +7,12 @@ matrix as a relative cluster-size frequency.
 The t-SNE here is the exact O(n^2) formulation: per-row Gaussian
 bandwidths found by binary search to the target perplexity, symmetrized
 joint probabilities, Student-t low-dimensional affinities, gradient
-descent with early exaggeration and a momentum switch.  Each descent
-iteration computes only the gradient: one n x n Student-t kernel and one
-n x n work buffer, allocated once per embedding, filled by two
-full-shape BLAS products (the Gram matrix and the gradient) and by
-elementwise passes over blocks of `_BLOCK` rows that stay in L2.  The KL
-divergence is evaluated only at the start and at the end.
+descent with early exaggeration and a momentum switch.  P is built in
+place over the pairwise distances; beside it, the descent and each KL
+evaluation keep one n x n buffer, filled by two full-shape BLAS products
+(the Gram matrix and the gradient) and by elementwise passes over blocks
+of `_BLOCK` rows that stay in L2.  Each descent iteration computes only
+the gradient; the KL divergence is evaluated at the start and at the end.
 """
 
 from dataclasses import dataclass, field
@@ -107,15 +107,28 @@ class TsneEmbedding:
     kl_final: float
 
 
+def _distance_blocks(norms, gram):
+    """Turn `gram`, holding 2 X X^T, into squared distances
+    max(n_i + n_j - gram_ij, 0) in place, one block of `_BLOCK` rows at a
+    time; yields (first row, block) as each block is done."""
+    n = len(norms)
+    sums = np.empty((min(_BLOCK, n), n))
+    for s in range(0, n, _BLOCK):
+        block = gram[s:s + _BLOCK]
+        pair = sums[:len(block)]
+        pair[...] = norms[s:s + _BLOCK, None]  # a column copy, then a row add:
+        pair += norms  # faster than one broadcast add, and the same sums
+        np.subtract(pair, block, out=block)
+        np.maximum(block, 0.0, out=block)
+        yield s, block
+
+
 def _squared_distances(X):
     """Pairwise squared distances, clamped at 0, with a zero diagonal."""
-    norms = (X * X).sum(axis=1)
-    out = norms[:, None] + norms[None, :]
-    gram = X @ X.T
-    gram *= 2.0
-    out -= gram
-    np.maximum(out, 0.0, out=out)
-    np.fill_diagonal(out, 0.0)
+    out = X @ X.T
+    out *= 2.0
+    for s, block in _distance_blocks((X * X).sum(axis=1), out):
+        np.fill_diagonal(block[:, s:], 0.0)
     return out
 
 
@@ -125,16 +138,16 @@ def conditional_probabilities(matrix, perplexity: float) -> np.ndarray:
     Per row, the bandwidth is found by binary search until the conditional
     distribution's perplexity 2^H is within `_PERPLEXITY_TOL` of the target
     (or the step budget runs out, as happens on degenerate geometry where
-    the perplexity is constant in the bandwidth).
+    the perplexity is constant in the bandwidth).  Each row is written over
+    that row's distances; the diagonal stays 0.
     """
     X = np.asarray(matrix, dtype=float)
     n = X.shape[0]
     if not 0 < perplexity < n - 1 + 1e-12:
         raise ConfigError(f"perplexity {perplexity} infeasible for {n} rows")
-    d2 = _squared_distances(X)
-    P = np.zeros((n, n))
+    P = _squared_distances(X)
     for i in range(n):
-        others = np.delete(d2[i], i)
+        others = np.delete(P[i], i)
         beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
         for _ in range(_PERPLEXITY_STEPS):
             kernel = np.exp(-others * beta)
@@ -153,31 +166,31 @@ def conditional_probabilities(matrix, perplexity: float) -> np.ndarray:
             else:
                 beta_hi = beta
                 beta = beta / 2.0 if beta_lo == 0.0 else (beta + beta_lo) / 2.0
-        P[i, np.arange(n) != i] = row
+        P[i, :i], P[i, i + 1:] = row[:i], row[i:]
     return P
 
 
 def joint_probabilities(matrix, perplexity: float) -> np.ndarray:
     """Symmetrized affinities p_ij = (p_j|i + p_i|j) / 2n; entries sum to 1."""
-    conditional = conditional_probabilities(matrix, perplexity)
-    return (conditional + conditional.T) / (2.0 * conditional.shape[0])
+    P = conditional_probabilities(matrix, perplexity)
+    n = len(P)
+    for s in range(0, n, _BLOCK):  # in place: each strip's sums, then their mirror
+        strip = P[s:s + _BLOCK, s:]
+        strip += P[s:, s:s + _BLOCK].T  # numpy copies the overlapping corner first
+        P[s:, s:s + _BLOCK] = strip.T
+    P /= 2.0 * n
+    return P
 
 
-def _blocked_kernel(Y, kernel, work):
+def _blocked_kernel(Y, kernel):
     """Student-t affinities 1 / (1 + d2) with a zero diagonal, into `kernel`;
     returns their sum.
 
-    `work` (n x n) receives the Gram matrix 2 Y Y^T from one full-shape
+    `kernel` first receives the Gram matrix 2 Y Y^T from one full-shape
     gemm; the elementwise steps then run block by block.
     """
-    norms = (Y * Y).sum(axis=1)
-    np.matmul(Y * 2.0, Y.T, out=work)
-    for s in range(0, len(Y), _BLOCK):
-        rows = slice(s, s + _BLOCK)
-        block = kernel[rows]
-        np.add(norms[rows, None], norms, out=block)
-        block -= work[rows]
-        np.maximum(block, 0.0, out=block)
+    np.matmul(Y * 2.0, Y.T, out=kernel)
+    for s, block in _distance_blocks((Y * Y).sum(axis=1), kernel):
         block += 1.0
         np.divide(1.0, block, out=block)
         np.fill_diagonal(block[:, s:], 0.0)
@@ -186,43 +199,47 @@ def _blocked_kernel(Y, kernel, work):
 
 def _kl_divergence(P, Y):
     """KL(P || Q) for the low-dimensional affinities Q of layout `Y`."""
-    Q, work = np.empty_like(P), np.empty_like(P)
-    Q /= _blocked_kernel(Y, Q, work)
-    np.maximum(Q, _EPS, out=Q)
-    np.maximum(P, _EPS, out=work)
-    work /= Q
-    np.log(work, out=work)
-    work *= P
-    return float(work.sum())
+    Q = np.empty_like(P)
+    total = _blocked_kernel(Y, Q)
+    for s in range(0, len(Y), _BLOCK):
+        rows = slice(s, s + _BLOCK)
+        block = Q[rows]
+        block /= total
+        np.maximum(block, _EPS, out=block)
+        np.divide(np.maximum(P[rows], _EPS), block, out=block)
+        np.log(block, out=block)
+        block *= P[rows]
+    return float(Q.sum())
 
 
 def _descend(P, Y, config: TsneConfig):
     """Gradient descent from layout `Y`; returns the final layout.
 
-    Per iteration `kernel` holds the Student-t affinities and `work` goes
-    Gram matrix -> M = diag(rowsum(coeff)) - coeff, with
-    coeff = (target - Q) * kernel, so the gradient is 4 M Y.  Each block
-    of M is written as (Q - target) * kernel, the exact negation of coeff,
-    and the exaggerated target is formed one block at a time, so no n x n
-    copy of P is kept.  Both buffers are freed on return.
+    Per iteration `kernel` holds the Student-t affinities, then
+    M = diag(rowsum(coeff)) - coeff, with coeff = (target - Q) * kernel, so
+    the gradient is 4 M Y.  Each block of M is written as
+    kernel * (Q - target), the exact negation of coeff, and the exaggerated
+    target is formed one block at a time, so no n x n copy of P is kept.
+    The buffer is freed on return.
     """
-    kernel, work = np.empty_like(P), np.empty_like(P)
+    kernel = np.empty_like(P)
+    scratch = np.empty((min(_BLOCK, len(P)), len(P)))
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)  # per-coordinate adaptive rates keep lr=200 stable
     for iteration in range(config.n_iter):
         early = iteration < config.exaggeration_iter
         momentum = _MOMENTUM_EARLY if early else _MOMENTUM_LATE
-        total = _blocked_kernel(Y, kernel, work)
+        total = _blocked_kernel(Y, kernel)
         for s in range(0, len(Y), _BLOCK):
             rows = slice(s, s + _BLOCK)
-            block, target = work[rows], P[rows]
+            block, target = kernel[rows], P[rows]
             if early:
                 target = target * _EARLY_EXAGGERATION
-            np.divide(kernel[rows], total, out=block)
-            block -= target
-            block *= kernel[rows]
+            q = np.divide(block, total, out=scratch[:len(block)])
+            q -= target
+            block *= q
             np.fill_diagonal(block[:, s:], -block.sum(axis=1))
-        grad = 4.0 * (work @ Y)
+        grad = 4.0 * (kernel @ Y)
         agree = update * grad < 0.0
         gains[agree] += 0.2
         gains[~agree] *= 0.8

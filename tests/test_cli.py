@@ -870,6 +870,8 @@ class TestEvaluateCv:
              f"--encoders and --out both name {model}; the sidecar would overwrite the model"),
             (["cv", "--modes", ","], "--modes names no mode; choose from wo_dr/tsne/pca"),
             (["cv", "--modes", ""], "--modes names no mode; choose from wo_dr/tsne/pca"),
+            (["cv", "--modes", "wo_dr,wo_dr"], "--modes names 'wo_dr' more than once"),
+            (["cv", "--modes", "tsne,pca,tsne"], "--modes names 'tsne' more than once"),
             ([*train, "--clusters", "0"], "clusters must be >= 1, got 0"),
             ([*train, "--components", "0"], "components must be >= 1 or unset, got 0"),
             (["cv", "--modes", "tsne", "--k", "1"], "k must be >= 2, got 1"),
