@@ -190,9 +190,10 @@ CV_METRICS = ("accuracy", "macro_f1")
 
 @dataclass
 class CvResult:
-    """Per-evaluation scores in (repeat, fold) order: R1-F1 .. R2-Fk."""
+    """Per-evaluation scores of the `cross_validate` metric in (repeat,
+    fold) order: R1-F1 .. R2-Fk."""
 
-    accuracies: np.ndarray
+    scores: np.ndarray
     mean: float
     std: float
     fold_labels: tuple[str, ...]
@@ -200,10 +201,12 @@ class CvResult:
 
 def cross_validate(runs, labels, plan: FoldPlan, metric: str = "accuracy",
                    threads: int = 1) -> list[CvResult]:
-    """Cross-validate each (spec, matrix) run: train on k-1 folds and score
-    the held-out fold, for every (repeat, fold).  The cells of every run
-    go to one `run_cells` call of `threads` worker processes, ordered
-    (run, repeat, fold).  Each evaluation derives its own seed from (spec
+    """Cross-validate each (spec, matrix) run: train on k-1 folds and
+    predict the held-out fold, for every (repeat, fold).  The cells of
+    every run go to one `run_cells` call of `threads` worker processes,
+    ordered (run, repeat, fold); each sends back its predicted labels, and
+    this process scores every cell by the `metric` field of
+    `compute_metrics`.  Each evaluation derives its own seed from (spec
     seed, repeat, fold).  Accuracy is the default score; macro_f1 is
     available for imbalance-sensitive selection.  A spec `model_members`
     refuses is a ConfigError before any cell runs."""
@@ -216,13 +219,13 @@ def cross_validate(runs, labels, plan: FoldPlan, metric: str = "accuracy",
     if any(len(plan.assignments[0]) != X.shape[0] for _, X in runs):
         raise DomainError("fold plan does not match the matrix rows")
     cells = [(r, f) for r in range(plan.repeats) for f in range(plan.k)]
+    tests = [plan.test_indices(r, f) for r, f in cells]
 
-    def score(index: int) -> float:
+    def predict(index: int) -> np.ndarray:
         run, cell = divmod(index, len(cells))
         spec, X = runs[run]
         repeat, fold = cells[cell]
         train = plan.train_indices(repeat, fold)
-        test = plan.test_indices(repeat, fold)
         eval_spec = ModelSpec(
             spec.family, dict(spec.params), derived_seed(spec.seed, repeat, fold)
         )
@@ -232,22 +235,16 @@ def cross_validate(runs, labels, plan: FoldPlan, metric: str = "accuracy",
             raise EvaluationError(
                 f"training failed on repeat {repeat + 1} fold {fold + 1}: {exc}"
             ) from exc
-        predicted = model.predict(X[test])
-        if metric == "macro_f1":
-            return compute_metrics(y[test], predicted).macro_f1
-        return float((predicted == y[test]).mean())
+        return model.predict(X[tests[cell]])
 
-    scores = run_cells(score, len(runs) * len(cells), threads, died=EvaluationError)
-    results = []
-    for start in range(0, len(scores), len(cells)):
-        run_scores = np.array(scores[start:start + len(cells)])
-        results.append(CvResult(
-            accuracies=run_scores,
-            mean=float(run_scores.mean()),
-            std=float(run_scores.std()),
-            fold_labels=tuple(f"R{r + 1}-F{f + 1}" for r, f in cells),
-        ))
-    return results
+    predicted = run_cells(predict, len(runs) * len(cells), threads, died=EvaluationError)
+    scores = np.array([
+        getattr(compute_metrics(y[tests[index % len(cells)]], held_out), metric)
+        for index, held_out in enumerate(predicted)
+    ]).reshape(len(runs), len(cells))
+    fold_labels = tuple(f"R{r + 1}-F{f + 1}" for r, f in cells)
+    return [CvResult(scores=row, mean=float(row.mean()), std=float(row.std()),
+                     fold_labels=fold_labels) for row in scores]
 
 
 @dataclass

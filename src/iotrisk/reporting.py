@@ -9,6 +9,9 @@ row per metric with per-class, Macro and Micro/ACC columns.  Text values
 are percentages with one decimal; CSV values are fractions with six.
 """
 
+import csv
+import io
+
 from .dataset import CorpusSummary
 from .encoding import CorrelationReport
 from .evaluation import AblationReport, CvResult, MetricsReport, TuneResult
@@ -32,14 +35,14 @@ def _pct(value: float) -> str:
 
 def render(fmt: str, rows: list[list], title: str = "", notes: str = "",
            number=_pct) -> str:
-    """Rows of string or number cells as CSV (numbers as .6f, no title or
-    notes) or as an aligned text table (numbers through `number`) between
-    the title line and the notes."""
+    """Rows of string or number cells as quoted-where-needed CSV (numbers
+    as .6f, no title or notes) or as an aligned text table (numbers
+    through `number`) between the title line and the notes."""
     if fmt == "csv":
-        return "".join(
-            ",".join(c if isinstance(c, str) else f"{c:.6f}" for c in row) + "\n"
-            for row in rows
-        )
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [c if isinstance(c, str) else f"{c:.6f}" for c in row] for row in rows)
+        return out.getvalue()
     cells = [[c if isinstance(c, str) else number(c) for c in row] for row in rows]
     return (title + "\n" if title else "") + _table(cells) + notes
 
@@ -61,7 +64,7 @@ def correlation_report(report: CorrelationReport) -> str:
 def cv_report(fmt: str, runs: list[tuple[str, CvResult]], k: int, repeats: int,
               seed: int, family: str) -> str:
     rows = [["mode", *runs[0][1].fold_labels, "mean", "std"]]
-    rows += [[label, *result.accuracies, result.mean, result.std]
+    rows += [[label, *result.scores, result.mean, result.std]
              for label, result in runs]
     title = (f"stratified cross-validation accuracy (%), model={family}, "
              f"k={k}, repeats={repeats}, seed={seed}")
@@ -115,12 +118,12 @@ def predictions_report(fmt: str, predictions: list[Prediction]) -> str:
     """Text shows p(class) to three decimals with the warnings below the
     table; CSV names the columns p_class and ends each row with its
     warnings, commas turned into semicolons."""
-    csv = fmt == "csv"
-    rows = [["row", "predicted", *(f"p_{c}" if csv else f"p({c})" for c in CLASS_NAMES)]
-            + (["warnings"] if csv else [])]
+    as_csv = fmt == "csv"
+    rows = [["row", "predicted", *(f"p_{c}" if as_csv else f"p({c})" for c in CLASS_NAMES)]
+            + (["warnings"] if as_csv else [])]
     for i, prediction in enumerate(predictions):
         rows.append([str(i), prediction.risk.name, *prediction.probabilities]
-                    + (["; ".join(prediction.warnings).replace(",", ";")] if csv else []))
+                    + (["; ".join(prediction.warnings).replace(",", ";")] if as_csv else []))
     notes = "".join(
         f"warning: row {i}: {note}\n"
         for i, prediction in enumerate(predictions)

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import csv
 import gzip
 import hashlib
 import json
@@ -782,6 +783,20 @@ class TestEvaluateCv:
         lines = out.read_text().splitlines()
         assert lines[0] == "rank,n_stages,mean,std"
         assert len(lines) == 3
+
+    def test_tune_csv_quotes_cells_holding_commas(self, corpus, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"class_weights": [{"0": 2.0, "1": 1.0}, "balanced"],
+                                    "n_trees": [3]}))
+        out = tmp_path / "tune.csv"
+        rc = main(["tune", "--corpus", str(corpus), "--seed", "4", "--model", "rfc",
+                   "--grid", str(grid), "--k", "2", "--repeats", "1",
+                   "--format", "csv", "--out", str(out)])
+        assert rc == 0
+        header, *rows = csv.reader(out.read_text().splitlines())
+        assert header == ["rank", "class_weights", "n_trees", "mean", "std"]
+        assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+        assert sorted(row[1] for row in rows) == ["balanced", "{'0': 2.0, '1': 1.0}"]
 
     def test_tune_rejects_voting(self, corpus, tmp_path, capsys):
         grid = tmp_path / "grid.json"

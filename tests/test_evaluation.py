@@ -176,7 +176,7 @@ class TestCrossValidate:
         X, y, _ = encoded_corpus(200, 0.5, seed=1)
         plan = make_fold_plan(y, 5, 2, seed=2)
         result = cross_validate([(CONSTANT, X)], y, plan)[0]
-        assert len(result.accuracies) == 10
+        assert len(result.scores) == 10
         assert result.fold_labels == (
             "R1-F1", "R1-F2", "R1-F3", "R1-F4", "R1-F5",
             "R2-F1", "R2-F2", "R2-F3", "R2-F4", "R2-F5",
@@ -187,7 +187,7 @@ class TestCrossValidate:
         X = np.zeros((len(labels), 2))
         plan = make_fold_plan(labels, 5, 2, seed=5)
         result = cross_validate([(CONSTANT, X)], labels, plan)[0]
-        assert np.all(np.abs(result.accuracies - 656 / 1153) < 0.02)
+        assert np.all(np.abs(result.scores - 656 / 1153) < 0.02)
 
     def test_noise_labels_bounded_by_prior_ceiling(self):
         rng = np.random.default_rng(7)
@@ -205,7 +205,7 @@ class TestCrossValidate:
         spec = ModelSpec("rfc", {"n_trees": 5}, seed=11)
         a = cross_validate([(spec, X)], y, plan)[0]
         b = cross_validate([(spec, X)], y, plan)[0]
-        assert np.array_equal(a.accuracies, b.accuracies)
+        assert np.array_equal(a.scores, b.scores)
 
     def test_plan_row_mismatch(self):
         X, y, _ = encoded_corpus(80, 0.5, seed=3)
@@ -271,8 +271,32 @@ class TestRunCells:
         results = [cross_validate([(spec, X)], y, plan, metric=metric, threads=threads)[0]
                    for threads in (1, 2, 4)]
         for other in results[1:]:
-            assert other.accuracies.tobytes() == results[0].accuracies.tobytes()
+            assert other.scores.tobytes() == results[0].scores.tobytes()
             assert (other.mean, other.std) == (results[0].mean, results[0].std)
+
+
+    @pytest.mark.parametrize("metric", CV_METRICS)
+    def test_the_parent_scores_every_cell_through_compute_metrics(self, metric,
+                                                                   monkeypatch):
+        X, y, _ = encoded_corpus(150, 0.7, seed=2)
+        plan = make_fold_plan(y, 3, 2, seed=3)
+        runs = [(ModelSpec("gbdt", QUICK_GBDT, seed=11), X), (CONSTANT, X)]
+        calls = []  # filled only by calls made in this process
+
+        def recorder(true_labels, predicted_labels):
+            report = compute_metrics(true_labels, predicted_labels)
+            calls.append((np.array(true_labels), report))
+            return report
+
+        monkeypatch.setattr(evaluation, "compute_metrics", recorder)
+        results = cross_validate(runs, y, plan, metric=metric, threads=2)
+        tests = [plan.test_indices(r, f) for r in range(2) for f in range(3)]
+        assert len(calls) == len(runs) * len(tests)
+        for index, (true_labels, report) in enumerate(calls):
+            run, cell = divmod(index, len(tests))
+            assert np.array_equal(true_labels, y[tests[cell]])
+            assert (results[run].scores[cell].tobytes()
+                    == np.float64(getattr(report, metric)).tobytes())
 
 
 class TestGridSearch:
