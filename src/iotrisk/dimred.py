@@ -294,8 +294,8 @@ def _assign(X, centroids):
         - 2.0 * (X @ centroids.T)
         + (centroids * centroids).sum(axis=1)[None, :]
     )
-    assignments = d2.argmin(axis=1)  # ties: lowest centroid index
-    return assignments, d2
+    return d2.argmin(axis=1)  # ties: lowest centroid index
+
 
 def _exact_inertia(X, centroids, assignments):
     diff = X - centroids[assignments]
@@ -336,7 +336,7 @@ def kmeans_fit(matrix, k: int, seed: int = 0) -> KmeansModel:
             centroids[j] = X[rng.choice(n, p=closest / total)]
         closest = np.minimum(closest, ((X - centroids[j]) ** 2).sum(axis=1))
 
-    assignments, _ = _assign(X, centroids)
+    assignments = _assign(X, centroids)
     history = [_exact_inertia(X, centroids, assignments)]
     for iterations in range(1, _KMEANS_MAX_ITER + 1):
         for j in range(k):
@@ -346,7 +346,7 @@ def kmeans_fit(matrix, k: int, seed: int = 0) -> KmeansModel:
             else:
                 distances = ((X - centroids[assignments]) ** 2).sum(axis=1)
                 centroids[j] = X[distances.argmax()]
-        new_assignments, _ = _assign(X, centroids)
+        new_assignments = _assign(X, centroids)
         history.append(_exact_inertia(X, centroids, new_assignments))
         converged = (new_assignments == assignments).all()
         assignments = new_assignments
@@ -364,8 +364,7 @@ def kmeans_fit(matrix, k: int, seed: int = 0) -> KmeansModel:
 
 def kmeans_assign(matrix, model: KmeansModel) -> np.ndarray:
     """Nearest-centroid assignment for new rows."""
-    assignments, _ = _assign(np.asarray(matrix, dtype=float), model.centroids)
-    return assignments
+    return _assign(np.asarray(matrix, dtype=float), model.centroids)
 
 
 def cluster_frequencies(assignments, k: int) -> np.ndarray:

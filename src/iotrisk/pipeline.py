@@ -1,5 +1,6 @@
-"""Pipeline assembly: mode handling (plain / t-SNE / PCA), parameter
-profiles, model fitting over a corpus, and device scoring.
+"""Pipeline assembly: mode handling (plain / t-SNE / PCA), the reduction
+stage and its stored form, parameter profiles, model fitting over a
+corpus, and device scoring.
 
 The reduced modes embed the scaled matrix, cluster the embedding with
 k-means, and append the cluster id as a frequency-encoded, rescaled
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import DeviceRecord
+from .dataset import FEATURE_COLUMNS, DeviceRecord
 from .dimred import (
     KmeansModel,
     PcaModel,
@@ -25,9 +26,10 @@ from .dimred import (
     pca_transform,
     tsne_embed,
 )
-from .encoding import CorpusEncoder, EncodedMatrix, StandardScaler, apply_scaler, fit_scaler
+from .encoding import (CorpusEncoder, EncodedMatrix, StandardScaler, apply_scaler,
+                       checked_array, fit_scaler)
 from .ensemble import ModelSpec, fit_model, model_members
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .nvd import RiskClass
 from .util import derived_seed
 
@@ -133,6 +135,61 @@ class DimredArtifacts:
         column = apply_scaler(self.cluster_freqs[assignments][:, None], self.cluster_scaler)
         return replace(encoded, data=np.column_stack([encoded.data, column]),
                        columns=encoded.columns + ("cluster",))
+
+    def to_payload(self) -> dict:
+        payload: dict = {"mode": self.mode}
+        if self.pca is not None:
+            payload["pca"] = {
+                "components": self.pca.components.tolist(),
+                "explained_variance_ratio": self.pca.explained_variance_ratio.tolist(),
+                "means": self.pca.means.tolist(),
+            }
+        if self.kmeans is not None:
+            payload["kmeans"] = {"centroids": self.kmeans.centroids.tolist(),
+                                 "seed": self.kmeans.seed}
+            payload["cluster_freqs"] = self.cluster_freqs.tolist()
+            payload["cluster_scaler"] = self.cluster_scaler.to_payload()
+        if self.tsne_kl is not None:
+            payload["tsne_kl"] = list(self.tsne_kl)
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict, mode) -> "DimredArtifacts":
+        """The stored stage of a model of `mode`, checked to be usable; its
+        k-means keeps the centroids and seed, not the fit's assignments."""
+        if mode not in MODES or payload["mode"] != mode:
+            raise DataFormatError(
+                f"model mode {mode!r} with a dimred stage of mode {payload['mode']!r}"
+            )
+        artifacts = cls(mode=mode)
+        if mode == "wo_dr":
+            return artifacts
+        width = None  # of the space k-means ran in; a t-SNE embedding's is free
+        if mode == "pca":
+            stored = payload["pca"]
+            n_features = len(FEATURE_COLUMNS)
+            components = checked_array(stored["components"], "pca components",
+                                       (None, n_features))
+            width = len(components)
+            artifacts.pca = PcaModel(
+                components=components,
+                explained_variance_ratio=checked_array(
+                    stored["explained_variance_ratio"], "pca explained_variance_ratio",
+                    (width,)),
+                means=checked_array(stored["means"], "pca means", (n_features,)),
+            )
+        centroids = checked_array(payload["kmeans"]["centroids"], "k-means centroids",
+                                  (None, width))
+        artifacts.kmeans = KmeansModel(centroids=centroids, assignments=np.empty(0, dtype=int),
+                                       inertia=0.0, n_iter=0,
+                                       seed=int(payload["kmeans"]["seed"]))
+        artifacts.cluster_freqs = checked_array(payload["cluster_freqs"], "cluster_freqs",
+                                                (len(centroids),))
+        artifacts.cluster_scaler = StandardScaler.from_payload(payload["cluster_scaler"],
+                                                               "cluster_scaler", 1)
+        if "tsne_kl" in payload:
+            artifacts.tsne_kl = tuple(checked_array(payload["tsne_kl"], "tsne_kl", (2,)).tolist())
+        return artifacts
 
 
 def build_design(

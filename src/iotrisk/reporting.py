@@ -117,13 +117,13 @@ def ablation_report(fmt: str, report: AblationReport) -> str:
 def predictions_report(fmt: str, predictions: list[Prediction]) -> str:
     """Text shows p(class) to three decimals with the warnings below the
     table; CSV names the columns p_class and ends each row with its
-    warnings, commas turned into semicolons."""
+    warnings joined by "; ", in one cell quoted where it holds a comma."""
     as_csv = fmt == "csv"
     rows = [["row", "predicted", *(f"p_{c}" if as_csv else f"p({c})" for c in CLASS_NAMES)]
             + (["warnings"] if as_csv else [])]
     for i, prediction in enumerate(predictions):
         rows.append([str(i), prediction.risk.name, *prediction.probabilities]
-                    + (["; ".join(prediction.warnings).replace(",", ";")] if as_csv else []))
+                    + (["; ".join(prediction.warnings)] if as_csv else []))
     notes = "".join(
         f"warning: row {i}: {note}\n"
         for i, prediction in enumerate(predictions)

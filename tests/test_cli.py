@@ -3,6 +3,7 @@ import contextlib
 import csv
 import gzip
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -263,6 +264,24 @@ class TestTrainPredict:
                    "--input", str(devices)])
         assert rc == 2
         assert "out-of-sample" in capsys.readouterr().err
+
+    def test_csv_warnings_keep_their_commas(self, corpus, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus), "--seed", "7",
+                     "--out", str(model), *QUICK]) == 0
+        devices = tmp_path / "devices.csv"
+        devices.write_text(DEVICE_HEADER + '\n"Acme, Inc.",type_000,SmartHome,49.0,wifi,'
+                           "Remote,Yes,No,wifi_2_4ghz,None,false\n")
+        capsys.readouterr()
+        argv = ["predict", "--model", str(model), "--encoders", str(model) + ".encoders.json",
+                "--input", str(devices)]
+        assert main(argv) == 0
+        notes = [line.split(": ", 2)[2] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("warning: row 0: ")]
+        assert "brand='Acme, Inc.' was not in the training corpus" in notes
+        assert main([*argv, "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0][-1] == "warnings" and rows[1][-1] == "; ".join(notes)
 
     def test_pca_model_scores_new_rows(self, corpus, tmp_path, capsys):
         model = tmp_path / "p.json"
@@ -704,6 +723,19 @@ class TestDoctoredModel:
         assert "Traceback" not in err and "nan" not in out
         if "format" in defect:
             assert "retrain the model" in err
+
+    @pytest.mark.parametrize("kl, expected", [
+        ("ab", "malformed model payload (ValueError("),
+        ([2.5, 0.5, 0.25], "tsne_kl has shape (3,), expected (2)"),
+    ], ids=["text", "three_numbers"])
+    def test_malformed_tsne_kl(self, corpus, tmp_path, capsys, kl, expected):
+        model, devices = self._train(corpus, tmp_path, "tsne")
+        payload = json.loads(model.read_text())
+        payload["dimred"]["tsne_kl"] = kl
+        assert self._predict(model, devices, payload) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and err.count("error:") == 1
+        assert expected in err and "Traceback" not in err
 
     @pytest.mark.parametrize("defect", [
         "no_pca", "short_cluster_freqs", "wide_components", "wide_centroids",

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from iotrisk.dataset import SynthesisSpec, bundled_corpus_path, load_corpus, syn
 from iotrisk.encoding import CorpusEncoder
 from iotrisk.errors import ConfigError, DomainError
 from iotrisk.pipeline import (
+    DimredArtifacts,
     PipelineConfig,
     build_design,
     fit_design,
@@ -389,6 +391,19 @@ class TestClusterFeature:
         assignments = artifacts.kmeans.assignments
         sizes = cluster_frequencies(assignments, 4)[assignments]
         assert np.allclose(design.data[:, -1], (sizes - sizes.mean()) / sizes.std())
+
+    @pytest.mark.parametrize("mode", ["wo_dr", "pca", "tsne"])
+    def test_stored_stage_reads_back_into_the_fitted_stage(self, mode):
+        # through JSON text and back, the stage writes the same stored form
+        # and, where it can score new rows, gives the rows their fitted design
+        records = synthesize_corpus(SynthesisSpec(seed=4, total=160, signal_strength=0.8))
+        encoded = CorpusEncoder.fit(records).transform(records)
+        design, artifacts = build_design(encoded, PipelineConfig(mode=mode, seed=3))
+        text = json.dumps(artifacts.to_payload(), sort_keys=True)
+        loaded = DimredArtifacts.from_payload(json.loads(text), mode)
+        assert json.dumps(loaded.to_payload(), sort_keys=True) == text
+        if mode == "pca":
+            assert loaded.apply(encoded).data.tobytes() == design.data.tobytes()
 
     @pytest.mark.parametrize("family, overrides", [
         ("gbdt", {"n_stages": 30}), ("rfc", {"n_trees": 10}),
